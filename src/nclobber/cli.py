@@ -160,6 +160,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
+    if cfg.mode == "prudent" and cfg.players != 3:
+        raise ValueError("prudent simplification is defined for exactly three players")
     value = parse_value(args.value, players=cfg.players)
     simplified = normalize(value, cfg.profile, cfg.players)
     if cfg.mode != "raw":

@@ -4,9 +4,12 @@ The experiment sweeps every novel 1xn line board with player 1 to move
 and counts the distinct values under four regimes:
 
   unsimplified   raw canonical trees
-  syntactic      trees rewritten with the normalization profile
-  selfish        trees built with selfish option pruning, then rewritten
-  prudent        simple values from the prudent evaluator
+  syntactic      the raw trees rewritten with the normalization profile
+  selfish        the raw trees folded with selfish pruning and rewriting
+  prudent        the raw trees collapsed to simple values by prudent play
+
+Each board is traversed once, into its raw value; the other regimes are
+memoized folds over it, sharing one cache per board graph.
 
 Novelty filters (all on for the reference counts): no blank end cells,
 no two adjacent blanks, only boards at least as large as their mirror
@@ -39,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .game_core import Position, parse_board
+from .game_core import BoardGraph, Position, parse_board
 from .solver import EvalCache, Raw, Simple, evaluate
 from .values import (
     DEFAULT_PROFILE,
@@ -258,17 +261,16 @@ def _census_chunk(args: tuple) -> dict[str, set[str]]:
     boards, modes, profile_level, players = args
     profile = NormalizationProfile(profile_level)
     out: dict[str, set[str]] = {m: set() for m in modes}
-    caches: dict[tuple[int, str], EvalCache] = {}
+    caches: dict[BoardGraph, EvalCache] = {}
     for board in boards:
         graph, occupancy = parse_board(board, players=players)
         position = Position(graph, occupancy, 1)
+        cache = caches.get(graph)
+        if cache is None:
+            cache = caches[graph] = EvalCache(graph, players)
         for m in modes:
-            mode = _SOLVER_MODE[m]
-            cache = caches.get((graph.vertex_count, m))
-            if cache is None:
-                cache = EvalCache(graph, mode, profile, players)
-                caches[(graph.vertex_count, m)] = cache
-            out[m].add(_render_result(evaluate(position, mode, profile, cache, players)))
+            result = evaluate(position, _SOLVER_MODE[m], profile, cache, players)
+            out[m].add(_render_result(result))
     return out
 
 

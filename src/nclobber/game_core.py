@@ -90,7 +90,7 @@ def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[Boa
     """
     if not 1 <= players <= 9:
         raise BoardError(f"player count must be 1..9, got {players}")
-    if not text or not text.isdigit():
+    if not text or not (text.isascii() and text.isdigit()):
         raise BoardError(f"board must be a nonempty digit string, got {text!r}")
     cells = bytes(int(ch) for ch in text)
     bad = [ch for ch in text if int(ch) > players]

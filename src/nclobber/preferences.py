@@ -111,7 +111,6 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     got = _LEQ_CACHE.get(key)
     if got is not None:
         return got
-    _LEQ_CACHE[key] = False  # protects against nothing; keeps reentry cheap
     result = all(_leq(xi, y, p) for xi in x.children)
     if not result and y.children is not None:
         result = all(_leq(xi, yj, p) for xi in x.children for yj in y.children)
@@ -294,10 +293,10 @@ def prudent_simplify(v: GameValue, mover: int) -> SimpleValue:
     The mover owns the top-level choice and the turn rotates one player
     per level down; a singleton level is a pass and is absorbed.  At
     each choice the options collapse recursively, the mover keeps the
-    ones at the best chain coordinate, and the survivors merge.  This is
-    the value-space twin of the board evaluator's prudent mode, for
-    three players only.  Wrapper levels carry turn information here, so
-    the caller should not collapse singletons (rule 1) beforehand.
+    ones at the best chain coordinate, and the survivors merge.  The
+    board evaluator's prudent mode is this collapse of the raw value,
+    for three players only.  Wrapper levels carry turn information here,
+    so the caller should not collapse singletons (rule 1) beforehand.
     """
     if not 1 <= mover <= 3:
         raise ValueError(f"mover {mover} out of range for three players")
@@ -317,6 +316,35 @@ def prudent_simplify(v: GameValue, mover: int) -> SimpleValue:
             kept = {s for s in options if chain_coordinate(s, mover).sort_key == best}
             got = merge_incomparable_simples(kept, mover)
         _PSIMP_CACHE[key] = got
+    return got
+
+
+def prune_fold(
+    v: GameValue,
+    mover: int,
+    mode: str,
+    profile: NormalizationProfile,
+    players: int,
+    memo: dict[tuple[GameValue, int], GameValue],
+) -> GameValue:
+    """Fold a raw value the way selfish or indifferent players play it.
+
+    The mover owns the top-level choice and the turn rotates one player
+    per level down.  At each level the options fold first, prune drops
+    the ones the mover discards, and the choice over the survivors is
+    rewritten with the profile.  A pass is a singleton level, which
+    prune leaves alone.  memo maps (value, mover) to results for one
+    mode, profile and player count.
+    """
+    if v.children is None:
+        return v
+    key = (v, mover)
+    got = memo.get(key)
+    if got is None:
+        after = mover % players + 1
+        options = {prune_fold(c, after, mode, profile, players, memo) for c in v.children}
+        got = normalize(choice(prune(options, mover, mode, players)), profile, players)
+        memo[key] = got
     return got
 
 
@@ -470,4 +498,3 @@ def clear_caches() -> None:
     _QUOT_CACHE.clear()
     _EXT_CACHE.clear()
     _PSIMP_CACHE.clear()
-    _EXT_CACHE.clear()

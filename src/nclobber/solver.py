@@ -1,28 +1,31 @@
 """Memoized evaluation of positions into game values.
 
-Evaluation walks the game tree bottom-up.  The tree has a node for
-every (occupancy, player to move) pair: a player with no move passes,
-so their node is the singleton choice over the same occupancy with the
-next player to move.  Such a wrapper is invisible when the value below
-is a bare winner (singleton-of-leaf identification) but real otherwise.
-A move that empties the board of moves ends the game with the mover
-winning, so such a child is the mover's leaf.  The node value is the
-canonical choice over the child values, post-processed per mode:
+Evaluation walks the game tree bottom-up once, into the raw value.  The
+tree has a node for every (occupancy, player to move) pair: a player
+with no move passes, so their node is the singleton choice over the
+same occupancy with the next player to move.  Such a wrapper is
+invisible when the value below is a bare winner (singleton-of-leaf
+identification) but real otherwise.  A move that empties the board of
+moves ends the game with the mover winning, so such a child is the
+mover's leaf.  The node value is the canonical choice over the child
+values.
 
-  raw         keep the canonical choice untouched
+Every other mode is a memoized fold over the raw value, whose levels
+rotate the mover one player down:
+
   syntactic   rewrite with the session's normalization profile
-  selfish     drop options the mover ranks strictly below another
-  indifferent selfish pruning under loss-blind comparison, with
+  selfish     at every level, drop options the mover ranks strictly
+              below another, then rewrite (preferences.prune_fold)
+  indifferent the same fold under loss-blind comparison, with
               indistinguishable options merged; the root is reported as
               the mover-relative class it lands in
-  prudent     evaluate entirely in simple values: prune to the best
-              chain coordinate and merge the survivors (three players
-              only; every position collapses to one simple value)
+  prudent     collapse to the simple value prudent play reaches
+              (preferences.prudent_simplify; three players only)
 
 Results are wrapped in one of three variants: Raw carries a value tree,
-Simple a simple value, Class a loss-blind class.  A cache maps resolved
-(occupancy, mover) pairs to results and may be shared across positions
-on the same board graph, mode, and profile.
+Simple a simple value, Class a loss-blind class.  A cache holds the raw
+values of resolved (occupancy, mover) pairs and the fold results; it
+serves every mode and profile on one board graph and player count.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .game_core import (
 )
 from .preferences import (
     ChainError,
-    chain_coordinate,
     indifferent_class,
-    merge_incomparable_simples,
-    prune,
+    prudent_simplify,
+    prune_fold,
 )
 from .values import (
     DEFAULT_PROFILE,
@@ -99,33 +101,23 @@ EvalResult = Union[Raw, Simple, Class]
 
 @dataclass
 class EvalCache:
-    """Memo of resolved (occupancy, mover) pairs for one evaluation setup.
+    """Raw values of resolved (occupancy, mover) pairs, and the selfish
+    and indifferent fold results over them, for one board graph and
+    player count.
 
-    A cache is bound to a board graph, mode, profile, and player count;
-    reusing it under any other setup is an error.
+    Every mode and profile may share a cache; reusing it with another
+    graph or player count is an error.
     """
 
     graph: BoardGraph
-    mode: str
-    profile: NormalizationProfile
     players: int = 3
-    entries: dict[tuple[bytes, int], Union[GameValue, SimpleValue]] = field(
-        default_factory=dict
-    )
+    entries: dict[tuple[bytes, int], GameValue] = field(default_factory=dict)
+    folds: dict[
+        tuple[str, NormalizationProfile], dict[tuple[GameValue, int], GameValue]
+    ] = field(default_factory=dict)
 
-    def compatible_with(
-        self, graph: BoardGraph, mode: str, profile: NormalizationProfile, players: int
-    ) -> bool:
-        return (
-            self.graph == graph
-            and self.mode == mode
-            and self.profile is profile
-            and self.players == players
-        )
-
-
-def _next(player: int, players: int) -> int:
-    return player % players + 1
+    def compatible_with(self, graph: BoardGraph, players: int) -> bool:
+        return self.graph == graph and self.players == players
 
 
 def evaluate(
@@ -146,39 +138,36 @@ def evaluate(
         raise ValueError("prudent evaluation is defined for exactly three players")
     graph = position.graph
     if cache is None:
-        cache = EvalCache(graph, mode, profile, players)
-    elif not cache.compatible_with(graph, mode, profile, players):
-        raise ValueError("cache was built for a different evaluation setup")
-    mask = movers_mask(graph, position.occupancy)
-    if mask == 0:
+        cache = EvalCache(graph, players)
+    elif not cache.compatible_with(graph, players):
+        raise ValueError("cache was built for a different board graph or player count")
+    if movers_mask(graph, position.occupancy) == 0:
         raise NoMoveError("no player can move from the root position")
+    mover = position.mover
+    raw = _eval_raw(graph, position.occupancy, mover, cache)
+    if mode == "raw":
+        return Raw(raw)
+    if mode == "syntactic":
+        return Raw(normalize(raw, profile, players))
     if mode == "prudent":
-        simple = _eval_prudent(graph, position.occupancy, position.mover, cache)
-        return Simple(simple)
-    value = _eval_tree(graph, position.occupancy, position.mover, mode, profile, cache, players)
-    if mode == "indifferent":
-        tokens = sum(1 for b in position.occupancy if b)
-        named = indifferent_class(value, position.mover, tokens + 1)
-        if named is None:
-            raise ChainError("evaluation produced a value outside the class ladder")
-        return Class(*named)
-    return Raw(value)
+        return Simple(prudent_simplify(raw, mover))
+    memo = cache.folds.setdefault((mode, profile), {})
+    value = prune_fold(raw, mover, mode, profile, players, memo)
+    if mode == "selfish":
+        return Raw(value)
+    tokens = sum(1 for b in position.occupancy if b)
+    named = indifferent_class(value, mover, tokens + 1)
+    if named is None:
+        raise ChainError("evaluation produced a value outside the class ladder")
+    return Class(*named)
 
 
-def _eval_tree(
-    graph: BoardGraph,
-    occupancy: bytes,
-    mover: int,
-    mode: str,
-    profile: NormalizationProfile,
-    cache: EvalCache,
-    players: int,
-) -> GameValue:
+def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
     key = (occupancy, mover)
     got = cache.entries.get(key)
     if got is not None:
         return got
-    after = _next(mover, players)
+    after = mover % cache.players + 1
     options = set()
     if movers_mask(graph, occupancy) & (1 << mover):
         for move in legal_moves(graph, occupancy, mover):
@@ -186,44 +175,11 @@ def _eval_tree(
             if movers_mask(graph, child) == 0:
                 options.add(leaf(mover))
             else:
-                options.add(_eval_tree(graph, child, after, mode, profile, cache, players))
-        if mode in ("selfish", "indifferent"):
-            options = prune(options, mover, mode, players)
+                options.add(_eval_raw(graph, child, after, cache))
     else:
         # The mover passes: a forced continuation, one list level.
-        options.add(_eval_tree(graph, occupancy, after, mode, profile, cache, players))
+        options.add(_eval_raw(graph, occupancy, after, cache))
     value = choice(options)
-    if mode != "raw":
-        value = normalize(value, profile, players)
-    cache.entries[key] = value
-    return value
-
-
-def _eval_prudent(
-    graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache
-) -> SimpleValue:
-    key = (occupancy, mover)
-    got = cache.entries.get(key)
-    if got is not None:
-        return got
-    after = _next(mover, 3)
-    if movers_mask(graph, occupancy) & (1 << mover):
-        options: set[SimpleValue] = set()
-        for move in legal_moves(graph, occupancy, mover):
-            child = apply_move(occupancy, move)
-            if movers_mask(graph, child) == 0:
-                options.add(SimpleValue(mover, 0))
-            else:
-                options.add(_eval_prudent(graph, child, after, cache))
-        # The chain order is total across coordinates, so the undominated
-        # options are exactly those sharing the best coordinate.
-        best = max(chain_coordinate(s, mover).sort_key for s in options)
-        survivors = {s for s in options if chain_coordinate(s, mover).sort_key == best}
-        value = merge_incomparable_simples(survivors, mover)
-    else:
-        # A pass wraps the continuation in one level, which a simple
-        # value absorbs: the singleton of a simple is that simple.
-        value = _eval_prudent(graph, occupancy, after, cache)
     cache.entries[key] = value
     return value
 
@@ -240,11 +196,9 @@ def evaluate_all_starts(
         graph, occupancy = board.graph, board.occupancy
     else:
         graph, occupancy = parse_board(board, shape=shape, players=players)
-    if profile is None:
-        profile = DEFAULT_PROFILE
     results: dict[int, EvalResult] = {}
     # Memo keys carry the resolved mover, so one cache serves all starts.
-    cache = EvalCache(graph, mode, profile, players)
+    cache = EvalCache(graph, players)
     for start in range(1, players + 1):
         results[start] = evaluate(
             Position(graph, occupancy, start), mode, profile, cache, players

@@ -107,6 +107,8 @@ class GameValue:
 _UNRESOLVED = object()
 _LEAVES: dict[int, GameValue] = {}
 _CHOICES: dict[tuple[GameValue, ...], GameValue] = {}
+# One frozenset per distinct outcome set, shared by every choice node.
+_OUTCOMES: dict[frozenset[int], frozenset[int]] = {}
 
 
 def _rebuild_value(text: str) -> GameValue:
@@ -139,6 +141,7 @@ def choice(options: Iterable[GameValue]) -> GameValue:
     if got is not None:
         return got
     outcomes = frozenset().union(*(c.outcomes for c in kids))
+    outcomes = _OUTCOMES.setdefault(outcomes, outcomes)
     text = "[" + ",".join(c.text for c in kids) + "]"
     v = GameValue(None, kids, outcomes, text)
     _CHOICES[kids] = v

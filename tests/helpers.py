@@ -15,16 +15,37 @@ from typing import Iterable, Optional
 from hypothesis import strategies as st
 
 from nclobber.enumeration import BoardFilter, generate_boards
-from nclobber.game_core import BoardGraph, apply_move, legal_moves, parse_board
+from nclobber.game_core import (
+    BoardGraph,
+    Position,
+    apply_move,
+    legal_moves,
+    movers_mask,
+    parse_board,
+)
 from nclobber.preferences import (
+    ChainError,
     Comparison,
+    chain_coordinate,
     compare,
+    indifferent_class,
+    merge_incomparable_simples,
     prudent_compare,
     prudent_incomparable,
     prudent_less,
+    prune,
     simple_compare,
 )
-from nclobber.values import GameValue, SimpleValue, choice, expand_simple, leaf
+from nclobber.solver import Class, EvalResult, Raw, Simple
+from nclobber.values import (
+    GameValue,
+    NormalizationProfile,
+    SimpleValue,
+    choice,
+    expand_simple,
+    leaf,
+    normalize,
+)
 
 # ---------------------------------------------------------------------------
 # reference values for the worked-example boards (1xn, player 1 starts)
@@ -225,3 +246,95 @@ def isolation_violations(board: str, players: int = 3) -> list[str]:
                             f"{cur!r} but can move after {move} -> {nxt!r}"
                         )
     return bad
+
+
+# ---------------------------------------------------------------------------
+# reference evaluator: every mode applied position by position
+
+
+def reference_evaluate(
+    position: Position,
+    mode: str,
+    profile: NormalizationProfile,
+    memo: dict,
+    players: int = 3,
+) -> EvalResult:
+    """Evaluate a position by walking the board once per mode.
+
+    Each mode's simplification runs at every board position during the
+    walk, instead of as a fold over the raw value.  memo maps resolved
+    (occupancy, mover) pairs to results and must be kept per board
+    graph, mode, profile and player count.  The root is assumed to have
+    a move.
+    """
+    graph, occupancy, mover = position.graph, position.occupancy, position.mover
+    if mode == "prudent":
+        return Simple(_reference_prudent(graph, occupancy, mover, memo))
+    value = _reference_tree(graph, occupancy, mover, mode, profile, memo, players)
+    if mode == "indifferent":
+        tokens = sum(1 for b in occupancy if b)
+        named = indifferent_class(value, mover, tokens + 1)
+        if named is None:
+            raise ChainError("evaluation produced a value outside the class ladder")
+        return Class(*named)
+    return Raw(value)
+
+
+def _reference_tree(
+    graph: BoardGraph,
+    occupancy: bytes,
+    mover: int,
+    mode: str,
+    profile: NormalizationProfile,
+    memo: dict,
+    players: int,
+) -> GameValue:
+    key = (occupancy, mover)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    after = mover % players + 1
+    options = set()
+    if movers_mask(graph, occupancy) & (1 << mover):
+        for move in legal_moves(graph, occupancy, mover):
+            child = apply_move(occupancy, move)
+            if movers_mask(graph, child) == 0:
+                options.add(leaf(mover))
+            else:
+                options.add(
+                    _reference_tree(graph, child, after, mode, profile, memo, players)
+                )
+        if mode in ("selfish", "indifferent"):
+            options = prune(options, mover, mode, players)
+    else:
+        options.add(_reference_tree(graph, occupancy, after, mode, profile, memo, players))
+    value = choice(options)
+    if mode != "raw":
+        value = normalize(value, profile, players)
+    memo[key] = value
+    return value
+
+
+def _reference_prudent(
+    graph: BoardGraph, occupancy: bytes, mover: int, memo: dict
+) -> SimpleValue:
+    key = (occupancy, mover)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    after = mover % 3 + 1
+    if movers_mask(graph, occupancy) & (1 << mover):
+        options: set[SimpleValue] = set()
+        for move in legal_moves(graph, occupancy, mover):
+            child = apply_move(occupancy, move)
+            if movers_mask(graph, child) == 0:
+                options.add(SimpleValue(mover, 0))
+            else:
+                options.add(_reference_prudent(graph, child, after, memo))
+        best = max(chain_coordinate(s, mover).sort_key for s in options)
+        survivors = {s for s in options if chain_coordinate(s, mover).sort_key == best}
+        value = merge_incomparable_simples(survivors, mover)
+    else:
+        value = _reference_prudent(graph, occupancy, after, memo)
+    memo[key] = value
+    return value

@@ -379,7 +379,7 @@ def test_c10_structural_invariants(census, criterion_log):
         for board in generate_boards(n):
             graph, occ = parse_board(board)
             if cache is None:
-                cache = EvalCache(graph, "raw", DEFAULT_PROFILE)
+                cache = EvalCache(graph)
             _, rocc = parse_board(board[::-1])
             a = evaluate(Position(graph, occ, 1), "raw", cache=cache)
             b = evaluate(Position(graph, rocc, 1), "raw", cache=cache)

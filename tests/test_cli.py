@@ -98,6 +98,16 @@ def test_simplify_prudent_collapses_to_a_bar_atom(capsys):
     assert (code, out.strip()) == (0, "2_1")
 
 
+def test_simplify_prudent_needs_three_players(capsys):
+    for players, value in (("4", "[[1,3],[2,3]]"), ("2", "[[1,2],[2]]")):
+        code, out, err = run(
+            capsys, "simplify", value, "--mode", "prudent",
+            "--players", players, "--perspective", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: prudent simplification is defined for exactly three players\n"
+
+
 def test_simplify_selfish_prunes_top_level_options(capsys):
     code, out, _ = run(
         capsys, "simplify", "[1,2]", "--mode", "selfish", "--perspective", "1"

@@ -66,6 +66,8 @@ def test_parse_board_rejects_bad_input():
         parse_board("1202", shape=(2, 3))  # wrong cell count
     with pytest.raises(BoardError):
         parse_board("")
+    with pytest.raises(BoardError, match="nonempty digit string"):
+        parse_board("12\u00b23")  # a superscript two passes str.isdigit
     assert parse_board("124", players=4)[1] == bytes([1, 2, 4])
 
 

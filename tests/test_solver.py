@@ -1,5 +1,7 @@
 """Board evaluation in all four modes, pass handling, and caching."""
 
+import random
+
 import pytest
 
 from helpers import (
@@ -8,7 +10,9 @@ from helpers import (
     VALUE_12223,
     VALUE_213,
     VALUE_1232132321,
+    reference_evaluate,
 )
+from nclobber.enumeration import BoardFilter, generate_boards
 from nclobber.game_core import (
     Position,
     movers_mask,
@@ -28,7 +32,6 @@ from nclobber.solver import (
     evaluate_text,
 )
 from nclobber.values import (
-    DEFAULT_PROFILE,
     NormalizationProfile,
     SimpleValue,
     choice,
@@ -126,8 +129,8 @@ def test_prudent_solver_matches_collapsing_the_raw_tree():
     for n in (3, 4, 5, 6):
         for board in MOVABLE_BOARDS[n]:
             graph, occ = parse_board(board)
-            raw_cache = EvalCache(graph, "raw", DEFAULT_PROFILE)
-            prudent_cache = EvalCache(graph, "prudent", DEFAULT_PROFILE)
+            raw_cache = EvalCache(graph)
+            prudent_cache = EvalCache(graph)
             for start in (1, 2, 3):
                 raw = evaluate(Position(graph, occ, start), "raw", cache=raw_cache)
                 fast = evaluate(
@@ -172,20 +175,22 @@ def test_syntactic_mode_equals_normalizing_the_raw_tree():
 
 def test_cache_reuse_is_safe_and_checked():
     graph, occ = parse_board("123213")
-    cache = EvalCache(graph, "raw", DEFAULT_PROFILE)
+    cache = EvalCache(graph)
     first = evaluate(Position(graph, occ, 1), "raw", cache=cache)
     again = evaluate(Position(graph, occ, 1), "raw", cache=cache)
     assert first.value is again.value
     assert cache.entries  # the memo actually filled
+    # one cache serves every mode and profile in turn
+    position = Position(graph, occ, 1)
+    for mode in ("raw", "selfish", "prudent"):
+        shared = evaluate(position, mode, cache=cache)
+        assert shared == evaluate(position, mode, cache=EvalCache(graph)), mode
+    # but never another board graph or player count
+    other_graph, other_occ = parse_board("1232")
     with pytest.raises(ValueError):
-        evaluate(Position(graph, occ, 1), "selfish", cache=cache)
+        evaluate(Position(other_graph, other_occ, 1), "raw", cache=cache)
     with pytest.raises(ValueError):
-        evaluate(
-            Position(graph, occ, 1),
-            "raw",
-            profile=NormalizationProfile.L2,
-            cache=cache,
-        )
+        evaluate(position, "raw", cache=cache, players=4)
 
 
 def test_evaluate_all_starts_shares_one_cache_consistently():
@@ -194,3 +199,79 @@ def test_evaluate_all_starts_shares_one_cache_consistently():
     for start in (1, 2, 3):
         fresh = evaluate_text(board, start=start, mode="prudent")
         assert shared[start] == fresh
+
+
+# ---------------------------------------------------------------------------
+# differential check against the position-by-position evaluator
+
+
+def _mismatches(boards, modes, profiles, players=3, shape="line"):
+    """Compare evaluate with the reference on every board, start, mode
+    and profile; return (cases, mismatch descriptions).
+
+    Both sides share their memos across the boards of one graph, as the
+    census does: evaluate one cache for all modes, the reference one per
+    mode and profile.
+    """
+    caches, memos, bad, cases = {}, {}, [], 0
+    for board in boards:
+        graph, occ = parse_board(board, shape=shape, players=players)
+        if movers_mask(graph, occ) == 0:
+            continue
+        if graph not in caches:
+            caches[graph] = EvalCache(graph, players)
+        cache = caches[graph]
+        for start in range(1, players + 1):
+            position = Position(graph, occ, start)
+            for mode in modes:
+                for profile in profiles:
+                    memo = memos.setdefault((graph, mode, profile), {})
+                    got = evaluate(position, mode, profile, cache, players)
+                    want = reference_evaluate(position, mode, profile, memo, players)
+                    cases += 1
+                    if got != want:
+                        bad.append(f"{board} {shape} start={start} {mode} "
+                                   f"{profile.name}: {got} != {want}")
+    return cases, bad
+
+
+L1 = NormalizationProfile.L1
+
+
+def test_folds_match_the_reference_on_every_line_board_up_to_8():
+    boards = [b for n in range(2, 9) for b in generate_boards(n)]
+    cases, bad = _mismatches(boards, MODES, (L1,))
+    assert not bad, bad[:10]
+    assert cases == 5 * 3 * len(boards)
+
+
+def test_folds_match_the_reference_under_other_profiles():
+    boards = [b for n in range(2, 7) for b in MOVABLE_BOARDS[n]]
+    profiles = (NormalizationProfile.L0, NormalizationProfile.L2)
+    cases, bad = _mismatches(boards, ("syntactic", "selfish"), profiles)
+    assert not bad, bad[:10]
+    assert cases == 2 * 2 * 3 * len(boards)
+
+
+@pytest.mark.parametrize("players", [2, 4])
+def test_folds_match_the_reference_for_other_player_counts(players):
+    boards = [
+        b for n in range(2, 7) for b in generate_boards(n, BoardFilter(players=players))
+    ]
+    modes = ("raw", "syntactic", "selfish", "indifferent")
+    cases, bad = _mismatches(boards, modes, (L1,), players)
+    assert not bad, bad[:10]
+    assert cases == 4 * players * len(boards)
+
+
+def test_folds_match_the_reference_on_random_grids():
+    rng = random.Random(20261018)
+    cases = 0
+    for rows, cols in [(2, 3), (2, 4), (2, 5)]:
+        boards = [
+            "".join(rng.choice("0123") for _ in range(rows * cols)) for _ in range(34)
+        ]
+        got, bad = _mismatches(boards, MODES, (L1,), shape=(rows, cols))
+        assert not bad, bad[:10]
+        cases += got
+    assert cases > 1000
