@@ -65,19 +65,13 @@ from .values import (
     NormalizationProfile,
     SimpleValue,
     ValueSyntaxError,
-    canonicalize,
     choice,
-    contains,
     expand_simple,
     leaf,
     match_simple,
     normalize,
-    outcome_set,
     parse_value,
     render_value,
-    rule1,
-    rule2,
-    rule3,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

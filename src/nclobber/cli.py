@@ -29,21 +29,19 @@ from .preferences import (
 )
 from .solver import (
     MODES,
-    Class,
     NoMoveError,
     Raw,
     Simple,
     evaluate,
+    render_result,
 )
 from .values import (
     DEFAULT_PROFILE,
     NormalizationProfile,
     ValueSyntaxError,
     choice,
-    expand_simple,
     normalize,
     parse_value,
-    render_value,
 )
 
 
@@ -120,18 +118,6 @@ def _emit(text: str, cfg: CliConfig) -> None:
         print(text)
 
 
-def _render_result(result, style: Optional[str]) -> str:
-    if isinstance(result, Class):
-        return str(result)
-    if isinstance(result, Simple):
-        if style == "brackets":
-            return expand_simple(result.value).text
-        return str(result.value)
-    if isinstance(result, Raw):
-        return render_value(result.value, style or "brackets")
-    raise TypeError(f"cannot render {type(result).__name__}")
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     shape = args.grid if args.grid else "line"
@@ -141,8 +127,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = evaluate(position, cfg.mode, cfg.profile, None, cfg.players)
     except NoMoveError:
         raise NoMoveError(f"no initial move on board {args.board!r}")
-    style = cfg.render or ("bar" if cfg.mode == "prudent" else "brackets")
-    rendered = _render_result(result, style)
+    rendered = render_result(result, cfg.render)
     if cfg.format == "json":
         payload = {
             "board": args.board,
@@ -163,24 +148,16 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     if cfg.mode == "prudent" and cfg.players != 3:
         raise ValueError("prudent simplification is defined for exactly three players")
     value = parse_value(args.value, players=cfg.players)
-    simplified = normalize(value, cfg.profile, cfg.players)
-    if cfg.mode != "raw":
-        p = cfg.perspective
-        if cfg.mode == "prudent":
-            simple = prudent_simplify(simplified, p)
-            style = cfg.render or "bar"
-            rendered = (
-                expand_simple(simple).text if style == "brackets" else str(simple)
-            )
-            return _finish_simplify(args, cfg, rendered)
-        if simplified.children is not None:
-            kept = prune(set(simplified.children), p, cfg.mode, cfg.players)
-            simplified = normalize(choice(kept), cfg.profile, cfg.players)
-    rendered = render_value(simplified, cfg.render or "brackets")
-    return _finish_simplify(args, cfg, rendered)
-
-
-def _finish_simplify(args: argparse.Namespace, cfg: CliConfig, rendered: str) -> int:
+    value = normalize(value, cfg.profile, cfg.players)
+    p = cfg.perspective
+    if cfg.mode == "prudent":
+        result = Simple(prudent_simplify(value, p))
+    else:
+        if cfg.mode != "raw" and value.children is not None:
+            kept = prune(set(value.children), p, cfg.mode, cfg.players)
+            value = normalize(choice(kept), cfg.profile, cfg.players)
+        result = Raw(value)
+    rendered = render_result(result, cfg.render)
     if cfg.format == "json":
         payload = {
             "input": args.value,

@@ -8,8 +8,9 @@ and counts the distinct values under four regimes:
   selfish        the raw trees folded with selfish pruning and rewriting
   prudent        the raw trees collapsed to simple values by prudent play
 
-Each board is traversed once, into its raw value; the other regimes are
-memoized folds over it, sharing one cache per board graph.
+Each board is traversed once, into its raw value, and only the distinct
+raw values go on: every regime is a fold of them (solver.fold_raw), and
+each distinct result is rendered once.
 
 Novelty filters (all on for the reference counts): no blank end cells,
 no two adjacent blanks, only boards at least as large as their mirror
@@ -19,9 +20,10 @@ cell, movable-pair-seen) states, with palindromes counted explicitly to
 undo the mirror halving — so census sizes are checkable without
 generating a single board.
 
-Censuses parallelize over boards: workers evaluate disjoint slices and
-return rendered value strings, which merge by set union, so reports are
-identical for any worker count.
+Censuses parallelize over boards: each worker collects the distinct raw
+values of a disjoint slice, folds them itself and returns the rendered
+value strings, which merge by set union, so reports are identical for
+any worker count.
 
 calibrate_normalization grades the syntactic and selfish columns under
 profiles L1 and L2 against the published reference counts.  The selfish
@@ -43,16 +45,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .game_core import BoardGraph, Position, parse_board
-from .solver import EvalCache, Raw, Simple, evaluate
+from .solver import EvalCache, Folds, evaluate, fold_raw, render_result
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
     NormalizationProfile,
     _unwrap_exact,
     choice,
-    normalize,
-    parse_value,
-    render_value,
 )
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
@@ -247,30 +246,31 @@ def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
     return out
 
 
-def _render_result(result) -> str:
-    # Bar style is injective and compact; atoms parse back losslessly.
-    if isinstance(result, Simple):
-        return str(result.value)
-    if isinstance(result, Raw):
-        return render_value(result.value, "bar")
-    raise TypeError(f"census cannot key on {type(result).__name__} results")
+def _raw_roots(boards: Iterable[str], players: int) -> set[GameValue]:
+    """The distinct raw values of line boards, player 1 to move."""
+    roots: set[GameValue] = set()
+    caches: dict[BoardGraph, EvalCache] = {}
+    for board in boards:
+        graph, occupancy = parse_board(board, players=players)
+        cache = caches.get(graph)
+        if cache is None:
+            cache = caches[graph] = EvalCache(graph, players)
+        position = Position(graph, occupancy, 1)
+        roots.add(evaluate(position, "raw", None, cache, players).value)
+    return roots
 
 
 def _census_chunk(args: tuple) -> dict[str, set[str]]:
     """Distinct rendered values per regime over one batch of boards."""
     boards, modes, profile_level, players = args
     profile = NormalizationProfile(profile_level)
-    out: dict[str, set[str]] = {m: set() for m in modes}
-    caches: dict[BoardGraph, EvalCache] = {}
-    for board in boards:
-        graph, occupancy = parse_board(board, players=players)
-        position = Position(graph, occupancy, 1)
-        cache = caches.get(graph)
-        if cache is None:
-            cache = caches[graph] = EvalCache(graph, players)
-        for m in modes:
-            result = evaluate(position, _SOLVER_MODE[m], profile, cache, players)
-            out[m].add(_render_result(result))
+    roots = _raw_roots(boards, players)
+    folds: Folds = {}
+    out: dict[str, set[str]] = {}
+    for m in modes:
+        mode = _SOLVER_MODE[m]
+        results = {fold_raw(raw, 1, mode, profile, players, folds) for raw in roots}
+        out[m] = {render_result(result, "bar") for result in results}
     return out
 
 
@@ -455,20 +455,19 @@ def calibrate_normalization(
 ) -> CalibrationResult:
     """Grade profiles L1 and L2 against the published column counts.
 
-    One raw sweep per board length feeds the syntactic counts for both
-    profiles (per-node rewriting during evaluation equals rewriting the
-    finished tree, because normalization is a bottom-up fixpoint), plus
-    the conservative-splice diagnostic column.  Selfish counts need
-    their own sweeps per profile because pruning interleaves with
-    rewriting.  The selfish column pins the chosen profile; the shipped
-    default (see values.DEFAULT_PROFILE) was fixed from this experiment
-    over lengths 2..9.  When a column matches neither profile the result
-    carries a written discrepancy report.
+    One raw sweep per board length yields its distinct raw values; the
+    syntactic and selfish counts under both profiles, and the
+    conservative-splice diagnostic column, are folds of them.  The
+    selfish column pins the chosen profile; the shipped default (see
+    values.DEFAULT_PROFILE) was fixed from this experiment over lengths
+    2..9.  When a column matches neither profile the result carries a
+    written discrepancy report.
     """
     ns = tuple(sorted(set(n_range)))
     if not ns or ns[0] < 2:
         raise ValueError("calibration needs board lengths of at least 2")
     profiles = (NormalizationProfile.L1, NormalizationProfile.L2)
+    columns = ("syntactic", "selfish")
     counts: dict[str, dict[str, dict[int, int]]] = {
         "syntactic": {
             "published": {},
@@ -479,33 +478,22 @@ def calibrate_normalization(
         },
         "selfish": {"published": {}, "L1": {}, "L2": {}},
     }
+    folds: Folds = {}
     splice_memo: dict[GameValue, GameValue] = {}
     for n in ns:
-        raw = enumerate_values(
-            n, ("unsimplified",), NormalizationProfile.L1, players=players,
-            collect_inventory=True,
-        )
-        raw_values = [
-            parse_value(text, players=players)
-            for text in raw.value_inventory["unsimplified"]
-        ]
-        counts["syntactic"]["unsimplified"][n] = len(raw_values)
-        for prof in profiles:
-            counts["syntactic"][prof.name][n] = len(
-                {normalize(v, prof, players) for v in raw_values}
-            )
-        counts["syntactic"]["conservative"][n] = len(
-            {conservative_splice(v, players, splice_memo) for v in raw_values}
-        )
-        for prof in profiles:
-            selfish = enumerate_values(
-                n, ("selfish",), prof, players=players, collect_inventory=False
-            )
-            counts["selfish"][prof.name][n] = selfish.unique_values["selfish"]
-        for column in ("syntactic", "selfish"):
+        roots = _raw_roots(generate_boards(n, BoardFilter(players=players)), players)
+        counts["syntactic"]["unsimplified"][n] = len(roots)
+        for column in columns:
+            for prof in profiles:
+                counts[column][prof.name][n] = len(
+                    {fold_raw(raw, 1, column, prof, players, folds) for raw in roots}
+                )
             counts[column]["published"][n] = PUBLISHED_COUNTS[column].get(n, -1)
+        counts["syntactic"]["conservative"][n] = len(
+            {conservative_splice(v, players, splice_memo) for v in roots}
+        )
     matches: dict[str, Optional[NormalizationProfile]] = {}
-    for column in ("syntactic", "selfish"):
+    for column in columns:
         matches[column] = None
         for prof in profiles:
             if all(
@@ -516,7 +504,7 @@ def calibrate_normalization(
                 break
     chosen = matches["selfish"] or matches["syntactic"] or NormalizationProfile.L1
     report = ""
-    if any(matches[column] is None for column in ("syntactic", "selfish")):
+    if any(matches[column] is None for column in columns):
         report = _discrepancy_report(ns, counts, matches, chosen)
     return CalibrationResult(ns, counts, matches, chosen, report)
 

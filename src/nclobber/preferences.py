@@ -284,10 +284,11 @@ def merge_incomparable_simples(simples: Iterable[SimpleValue], p: int) -> Simple
     raise ChainError("two distinct simples cannot both sit at the top")
 
 
-_PSIMP_CACHE: dict[tuple[GameValue, int], SimpleValue] = {}
-
-
-def prudent_simplify(v: GameValue, mover: int) -> SimpleValue:
+def prudent_simplify(
+    v: GameValue,
+    mover: int,
+    memo: Optional[dict[tuple[GameValue, int], SimpleValue]] = None,
+) -> SimpleValue:
     """Collapse a value tree to the one simple value prudent play reaches.
 
     The mover owns the top-level choice and the turn rotates one player
@@ -297,6 +298,8 @@ def prudent_simplify(v: GameValue, mover: int) -> SimpleValue:
     board evaluator's prudent mode is this collapse of the raw value,
     for three players only.  Wrapper levels carry turn information here,
     so the caller should not collapse singletons (rule 1) beforehand.
+    memo maps (value, mover) to results; the solver keeps one in its
+    EvalCache, and a call without one starts afresh.
     """
     if not 1 <= mover <= 3:
         raise ValueError(f"mover {mover} out of range for three players")
@@ -304,18 +307,20 @@ def prudent_simplify(v: GameValue, mover: int) -> SimpleValue:
         raise ValueError("prudent simplification is defined for three players")
     if v.children is None:
         return SimpleValue(v.winner, 0)
+    if memo is None:
+        memo = {}
     key = (v, mover)
-    got = _PSIMP_CACHE.get(key)
+    got = memo.get(key)
     if got is None:
         after = mover % 3 + 1
         if len(v.children) == 1:
-            got = prudent_simplify(v.children[0], after)
+            got = prudent_simplify(v.children[0], after, memo)
         else:
-            options = {prudent_simplify(c, after) for c in v.children}
+            options = {prudent_simplify(c, after, memo) for c in v.children}
             best = max(chain_coordinate(s, mover).sort_key for s in options)
             kept = {s for s in options if chain_coordinate(s, mover).sort_key == best}
             got = merge_incomparable_simples(kept, mover)
-        _PSIMP_CACHE[key] = got
+        memo[key] = got
     return got
 
 
@@ -497,4 +502,3 @@ def clear_caches() -> None:
     _PLESS_CACHE.clear()
     _QUOT_CACHE.clear()
     _EXT_CACHE.clear()
-    _PSIMP_CACHE.clear()

@@ -22,10 +22,13 @@ rotate the mover one player down:
   prudent     collapse to the simple value prudent play reaches
               (preferences.prudent_simplify; three players only)
 
-Results are wrapped in one of three variants: Raw carries a value tree,
-Simple a simple value, Class a loss-blind class.  A cache holds the raw
-values of resolved (occupancy, mover) pairs and the fold results; it
-serves every mode and profile on one board graph and player count.
+fold_raw is the one place a raw value becomes a mode's result; evaluate,
+the census and the profile calibration all call it.  Results are wrapped
+in one of three variants: Raw carries a value tree, Simple a simple
+value, Class a loss-blind class.  A cache holds the raw values of
+resolved (occupancy, mover) pairs and the memos of every fold (selfish,
+indifferent, prudent); it serves every mode and profile on one board
+graph and player count, and its memos are freed with it.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ from .values import (
     NormalizationProfile,
     SimpleValue,
     choice,
+    expand_simple,
     leaf,
     normalize,
+    render_value,
 )
 
 MODES = ("raw", "syntactic", "selfish", "indifferent", "prudent")
@@ -99,11 +104,15 @@ class Class:
 EvalResult = Union[Raw, Simple, Class]
 
 
+# Fold memos, one per (mode, profile), each mapping (value, mover) to
+# that fold's result.
+Folds = dict[tuple[str, NormalizationProfile], dict]
+
+
 @dataclass
 class EvalCache:
-    """Raw values of resolved (occupancy, mover) pairs, and the selfish
-    and indifferent fold results over them, for one board graph and
-    player count.
+    """Raw values of resolved (occupancy, mover) pairs, and the fold
+    memos over them, for one board graph and player count.
 
     Every mode and profile may share a cache; reusing it with another
     graph or player count is an error.
@@ -112,9 +121,7 @@ class EvalCache:
     graph: BoardGraph
     players: int = 3
     entries: dict[tuple[bytes, int], GameValue] = field(default_factory=dict)
-    folds: dict[
-        tuple[str, NormalizationProfile], dict[tuple[GameValue, int], GameValue]
-    ] = field(default_factory=dict)
+    folds: Folds = field(default_factory=dict)
 
     def compatible_with(self, graph: BoardGraph, players: int) -> bool:
         return self.graph == graph and self.players == players
@@ -143,23 +150,54 @@ def evaluate(
         raise ValueError("cache was built for a different board graph or player count")
     if movers_mask(graph, position.occupancy) == 0:
         raise NoMoveError("no player can move from the root position")
-    mover = position.mover
-    raw = _eval_raw(graph, position.occupancy, mover, cache)
+    raw = _eval_raw(graph, position.occupancy, position.mover, cache)
+    return fold_raw(raw, position.mover, mode, profile, players, cache.folds)
+
+
+def fold_raw(
+    raw: GameValue,
+    mover: int,
+    mode: str,
+    profile: NormalizationProfile,
+    players: int,
+    folds: Folds,
+) -> EvalResult:
+    """The result of one mode for a raw value whose top choice is mover's.
+
+    folds holds the fold memos; pass the same dict for many values to
+    share work between them.
+    """
     if mode == "raw":
         return Raw(raw)
     if mode == "syntactic":
         return Raw(normalize(raw, profile, players))
+    memo = folds.setdefault((mode, profile), {})
     if mode == "prudent":
-        return Simple(prudent_simplify(raw, mover))
-    memo = cache.folds.setdefault((mode, profile), {})
+        return Simple(prudent_simplify(raw, mover, memo))
     value = prune_fold(raw, mover, mode, profile, players, memo)
     if mode == "selfish":
         return Raw(value)
-    tokens = sum(1 for b in position.occupancy if b)
-    named = indifferent_class(value, mover, tokens + 1)
+    # Any bound above the class exponent will do: the exponent stays
+    # within the tree height, and the printed form is longer still.
+    named = indifferent_class(value, mover, len(value.text))
     if named is None:
         raise ChainError("evaluation produced a value outside the class ladder")
     return Class(*named)
+
+
+def render_result(result: EvalResult, style: Optional[str] = None) -> str:
+    """Render a result as text; style "brackets" or "bar" picks the form.
+
+    Without a style, simple values print as bar atoms and trees in
+    brackets.  Bar style is injective, so censuses key on it.
+    """
+    if isinstance(result, Class):
+        return str(result)
+    if isinstance(result, Simple):
+        if style == "brackets":
+            return expand_simple(result.value).text
+        return str(result.value)
+    return render_value(result.value, style or "brackets")
 
 
 def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:

@@ -17,11 +17,11 @@ forms, so rendering a canonical value reproduces reference printouts
 byte for byte; the printed form is cached on the node as `text`.
 
 On top of the raw trees live three rewrite rules that preserve outcome
-structure for an N-player game:
+structure for an N-player game; normalize applies them to a fixed point:
 
-* rule2 removes N nested singleton wrappers around any value,
-* rule3 splices a list wrapped in N-1 singletons into its host list,
-* rule1 drops a singleton wrapper around a simple value (3 players).
+* rule 2 removes N nested singleton wrappers around any value,
+* rule 3 splices a list wrapped in N-1 singletons into its host list,
+* rule 1 drops a singleton wrapper around a simple value (3 players).
 
 Simple values are the family written ``a_i`` (bar notation): ``a_0`` is
 the leaf ``a`` and ``a_{i+1}`` is the choice between the other two
@@ -53,8 +53,8 @@ class NormalizationProfile(enum.IntEnum):
     """How aggressively values are rewritten.
 
     L0 only canonicalizes (dedup, sort, leaf-singleton collapse).
-    L1 adds rule2 and rule3, the wrapper-count rewrites.
-    L2 adds rule1, identifying [x] with x for simple x.
+    L1 adds rules 2 and 3, the wrapper-count rewrites.
+    L2 adds rule 1, identifying [x] with x for simple x.
     """
 
     L0 = 0
@@ -155,15 +155,6 @@ def canonicalize(v: GameValue) -> GameValue:
     return choice(canonicalize(c) for c in v.children)
 
 
-def contains(v: GameValue, w: GameValue) -> bool:
-    """True when w occurs in v, including v itself."""
-    if v is w:
-        return True
-    if v.children is None:
-        return False
-    return any(contains(c, w) for c in v.children)
-
-
 def outcome_set(v: GameValue) -> frozenset[int]:
     """The set of players that win some leaf of v."""
     return v.outcomes
@@ -183,42 +174,6 @@ def _unwrap_exact(v: GameValue, levels: int) -> Optional[GameValue]:
     return cur
 
 
-def rule2(v: GameValue, players: int = 3) -> GameValue:
-    """Collapse `players` nested singleton wrappers, one bottom-up sweep."""
-    if v.children is None:
-        return v
-    node = choice(rule2(c, players) for c in v.children)
-    inner = _unwrap_exact(node, players)
-    return node if inner is None else inner
-
-
-def rule3(v: GameValue, players: int = 3) -> GameValue:
-    """Splice (players-1)-deep singleton-wrapped lists into their host list."""
-    if v.children is None:
-        return v
-    kids = [rule3(c, players) for c in v.children]
-    out: list[GameValue] = []
-    for c in kids:
-        mid = _unwrap_exact(c, players - 1)
-        if mid is not None and mid.children is not None:
-            out.extend(mid.children)
-        else:
-            out.append(c)
-    return choice(out)
-
-
-def rule1(v: GameValue) -> GameValue:
-    """Drop singleton wrappers around simple values, one bottom-up sweep."""
-    if v.children is None:
-        return v
-    node = choice(rule1(c) for c in v.children)
-    if node.children is not None and len(node.children) == 1:
-        only = node.children[0]
-        if match_simple(only) is not None:
-            return only
-    return node
-
-
 _NORMAL_CACHE: dict[tuple[GameValue, int, int], GameValue] = {}
 
 
@@ -229,8 +184,8 @@ def normalize(
 ) -> GameValue:
     """Rewrite v to its fixed point under the profile's rules.
 
-    Rules are applied bottom-up, at each node in the order rule2, rule3,
-    then (at L2) rule1, until nothing changes.  The result is idempotent
+    Rules are applied bottom-up, at each node in the order rule 2, rule 3,
+    then (at L2) rule 1, until nothing changes.  The result is idempotent
     and has the same outcome set as v.
     """
     if profile == NormalizationProfile.L2 and players != 3:
@@ -328,13 +283,21 @@ def match_simple(v: GameValue) -> Optional[SimpleValue]:
 # text form: digits, brackets, and bar atoms like 2_1
 
 
+# Bounds on value text.  Every operation on a value recurses once per
+# level, so nesting must stay well inside the interpreter's recursion
+# limit; and the printed form of a_j has about 2**(j+2) characters.
+MAX_DEPTH = 128
+MAX_EXPONENT = 16
+
+
 def parse_value(text: str, players: int = 3) -> GameValue:
     """Parse a value string.
 
     Grammar: value = atom | '[' value (',' value)* ']'; an atom is a
     player digit, optionally followed by '_' and an exponent, which
     denotes the expansion of that simple value.  Whitespace is ignored.
-    The parsed tree is canonicalized.
+    The parsed tree is canonicalized.  Brackets may nest at most
+    MAX_DEPTH deep and exponents may be at most MAX_EXPONENT.
     """
     s = text
     n = len(s)
@@ -348,19 +311,21 @@ def parse_value(text: str, players: int = 3) -> GameValue:
     def fail(msg: str) -> ValueSyntaxError:
         return ValueSyntaxError(f"{msg} at offset {pos} in {text!r}")
 
-    def parse_one() -> GameValue:
+    def parse_one(depth: int) -> GameValue:
         nonlocal pos
         skip_ws()
         if pos >= n:
             raise fail("unexpected end of input")
         ch = s[pos]
         if ch == "[":
+            if depth == MAX_DEPTH:
+                raise fail(f"brackets nest deeper than {MAX_DEPTH}")
             pos += 1
-            items = [parse_one()]
+            items = [parse_one(depth + 1)]
             skip_ws()
             while pos < n and s[pos] == ",":
                 pos += 1
-                items.append(parse_one())
+                items.append(parse_one(depth + 1))
                 skip_ws()
             if pos >= n or s[pos] != "]":
                 raise fail("expected ',' or ']'")
@@ -374,11 +339,14 @@ def parse_value(text: str, players: int = 3) -> GameValue:
             if pos < n and s[pos] == "_":
                 pos += 1
                 start = pos
+                exponent = 0
                 while pos < n and s[pos].isdigit():
+                    exponent = 10 * exponent + int(s[pos])
+                    if exponent > MAX_EXPONENT:
+                        raise fail(f"bar exponent above {MAX_EXPONENT}")
                     pos += 1
                 if start == pos:
                     raise fail("expected an exponent after '_'")
-                exponent = int(s[start:pos])
                 if exponent > 0 and players != 3:
                     raise fail("bar values need a 3-player game")
                 if exponent == 0:
@@ -387,7 +355,7 @@ def parse_value(text: str, players: int = 3) -> GameValue:
             return leaf(base)
         raise fail(f"unexpected character {ch!r}")
 
-    v = parse_one()
+    v = parse_one(0)
     skip_ws()
     if pos != n:
         raise fail("trailing input")

@@ -6,7 +6,7 @@ import pytest
 
 from nclobber.cli import main
 from nclobber.solver import evaluate_text
-from nclobber.values import parse_value, render_value
+from nclobber.values import MAX_DEPTH, MAX_EXPONENT, parse_value, render_value
 
 
 def run(capsys, *argv):
@@ -124,6 +124,42 @@ def test_simplify_needs_a_perspective_outside_raw(capsys):
 def test_simplify_reports_value_syntax_errors(capsys):
     code, _, err = run(capsys, "simplify", "[1,")
     assert code == 3 and err.startswith("error:")
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "1,2" + "]" * depth
+
+
+def _alternating(depth: int, tail: str, first: int = 1) -> str:
+    # Two options per level, so no rewrite rule shortens it.
+    text = tail
+    for k in range(depth):
+        text = f"[{(k + first) % 3 + 1},{text}]"
+    return text
+
+
+@pytest.mark.parametrize(
+    "text", [_nested(MAX_DEPTH + 1), _nested(3000), "1_450", f"2_{MAX_EXPONENT + 1}"]
+)
+def test_simplify_rejects_oversized_value_text(capsys, text):
+    code, out, err = run(capsys, "simplify", text)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_values_at_the_bounds_finish_in_every_mode_and_relation(capsys):
+    other = _alternating(MAX_DEPTH, "2", first=2)
+    for text in (_nested(MAX_DEPTH), _alternating(MAX_DEPTH, f"1_{MAX_EXPONENT}")):
+        for mode in ("raw", "selfish", "indifferent", "prudent"):
+            code, _, err = run(
+                capsys, "simplify", text, "--mode", mode, "--perspective", "1"
+            )
+            assert code == 0, (mode, err)
+        for relation in ("base", "prudent", "indifferent"):
+            code, _, err = run(
+                capsys, "compare", text, other, "-p", "2", "--relation", relation
+            )
+            assert code == 0, (relation, err)
 
 
 # ---------------------------------------------------------------------------

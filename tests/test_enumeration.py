@@ -18,6 +18,8 @@ from nclobber.enumeration import (
     generate_boards,
     render_reports,
 )
+from nclobber.game_core import Position, parse_board
+from nclobber.solver import EvalCache, evaluate, render_result
 from nclobber.values import NormalizationProfile, parse_value
 
 ALL_ON = BoardFilter()
@@ -139,6 +141,34 @@ def test_worker_count_does_not_change_the_report():
     assert alone == split
 
 
+def _per_board_inventories(n, profile):
+    """Each regime's distinct renderings of every board's own evaluation."""
+    mode_of = {"unsimplified": "raw"}
+    boards = list(generate_boards(n))
+    graph = parse_board(boards[0])[0]
+    cache = EvalCache(graph)
+    out = {regime: set() for regime in REGIMES}
+    for board in boards:
+        position = Position(graph, parse_board(board)[1], 1)
+        for regime in REGIMES:
+            result = evaluate(position, mode_of.get(regime, regime), profile, cache)
+            out[regime].add(render_result(result, "bar"))
+    return {regime: tuple(sorted(texts)) for regime, texts in out.items()}
+
+
+@pytest.mark.parametrize(
+    "profile, max_n",
+    [(NormalizationProfile.L1, 8), (NormalizationProfile.L2, 6)],
+    ids=["L1", "L2"],
+)
+def test_census_inventories_equal_per_board_evaluation(profile, max_n):
+    for n in range(2, max_n + 1):
+        want = _per_board_inventories(n, profile)
+        for workers in (1, 2):
+            report = enumerate_values(n, REGIMES, profile, workers=workers)
+            assert report.value_inventory == want, (n, workers)
+
+
 def test_census_argument_validation():
     with pytest.raises(ValueError):
         enumerate_values(4, ("bogus",))
@@ -226,6 +256,16 @@ def test_calibration_smoke_over_short_lengths():
     assert result.report == ""
     assert result.counts["selfish"]["published"][6] == 7
     assert result.counts["syntactic"]["conservative"][6] == 77
+
+
+def test_calibration_selfish_counts_equal_selfish_censuses():
+    result = calibrate_normalization(range(2, 8))
+    for profile in (NormalizationProfile.L1, NormalizationProfile.L2):
+        for n in range(2, 8):
+            census = enumerate_values(n, ("selfish",), profile)
+            assert result.counts["selfish"][profile.name][n] == (
+                census.unique_values["selfish"]
+            ), (profile.name, n)
 
 
 def test_calibration_rejects_bad_ranges():

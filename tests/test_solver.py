@@ -193,6 +193,20 @@ def test_cache_reuse_is_safe_and_checked():
         evaluate(position, "raw", cache=cache, players=4)
 
 
+def test_fold_memos_in_one_cache_do_not_leak_between_modes():
+    for n in (3, 4, 5, 6):
+        graph = parse_board(MOVABLE_BOARDS[n][0])[0]
+        cache = EvalCache(graph)
+        for board in MOVABLE_BOARDS[n]:
+            for start in (1, 2, 3):
+                position = Position(graph, parse_board(board)[1], start)
+                for mode in ("prudent", "selfish", "prudent"):
+                    fresh = evaluate(position, mode, cache=EvalCache(graph))
+                    got = evaluate(position, mode, cache=cache)
+                    assert got == fresh, (board, start, mode)
+        assert {mode for mode, _ in cache.folds} == {"prudent", "selfish"}
+
+
 def test_evaluate_all_starts_shares_one_cache_consistently():
     board = "123213"
     shared = evaluate_all_starts(board, mode="prudent")
