@@ -4,12 +4,9 @@ from .enumeration import (
     PUBLISHED_COUNTS,
     REGIMES,
     BoardFilter,
-    CalibrationResult,
     EnumerationReport,
     board_passes,
     build_table,
-    calibrate_normalization,
-    conservative_splice,
     count_boards,
     enumerate_values,
     generate_boards,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .enumeration import (
@@ -42,23 +41,8 @@ from .values import (
     choice,
     normalize,
     parse_value,
+    quote,
 )
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run settings shared by the subcommands."""
-
-    players: int = 3
-    start: int = 1
-    mode: str = "raw"
-    profile: NormalizationProfile = DEFAULT_PROFILE
-    format: str = "text"
-    jobs: int = 1
-    perspective: Optional[int] = None
-    relation: str = "base"
-    render: Optional[str] = None
-    out: Optional[str] = None
 
 
 def _profile_arg(text: str) -> NormalizationProfile:
@@ -93,124 +77,101 @@ def _modes_arg(text: str) -> tuple[str, ...]:
     return picked
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    profile = getattr(args, "profile", None)
-    return CliConfig(
-        players=getattr(args, "players", 3),
-        start=getattr(args, "start", 1),
-        mode=getattr(args, "mode", "raw"),
-        # L0 is falsy as an IntEnum, so an `or` default would swallow it
-        profile=DEFAULT_PROFILE if profile is None else profile,
-        format=getattr(args, "format", "text"),
-        jobs=getattr(args, "jobs", 1),
-        perspective=getattr(args, "perspective", None),
-        relation=getattr(args, "relation", "base"),
-        render=getattr(args, "render", None),
-        out=getattr(args, "out", None),
-    )
-
-
-def _emit(text: str, cfg: CliConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+def _emit(text: str, out: Optional[str]) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     shape = args.grid if args.grid else "line"
-    graph, occupancy = parse_board(args.board, shape=shape, players=cfg.players)
-    position = Position(graph, occupancy, cfg.start)
+    graph, occupancy = parse_board(args.board, shape=shape, players=args.players)
+    position = Position(graph, occupancy, args.start)
     try:
-        result = evaluate(position, cfg.mode, cfg.profile, None, cfg.players)
+        result = evaluate(position, args.mode, args.profile, None, args.players)
     except NoMoveError:
-        raise NoMoveError(f"no initial move on board {args.board!r}")
-    rendered = render_result(result, cfg.render)
-    if cfg.format == "json":
+        raise NoMoveError(f"no initial move on board {quote(args.board)}")
+    rendered = render_result(result, args.render)
+    if args.format == "json":
         payload = {
             "board": args.board,
             "shape": "line" if shape == "line" else f"{shape[0]}x{shape[1]}",
-            "start": cfg.start,
-            "mode": cfg.mode,
-            "profile": cfg.profile.name,
+            "start": args.start,
+            "mode": args.mode,
+            "profile": args.profile.name,
             "value": rendered,
         }
-        _emit(json.dumps(payload), cfg)
+        _emit(json.dumps(payload), args.out)
     else:
-        _emit(rendered, cfg)
+        _emit(rendered, args.out)
     return 0
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if cfg.mode == "prudent" and cfg.players != 3:
+    if args.mode == "prudent" and args.players != 3:
         raise ValueError("prudent simplification is defined for exactly three players")
-    value = parse_value(args.value, players=cfg.players)
-    value = normalize(value, cfg.profile, cfg.players)
-    p = cfg.perspective
-    if cfg.mode == "prudent":
+    value = parse_value(args.value, players=args.players)
+    value = normalize(value, args.profile, args.players)
+    p = args.perspective
+    if args.mode == "prudent":
         result = Simple(prudent_simplify(value, p))
     else:
-        if cfg.mode != "raw" and value.children is not None:
-            kept = prune(set(value.children), p, cfg.mode, cfg.players)
-            value = normalize(choice(kept), cfg.profile, cfg.players)
+        if args.mode != "raw" and value.children is not None:
+            kept = prune(set(value.children), p, args.mode, args.players)
+            value = normalize(choice(kept), args.profile, args.players)
         result = Raw(value)
-    rendered = render_result(result, cfg.render)
-    if cfg.format == "json":
+    rendered = render_result(result, args.render)
+    if args.format == "json":
         payload = {
             "input": args.value,
-            "mode": cfg.mode,
-            "profile": cfg.profile.name,
-            "perspective": cfg.perspective,
+            "mode": args.mode,
+            "profile": args.profile.name,
+            "perspective": args.perspective,
             "value": rendered,
         }
-        _emit(json.dumps(payload), cfg)
+        _emit(json.dumps(payload), args.out)
     else:
-        _emit(rendered, cfg)
+        _emit(rendered, args.out)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    left = parse_value(args.left, players=cfg.players)
-    right = parse_value(args.right, players=cfg.players)
-    p = cfg.perspective
-    if cfg.relation == "prudent":
+    left = parse_value(args.left, players=args.players)
+    right = parse_value(args.right, players=args.players)
+    p = args.perspective
+    if args.relation == "prudent":
         outcome = prudent_compare(left, right, p)
-    elif cfg.relation == "indifferent":
-        outcome = compare(left, right, p, "indifferent", cfg.players)
+    elif args.relation == "indifferent":
+        outcome = compare(left, right, p, "indifferent", args.players)
     else:
-        outcome = compare(left, right, p, "selfish", cfg.players)
-    if cfg.format == "json":
+        outcome = compare(left, right, p, "selfish", args.players)
+    if args.format == "json":
         payload = {
             "left": args.left,
             "right": args.right,
             "perspective": p,
-            "relation": cfg.relation,
+            "relation": args.relation,
             "result": outcome.value,
         }
-        _emit(json.dumps(payload), cfg)
+        _emit(json.dumps(payload), args.out)
     else:
-        _emit(outcome.value, cfg)
+        _emit(outcome.value, args.out)
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     report = enumerate_values(
         args.n,
         args.modes,
-        cfg.profile,
-        workers=cfg.jobs,
+        args.profile,
+        workers=args.jobs,
         collect_inventory=True if args.inventory else None,
-        players=cfg.players,
+        players=args.players,
     )
-    if cfg.format == "json":
-        _emit(render_reports([report], "json", args.modes), cfg)
-    elif cfg.format == "csv":
-        _emit(render_reports([report], "csv", args.modes), cfg)
+    if args.format != "text":
+        _emit(render_reports([report], args.format, args.modes), args.out)
     else:
         fields = [f"n={report.board_length}", f"games={report.games_analysed}"]
         fields += [f"{m}={report.unique_values[m]}" for m in args.modes]
@@ -218,17 +179,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.inventory and report.value_inventory is not None:
             for m in args.modes:
                 lines.append(f"{m}: " + " ".join(report.value_inventory[m]))
-        _emit("\n".join(lines), cfg)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     reports = build_table(
-        args.max_n, args.modes, cfg.profile, workers=cfg.jobs, players=cfg.players
+        args.max_n, args.modes, args.profile, workers=args.jobs, players=args.players
     )
-    fmt = "json" if cfg.format == "json" else "csv"
-    _emit(render_reports(reports, fmt, args.modes), cfg)
+    _emit(render_reports(reports, args.format, args.modes), args.out)
     return 0
 
 
@@ -237,8 +196,8 @@ def _add_common(parser: argparse.ArgumentParser, *, formats: Sequence[str]) -> N
     parser.add_argument(
         "--profile",
         type=_profile_arg,
-        default=None,
-        help="normalization profile L0/L1/L2 (default: the calibrated repo default)",
+        default=DEFAULT_PROFILE,
+        help=f"normalization profile L0/L1/L2 (default: {DEFAULT_PROFILE.name})",
     )
     parser.add_argument(
         "--format", choices=tuple(formats), default=formats[0], help="output format"
@@ -315,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    players = getattr(args, "players", 3)
+    players = args.players
     if not 1 <= players <= 9:
         parser.error(f"--players must be 1..9, got {players}")
     if args.command == "solve" and not 1 <= args.start <= players:

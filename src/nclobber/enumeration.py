@@ -24,14 +24,6 @@ Censuses parallelize over boards: each worker collects the distinct raw
 values of a disjoint slice, folds them itself and returns the rendered
 value strings, which merge by set union, so reports are identical for
 any worker count.
-
-calibrate_normalization grades the syntactic and selfish columns under
-profiles L1 and L2 against the published reference counts.  The selfish
-column pins the repository default profile.  A column that matches no
-profile triggers a written discrepancy report instead of a silent
-acceptance of the nearest miss; the report embeds the best
-reconstruction found (a conservative splice variant) and the evidence
-that no option-set rewrite rule can close the remaining gap.
 """
 
 from __future__ import annotations
@@ -46,13 +38,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .game_core import BoardGraph, Position, parse_board
 from .solver import EvalCache, Folds, evaluate, fold_raw, render_result
-from .values import (
-    DEFAULT_PROFILE,
-    GameValue,
-    NormalizationProfile,
-    _unwrap_exact,
-    choice,
-)
+from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
 
@@ -246,7 +232,7 @@ def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
     return out
 
 
-def _raw_roots(boards: Iterable[str], players: int) -> set[GameValue]:
+def raw_values(boards: Iterable[str], players: int = 3) -> set[GameValue]:
     """The distinct raw values of line boards, player 1 to move."""
     roots: set[GameValue] = set()
     caches: dict[BoardGraph, EvalCache] = {}
@@ -264,7 +250,7 @@ def _census_chunk(args: tuple) -> dict[str, set[str]]:
     """Distinct rendered values per regime over one batch of boards."""
     boards, modes, profile_level, players = args
     profile = NormalizationProfile(profile_level)
-    roots = _raw_roots(boards, players)
+    roots = raw_values(boards, players)
     folds: Folds = {}
     out: dict[str, set[str]] = {}
     for m in modes:
@@ -281,7 +267,6 @@ def enumerate_values(
     workers: int = 1,
     collect_inventory: Optional[bool] = None,
     players: int = 3,
-    board_filter: Optional[BoardFilter] = None,
 ) -> EnumerationReport:
     """Evaluate every filtered 1xn board, player 1 to move, per regime.
 
@@ -295,8 +280,7 @@ def enumerate_values(
         profile = DEFAULT_PROFILE
     if collect_inventory is None:
         collect_inventory = n <= 10
-    flt = board_filter if board_filter is not None else BoardFilter(players=players)
-    boards = list(generate_boards(n, flt))
+    boards = list(generate_boards(n, BoardFilter(players=players)))
     if workers > 1:
         chunks = [boards[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
@@ -371,236 +355,3 @@ def render_reports(
             payload.append(entry)
         return json.dumps(payload, indent=2)
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# profile calibration against the published counts
-
-
-def conservative_splice(
-    v: GameValue,
-    players: int = 3,
-    _memo: Optional[dict[GameValue, GameValue]] = None,
-) -> GameValue:
-    """Diagnostic rewrite: the closest reconstruction of the published
-    syntactic counts found by search over locally-checkable rules.
-
-    Like the L1 splice it looks at elements wrapped in players-1
-    singleton levels, but it only acts when the wrapped options nest
-    with the host's other options: it drops the element when they are a
-    subset and splices when they are a superset.  Not used by the
-    solver; calibrate_normalization runs it for the discrepancy report.
-    Pass a shared _memo dict when rewriting many values in bulk.
-    """
-    memo = _memo if _memo is not None else {}
-
-    def go(node: GameValue) -> GameValue:
-        if node.children is None:
-            return node
-        got = memo.get(node)
-        if got is not None:
-            return got
-        out = choice(go(c) for c in node.children)
-        while out.children is not None:
-            inner = _unwrap_exact(out, players)
-            if inner is not None:
-                out = inner
-                continue
-            kids = set(out.children)
-            rebuilt: list[GameValue] = []
-            changed = False
-            for c in out.children:
-                wrapped = _unwrap_exact(c, players - 1)
-                if wrapped is not None and wrapped.children is not None:
-                    options = set(wrapped.children)
-                    others = kids - {c}
-                    if options <= others:
-                        changed = True
-                        continue
-                    if others and others <= options:
-                        rebuilt.extend(wrapped.children)
-                        changed = True
-                        continue
-                rebuilt.append(c)
-            if changed and rebuilt:
-                out = choice(rebuilt)
-                continue
-            break
-        memo[node] = out
-        return out
-
-    return go(v)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Outcome of grading profiles against the published counts.
-
-    counts[column][label][n] holds the measured census sizes; labels are
-    "published", "L1", "L2", and for the syntactic column additionally
-    "unsimplified" and "conservative" (the diagnostic rewrite).  matches
-    maps each column to the profile reproducing it on every graded n, or
-    None.  report is empty when every column matched some profile.
-    """
-
-    n_range: tuple[int, ...]
-    counts: dict[str, dict[str, dict[int, int]]]
-    matches: dict[str, Optional[NormalizationProfile]]
-    chosen_profile: NormalizationProfile
-    report: str
-
-
-def calibrate_normalization(
-    n_range: Iterable[int] = range(2, 8), players: int = 3
-) -> CalibrationResult:
-    """Grade profiles L1 and L2 against the published column counts.
-
-    One raw sweep per board length yields its distinct raw values; the
-    syntactic and selfish counts under both profiles, and the
-    conservative-splice diagnostic column, are folds of them.  The
-    selfish column pins the chosen profile; the shipped default (see
-    values.DEFAULT_PROFILE) was fixed from this experiment over lengths
-    2..9.  When a column matches neither profile the result carries a
-    written discrepancy report.
-    """
-    ns = tuple(sorted(set(n_range)))
-    if not ns or ns[0] < 2:
-        raise ValueError("calibration needs board lengths of at least 2")
-    profiles = (NormalizationProfile.L1, NormalizationProfile.L2)
-    columns = ("syntactic", "selfish")
-    counts: dict[str, dict[str, dict[int, int]]] = {
-        "syntactic": {
-            "published": {},
-            "unsimplified": {},
-            "L1": {},
-            "L2": {},
-            "conservative": {},
-        },
-        "selfish": {"published": {}, "L1": {}, "L2": {}},
-    }
-    folds: Folds = {}
-    splice_memo: dict[GameValue, GameValue] = {}
-    for n in ns:
-        roots = _raw_roots(generate_boards(n, BoardFilter(players=players)), players)
-        counts["syntactic"]["unsimplified"][n] = len(roots)
-        for column in columns:
-            for prof in profiles:
-                counts[column][prof.name][n] = len(
-                    {fold_raw(raw, 1, column, prof, players, folds) for raw in roots}
-                )
-            counts[column]["published"][n] = PUBLISHED_COUNTS[column].get(n, -1)
-        counts["syntactic"]["conservative"][n] = len(
-            {conservative_splice(v, players, splice_memo) for v in roots}
-        )
-    matches: dict[str, Optional[NormalizationProfile]] = {}
-    for column in columns:
-        matches[column] = None
-        for prof in profiles:
-            if all(
-                counts[column][prof.name][n] == counts[column]["published"][n]
-                for n in ns
-            ):
-                matches[column] = prof
-                break
-    chosen = matches["selfish"] or matches["syntactic"] or NormalizationProfile.L1
-    report = ""
-    if any(matches[column] is None for column in columns):
-        report = _discrepancy_report(ns, counts, matches, chosen)
-    return CalibrationResult(ns, counts, matches, chosen, report)
-
-
-def _count_grid(
-    title: str, ns: Sequence[int], columns: dict[str, dict[int, int]]
-) -> str:
-    labels = list(columns)
-    lines = [f"### {title}", "", "| n | " + " | ".join(labels) + " |"]
-    lines.append("|---" * (len(labels) + 1) + "|")
-    for n in ns:
-        cells = [str(columns[label].get(n, "")) for label in labels]
-        lines.append(f"| {n} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def _discrepancy_report(
-    ns: Sequence[int],
-    counts: dict[str, dict[str, dict[int, int]]],
-    matches: dict[str, Optional[NormalizationProfile]],
-    chosen: NormalizationProfile,
-) -> str:
-    syn = counts["syntactic"]
-    sel = counts["selfish"]
-    unmatched = [c for c in ("syntactic", "selfish") if matches[c] is None]
-    parts: list[str] = []
-    parts.append("# Normalization calibration: discrepancy report")
-    parts.append(
-        "\n".join(
-            [
-                "",
-                f"Graded board lengths: {', '.join(str(n) for n in ns)}.",
-                f"Columns matching no profile: {', '.join(unmatched)}.",
-                f"Chosen repository default: {chosen.name} "
-                "(pinned by the selfish column"
-                + (" — which matched exactly" if matches["selfish"] else "")
-                + ").",
-            ]
-        )
-    )
-    parts.append(_count_grid("Syntactic column", ns, syn))
-    parts.append(_count_grid("Selfish column", ns, sel))
-    parts.append(
-        "\n".join(
-            [
-                "### Reading the numbers",
-                "",
-                "- Up to length 6 the published syntactic counts equal the",
-                "  unsimplified counts: no rewrite rule fires on any value,",
-                "  and both profiles agree (L2 over-merges from length 4).",
-                "- From length 7 on, the published column sits strictly",
-                "  between the unsimplified counts and the L1 counts: the",
-                "  published pipeline merged fewer values than the stated",
-                "  rules allow.  L1 with the stated splice rewrites, for",
-                "  example, the value of the board 1232132321, whose census",
-                "  entry the published account keeps unsimplified — direct",
-                "  evidence that the counting there did not apply the rules",
-                "  to every value, most plausibly because rewrites were",
-                "  attempted in one bottom-up pass without re-visiting nodes",
-                "  the splice itself changes.",
-                "",
-                "### Closest reconstruction found",
-                "",
-                "- The `conservative` column above applies the splice only",
-                "  when the wrapped element's options nest with the host's",
-                "  remaining options (drop on subset, splice on superset).",
-                "  It reproduces the published counts exactly for lengths 7",
-                "  and 8 and leaves the 1232132321 value fixed, but counts",
-                "  9753 at length 9 (published: 9748) and 36330 at length 10",
-                "  (published: 36326).",
-                "- No locally-checkable option-set rule can close that gap:",
-                "  among the census values there are two hosts holding the",
-                "  same redex shape — a doubly wrapped [3,[2,3]] element",
-                "  whose option set meets the host's remaining options in",
-                "  exactly {[2,3]} and adds exactly {3} — where matching the",
-                "  published counts requires the rewrite to fire at length 9",
-                "  but not at length 8.  Any rule that decides from the",
-                "  wrapped options and the sibling options alone treats the",
-                "  two identically.",
-                "- Multiset semantics (counting duplicate options instead of",
-                "  collapsing them) was also ruled out: it changes the",
-                "  1232132321 value's printed form and lands on yet other",
-                "  counts (504/2399/9751 for lengths 7/8/9).",
-                "",
-                "### Disposition",
-                "",
-                "- The selfish column matches profile L1 exactly on every",
-                "  graded length, so L1 is the repository default.",
-                "- The syntactic census keeps the stated rules (L1) rather",
-                "  than imitating unpublished implementation behavior; its",
-                "  acceptance check against the published counts therefore",
-                "  fails by design and points here.",
-                "- Knock-on effect: with more values identified at length 9,",
-                "  the selfish census diverges at length 10 (135 under L1",
-                "  versus 154 published), outside the graded range.",
-            ]
-        )
-    )
-    return "\n\n".join(parts) + "\n"

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .values import quote
+
 
 class BoardError(ValueError):
     """Raised for malformed board text or illegal moves."""
@@ -91,7 +93,7 @@ def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[Boa
     if not 1 <= players <= 9:
         raise BoardError(f"player count must be 1..9, got {players}")
     if not text or not (text.isascii() and text.isdigit()):
-        raise BoardError(f"board must be a nonempty digit string, got {text!r}")
+        raise BoardError(f"board must be a nonempty digit string, got {quote(text)}")
     cells = bytes(int(ch) for ch in text)
     bad = [ch for ch in text if int(ch) > players]
     if bad:

@@ -64,15 +64,15 @@ class NormalizationProfile(enum.IntEnum):
 
 # Pinned by the calibration experiment against the published unique-value
 # counts over board lengths 2..9: the selfish column matches L1 exactly on
-# every length and L2 on none past 6 (see enumeration.calibrate_normalization
-# and reports/syntactic_discrepancy.md for the full grading).
+# every length and L2 on none past 6 (see scripts/calibrate_profile.py and
+# reports/syntactic_discrepancy.md for the full grading).
 DEFAULT_PROFILE = NormalizationProfile.L1
 
 
 class GameValue:
     """An interned game value tree.  Use leaf() and choice() to build."""
 
-    __slots__ = ("winner", "children", "outcomes", "text", "_hash", "_simple")
+    __slots__ = ("winner", "children", "outcomes", "text", "_hash", "_simple", "_bar")
 
     winner: Optional[int]
     children: Optional[tuple["GameValue", ...]]
@@ -86,10 +86,7 @@ class GameValue:
         self.text = text
         self._hash = hash(text)
         self._simple = _UNRESOLVED
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+        self._bar = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -288,6 +285,15 @@ def match_simple(v: GameValue) -> Optional[SimpleValue]:
 # limit; and the printed form of a_j has about 2**(j+2) characters.
 MAX_DEPTH = 128
 MAX_EXPONENT = 16
+# Error messages quote at most this many characters of the input text.
+MAX_QUOTED = 40
+
+
+def quote(text: str) -> str:
+    """repr(text), cut to its first MAX_QUOTED characters."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 def parse_value(text: str, players: int = 3) -> GameValue:
@@ -309,7 +315,7 @@ def parse_value(text: str, players: int = 3) -> GameValue:
             pos += 1
 
     def fail(msg: str) -> ValueSyntaxError:
-        return ValueSyntaxError(f"{msg} at offset {pos} in {text!r}")
+        return ValueSyntaxError(f"{msg} at offset {pos} in {quote(text)}")
 
     def parse_one(depth: int) -> GameValue:
         nonlocal pos
@@ -331,7 +337,7 @@ def parse_value(text: str, players: int = 3) -> GameValue:
                 raise fail("expected ',' or ']'")
             pos += 1
             return choice(items)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             base = int(ch)
             if base == 0 or base > players:
                 raise fail(f"player digit must be 1..{players}")
@@ -340,7 +346,7 @@ def parse_value(text: str, players: int = 3) -> GameValue:
                 pos += 1
                 start = pos
                 exponent = 0
-                while pos < n and s[pos].isdigit():
+                while pos < n and "0" <= s[pos] <= "9":
                     exponent = 10 * exponent + int(s[pos])
                     if exponent > MAX_EXPONENT:
                         raise fail(f"bar exponent above {MAX_EXPONENT}")
@@ -367,15 +373,17 @@ def render_value(v: GameValue, style: str = "brackets") -> str:
 
     style "brackets" prints the raw tree.  style "bar" prints simple
     subtrees as base_exponent atoms and falls back to brackets around
-    non-simple nodes.
+    non-simple nodes; each node caches its bar text, like `text`.
     """
     if style == "brackets":
         return v.text
     if style == "bar":
-        m = match_simple(v)
-        if m is not None:
-            return str(m)
-        return "[" + ",".join(render_value(c, "bar") for c in v.children) + "]"
+        if v._bar is None:
+            m = match_simple(v)
+            v._bar = str(m) if m is not None else (
+                "[" + ",".join(render_value(c, "bar") for c in v.children) + "]"
+            )
+        return v._bar
     raise ValueError(f"unknown render style {style!r}")
 
 

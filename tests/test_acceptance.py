@@ -39,10 +39,10 @@ from helpers import (
     isolation_violations,
     successor_incomparability_violations,
 )
+from calibrate_profile import calibrate_normalization
 from nclobber.enumeration import (
     PUBLISHED_COUNTS,
     count_boards,
-    calibrate_normalization,
     enumerate_values,
     generate_boards,
 )
@@ -285,6 +285,12 @@ def test_c06_normalization_calibration(calibration, criterion_log):
         f"n=8 and n=9 simultaneously (the same redex must fire at one "
         f"length and not the other).  See reports/syntactic_discrepancy.md."
     )
+
+
+def test_shipped_discrepancy_report_is_reproduced_exactly(calibration):
+    result, _ = calibration
+    shipped = REPORTS_DIR / "syntactic_discrepancy.md"
+    assert result.report.encode("utf-8") == shipped.read_bytes()
 
 
 def test_c07_length8_inventories(census, criterion_log):

@@ -145,6 +145,7 @@ def test_simplify_rejects_oversized_value_text(capsys, text):
     code, out, err = run(capsys, "simplify", text)
     assert (code, out) == (3, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err) < 200  # quotes a prefix of the 3000-deep text, not all of it
 
 
 def test_values_at_the_bounds_finish_in_every_mode_and_relation(capsys):

@@ -5,14 +5,13 @@ import json
 
 import pytest
 
+from calibrate_profile import calibrate_normalization, conservative_splice
 from nclobber.enumeration import (
     PUBLISHED_COUNTS,
     REGIMES,
     BoardFilter,
     board_passes,
     build_table,
-    calibrate_normalization,
-    conservative_splice,
     count_boards,
     enumerate_values,
     generate_boards,

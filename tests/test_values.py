@@ -103,7 +103,10 @@ def test_parse_canonicalizes_order_and_duplicates():
 
 
 def test_parse_rejects_malformed_text():
-    for bad in ("", "[", "[1", "1]", "[]", "[1,]", "4", "1_", "2_-1", "[1 2]"):
+    for bad in (
+        "", "[", "[1", "1]", "[]", "[1,]", "4", "1_", "2_-1", "[1 2]",
+        "\u0661", "1_\u0661", "\u00b2",  # non-ASCII digits pass str.isdigit
+    ):
         with pytest.raises(ValueSyntaxError):
             parse_value(bad)
 
