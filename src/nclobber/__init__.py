@@ -1,51 +1,32 @@
-"""N-player Clobber: game values, preference orders, and 1xn experiments."""
+"""N-player Clobber: game values, preference orders, and 1xn experiments.
+
+Re-exports the names the README documents, with the result and error
+types of their signatures; importing it binds all five submodules.
+"""
 
 from .enumeration import (
     PUBLISHED_COUNTS,
-    REGIMES,
-    BoardFilter,
     EnumerationReport,
-    board_passes,
-    build_table,
     count_boards,
     enumerate_values,
-    generate_boards,
-    render_reports,
+    raw_values,
 )
-from .game_core import (
-    BoardError,
-    BoardGraph,
-    Move,
-    Position,
-    apply_move,
-    grid_graph,
-    is_terminal,
-    legal_moves,
-    line_graph,
-    next_active_player,
-    parse_board,
-    render_board,
-)
+from .game_core import BoardError, BoardGraph, Position, grid_graph, line_graph, parse_board
 from .preferences import (
     ChainCoordinate,
     ChainError,
     Comparison,
-    OutcomeClass,
     chain_coordinate,
     compare,
     indifferent_class,
     leq,
-    merge_incomparable_simples,
-    outcome_class,
     prudent_compare,
-    prudent_incomparable,
-    prudent_less,
     prudent_simplify,
     prune,
+    prune_fold,
     simple_compare,
 )
 from .solver import (
-    MODES,
     Class,
     EvalCache,
     EvalResult,
@@ -55,17 +36,14 @@ from .solver import (
     evaluate,
     evaluate_all_starts,
     evaluate_text,
+    fold_raw,
+    render_result,
 )
 from .values import (
-    DEFAULT_PROFILE,
     GameValue,
     NormalizationProfile,
     SimpleValue,
     ValueSyntaxError,
-    choice,
-    expand_simple,
-    leaf,
-    match_simple,
     normalize,
     parse_value,
     render_value,

@@ -1,14 +1,16 @@
 """Command-line front end: solve boards, simplify and compare values,
 and run the 1xn censuses, with text, csv, and json output.
 
-Exit codes: 0 on success, 2 on usage errors (bad flags or arguments),
-3 on domain errors (unparseable board or value, no opening move).
+Exit codes: 0 on success (also when the reader of stdout stops early),
+2 on usage errors (bad flags or arguments), 3 on domain errors
+(unparseable board or value, no opening move).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -82,7 +84,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -138,15 +140,16 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.relation == "prudent" and args.players != 3:
+        raise ValueError("the prudent relation is defined for exactly three players")
     left = parse_value(args.left, players=args.players)
     right = parse_value(args.right, players=args.players)
     p = args.perspective
     if args.relation == "prudent":
         outcome = prudent_compare(left, right, p)
-    elif args.relation == "indifferent":
-        outcome = compare(left, right, p, "indifferent", args.players)
     else:
-        outcome = compare(left, right, p, "selfish", args.players)
+        base = "indifferent" if args.relation == "indifferent" else "selfish"
+        outcome = compare(left, right, p, base, args.players)
     if args.format == "json":
         payload = {
             "left": args.left,
@@ -302,6 +305,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BoardError, ValueSyntaxError, NoMoveError, ChainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Point stdout at devnull so
+        # the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

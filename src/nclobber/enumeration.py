@@ -42,13 +42,6 @@ from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
 
-_SOLVER_MODE = {
-    "unsimplified": "raw",
-    "syntactic": "syntactic",
-    "selfish": "selfish",
-    "prudent": "prudent",
-}
-
 # Reference counts for the 1xn experiment (published values; the golden
 # data the acceptance gate pins against).
 PUBLISHED_COUNTS: dict[str, dict[int, int]] = {
@@ -174,20 +167,13 @@ def _count_linear(n: int, flt: BoardFilter) -> int:
 
 
 def _count_palindromes(n: int, flt: BoardFilter) -> int:
-    # Palindromes are cheap to list outright: one free half-string.
+    # Palindromes are cheap to list outright: one free half-string.  A
+    # palindrome is its own mirror, so the mirror filter passes it.
     half = (n + 1) // 2
-    alphabet = _alphabet(flt.players)
-    check = BoardFilter(
-        players=flt.players,
-        no_edge_zeros=flt.no_edge_zeros,
-        no_double_zeros=flt.no_double_zeros,
-        mirror_canonical=False,
-        movable=flt.movable,
-    )
     total = 0
-    for head in itertools.product(alphabet, repeat=half):
+    for head in itertools.product(_alphabet(flt.players), repeat=half):
         s = "".join(head) + "".join(reversed(head[: n // 2]))
-        if board_passes(s, check):
+        if board_passes(s, flt):
             total += 1
     return total
 
@@ -223,7 +209,7 @@ class EnumerationReport:
 def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
     out = tuple(modes)
     for m in out:
-        if m not in _SOLVER_MODE:
+        if m not in REGIMES:
             raise ValueError(f"unknown census regime {m!r}; expected one of {REGIMES}")
     if "prudent" in out and players != 3:
         raise ValueError("the prudent regime is defined for exactly three players")
@@ -242,7 +228,7 @@ def raw_values(boards: Iterable[str], players: int = 3) -> set[GameValue]:
         if cache is None:
             cache = caches[graph] = EvalCache(graph, players)
         position = Position(graph, occupancy, 1)
-        roots.add(evaluate(position, "raw", None, cache, players).value)
+        roots.add(evaluate(position, "raw", cache=cache, players=players).value)
     return roots
 
 
@@ -254,7 +240,7 @@ def _census_chunk(args: tuple) -> dict[str, set[str]]:
     folds: Folds = {}
     out: dict[str, set[str]] = {}
     for m in modes:
-        mode = _SOLVER_MODE[m]
+        mode = "raw" if m == "unsimplified" else m
         results = {fold_raw(raw, 1, mode, profile, players, folds) for raw in roots}
         out[m] = {render_result(result, "bar") for result in results}
     return out
@@ -263,7 +249,7 @@ def _census_chunk(args: tuple) -> dict[str, set[str]]:
 def enumerate_values(
     n: int,
     modes: Sequence[str] = REGIMES,
-    profile: Optional[NormalizationProfile] = None,
+    profile: NormalizationProfile = DEFAULT_PROFILE,
     workers: int = 1,
     collect_inventory: Optional[bool] = None,
     players: int = 3,
@@ -276,17 +262,11 @@ def enumerate_values(
     merged report does not depend on the worker count.
     """
     modes = _check_modes(modes, players)
-    if profile is None:
-        profile = DEFAULT_PROFILE
     if collect_inventory is None:
         collect_inventory = n <= 10
     boards = list(generate_boards(n, BoardFilter(players=players)))
-    if workers > 1:
-        chunks = [boards[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-    else:
-        chunks = [boards]
-    payloads = [(chunk, modes, int(profile), players) for chunk in chunks]
+    chunks = [boards[i::workers] for i in range(workers)]
+    payloads = [(chunk, modes, int(profile), players) for chunk in chunks if chunk]
     if len(payloads) <= 1:
         partials = [_census_chunk(p) for p in payloads]
     else:
@@ -308,16 +288,17 @@ def enumerate_values(
 def build_table(
     max_n: int,
     modes: Sequence[str] = REGIMES,
-    profile: Optional[NormalizationProfile] = None,
+    profile: NormalizationProfile = DEFAULT_PROFILE,
     workers: int = 1,
-    collect_inventory: bool = False,
     players: int = 3,
 ) -> list[EnumerationReport]:
-    """One census per board length from 2 up to max_n."""
+    """One census per board length from 2 up to max_n, without inventories."""
     if max_n < 2:
         raise ValueError("the table starts at board length 2")
     return [
-        enumerate_values(n, modes, profile, workers, collect_inventory, players)
+        enumerate_values(
+            n, modes, profile, workers, collect_inventory=False, players=players
+        )
         for n in range(2, max_n + 1)
     ]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .values import quote
 
@@ -99,19 +99,13 @@ def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[Boa
     if bad:
         raise BoardError(f"digit {bad[0]} exceeds player count {players}")
     if shape == "line":
-        graph = line_graph(len(cells))
-    else:
-        rows, cols = shape
-        graph = grid_graph(rows, cols)
-        if graph.vertex_count != len(cells):
-            raise BoardError(
-                f"grid {rows}x{cols} needs {graph.vertex_count} digits, got {len(cells)}"
-            )
-    return graph, cells
-
-
-def render_board(occupancy: bytes) -> str:
-    return "".join(str(b) for b in occupancy)
+        return line_graph(len(cells)), cells
+    rows, cols = shape
+    # Check the digit count first: the graph of an oversized grid alone
+    # would not fit in memory.
+    if rows * cols != len(cells):
+        raise BoardError(f"grid {rows}x{cols} needs {rows * cols} digits, got {len(cells)}")
+    return grid_graph(rows, cols), cells
 
 
 def legal_moves(graph: BoardGraph, occupancy: bytes, player: int) -> list[Move]:
@@ -128,8 +122,8 @@ def legal_moves(graph: BoardGraph, occupancy: bytes, player: int) -> list[Move]:
     return out
 
 
-def apply_move(occupancy: bytes, move: Move, graph: Optional[BoardGraph] = None) -> bytes:
-    """The occupancy after the move; validates what it can see."""
+def apply_move(occupancy: bytes, move: Move) -> bytes:
+    """The occupancy after the move; validates the tokens it touches."""
     src, dst = move
     mover = occupancy[src]
     target = occupancy[dst]
@@ -139,8 +133,6 @@ def apply_move(occupancy: bytes, move: Move, graph: Optional[BoardGraph] = None)
         raise BoardError(f"cannot move onto empty vertex {dst}")
     if target == mover:
         raise BoardError(f"cannot clobber own token at vertex {dst}")
-    if graph is not None and dst not in graph.neighbors[src]:
-        raise BoardError(f"vertices {src} and {dst} are not adjacent")
     out = bytearray(occupancy)
     out[src] = 0
     out[dst] = mover
@@ -161,26 +153,3 @@ def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
             if b and b != a:
                 mask |= (1 << a) | (1 << b)
     return mask
-
-
-def is_terminal(graph: BoardGraph, occupancy: bytes) -> bool:
-    """True when no player has a legal move."""
-    return movers_mask(graph, occupancy) == 0
-
-
-def next_active_player(
-    graph: BoardGraph, occupancy: bytes, after: int, players: int = 3
-) -> Optional[int]:
-    """The first player in rotation strictly after `after` who can move.
-
-    Tries at most `players` candidates, so it wraps all the way around
-    to `after` itself; returns None when nobody can move.
-    """
-    mask = movers_mask(graph, occupancy)
-    if mask == 0:
-        return None
-    for step in range(1, players + 1):
-        cand = (after - 1 + step) % players + 1
-        if mask & (1 << cand):
-            return cand
-    return None

@@ -52,30 +52,13 @@ class Comparison(enum.Enum):
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
 
-    def flipped(self) -> "Comparison":
-        if self is Comparison.LESS:
-            return Comparison.GREATER
-        if self is Comparison.GREATER:
-            return Comparison.LESS
-        return self
-
-
-class OutcomeClass(enum.Enum):
-    LOSS = 0
-    MIXED = 1
-    WIN = 2
-
 
 class ChainError(RuntimeError):
     """A set of simples straddled chain coordinates; an internal bug."""
 
 
-def outcome_class(v: GameValue, p: int) -> OutcomeClass:
-    """Win, loss or mixed for player p."""
-    return OutcomeClass(_class_rank(v, p))
-
-
 def _class_rank(v: GameValue, p: int) -> int:
+    # 0 loss, 1 mixed, 2 win for player p.
     outs = v.outcomes
     if p in outs:
         return 2 if len(outs) == 1 else 1
@@ -188,13 +171,6 @@ def _pless_options(xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int)
 def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
     """Whether a prudent player p discards x when y is available."""
     return _pless(_prepare(x), _prepare(y), p)
-
-
-def prudent_incomparable(x: GameValue, y: GameValue, p: int) -> bool:
-    """Neither value prudently below the other (equal values included)."""
-    x = _prepare(x)
-    y = _prepare(y)
-    return not _pless(x, y, p) and not _pless(y, x, p)
 
 
 def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
@@ -421,11 +397,6 @@ def _indifferent_equal(x: GameValue, y: GameValue, p: int) -> bool:
     return _ext_leq(qx, qy) and _ext_leq(qy, qx)
 
 
-def _ladder_step(prev_tier: GameValue, prev_mine: GameValue) -> GameValue:
-    # Next loss tier: an option into the mover's tier and one staying put.
-    return choice((prev_mine, prev_tier))
-
-
 def indifferent_class(
     v: GameValue, p: int, max_exponent: int
 ) -> Optional[tuple[bool, int]]:
@@ -447,7 +418,8 @@ def indifferent_class(
     for j in range(max_exponent + 1):
         if _ext_leq(q, tier) and _ext_leq(tier, q):
             return (False, j)
-        mine, tier = tier, _ladder_step(tier, mine)
+        # Next loss tier: an option into the mover's tier and one staying put.
+        mine, tier = tier, choice((mine, tier))
     return None
 
 
@@ -458,7 +430,7 @@ def indifferent_class(
 def prune(
     options: Iterable[GameValue], p: int, mode: str = "selfish", players: int = 3
 ) -> set[GameValue]:
-    """Drop options a player of the given mode would never pick.
+    """Drop options a selfish or indifferent player would never pick.
 
     Keeps every option not strictly below another; never returns an
     empty set.  In indifferent mode, options the player cannot tell
@@ -469,8 +441,6 @@ def prune(
         raise ValueError("cannot prune an empty set of options")
     if mode == "selfish":
         strict: Callable[[GameValue, GameValue], bool] = lambda a, b: _strict_less(a, b, p)
-    elif mode == "prudent":
-        strict = lambda a, b: _pless(a, b, p)
     elif mode == "indifferent":
         strict = lambda a, b: _indifferent_strict(a, b, p)
     else:
@@ -494,11 +464,3 @@ def prune(
                 merged.append(v)
         survivors = set(merged)
     return survivors
-
-
-def clear_caches() -> None:
-    """Drop memoized comparison results."""
-    _LEQ_CACHE.clear()
-    _PLESS_CACHE.clear()
-    _QUOT_CACHE.clear()
-    _EXT_CACHE.clear()

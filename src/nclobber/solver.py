@@ -123,22 +123,17 @@ class EvalCache:
     entries: dict[tuple[bytes, int], GameValue] = field(default_factory=dict)
     folds: Folds = field(default_factory=dict)
 
-    def compatible_with(self, graph: BoardGraph, players: int) -> bool:
-        return self.graph == graph and self.players == players
-
 
 def evaluate(
     position: Position,
     mode: str = "raw",
-    profile: Optional[NormalizationProfile] = None,
+    profile: NormalizationProfile = DEFAULT_PROFILE,
     cache: Optional[EvalCache] = None,
     players: int = 3,
 ) -> EvalResult:
     """Value of a position for the mover given in it (skips resolve first)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if profile is None:
-        profile = DEFAULT_PROFILE
     if not 1 <= position.mover <= players:
         raise ValueError(f"mover {position.mover} out of range for {players} players")
     if mode == "prudent" and players != 3:
@@ -146,7 +141,7 @@ def evaluate(
     graph = position.graph
     if cache is None:
         cache = EvalCache(graph, players)
-    elif not cache.compatible_with(graph, players):
+    elif cache.graph != graph or cache.players != players:
         raise ValueError("cache was built for a different board graph or player count")
     if movers_mask(graph, position.occupancy) == 0:
         raise NoMoveError("no player can move from the root position")
@@ -223,17 +218,14 @@ def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache)
 
 
 def evaluate_all_starts(
-    board: Union[str, Position],
+    board: str,
     mode: str = "raw",
-    profile: Optional[NormalizationProfile] = None,
+    profile: NormalizationProfile = DEFAULT_PROFILE,
     players: int = 3,
     shape: str = "line",
 ) -> dict[int, EvalResult]:
     """Evaluate the same board once per starting player 1..players."""
-    if isinstance(board, Position):
-        graph, occupancy = board.graph, board.occupancy
-    else:
-        graph, occupancy = parse_board(board, shape=shape, players=players)
+    graph, occupancy = parse_board(board, shape=shape, players=players)
     results: dict[int, EvalResult] = {}
     # Memo keys carry the resolved mover, so one cache serves all starts.
     cache = EvalCache(graph, players)
@@ -248,7 +240,7 @@ def evaluate_text(
     board: str,
     start: int = 1,
     mode: str = "raw",
-    profile: Optional[NormalizationProfile] = None,
+    profile: NormalizationProfile = DEFAULT_PROFILE,
     players: int = 3,
     shape: str = "line",
     cache: Optional[EvalCache] = None,

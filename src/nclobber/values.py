@@ -145,18 +145,6 @@ def choice(options: Iterable[GameValue]) -> GameValue:
     return v
 
 
-def canonicalize(v: GameValue) -> GameValue:
-    """Rebuild a value bottom-up; identity on anything built by choice()."""
-    if v.children is None:
-        return v
-    return choice(canonicalize(c) for c in v.children)
-
-
-def outcome_set(v: GameValue) -> frozenset[int]:
-    """The set of players that win some leaf of v."""
-    return v.outcomes
-
-
 # ---------------------------------------------------------------------------
 # rewrite rules
 
@@ -385,8 +373,3 @@ def render_value(v: GameValue, style: str = "brackets") -> str:
             )
         return v._bar
     raise ValueError(f"unknown render style {style!r}")
-
-
-def clear_caches() -> None:
-    """Drop memoized normalization results (interned values stay)."""
-    _NORMAL_CACHE.clear()

@@ -31,7 +31,6 @@ from nclobber.preferences import (
     indifferent_class,
     merge_incomparable_simples,
     prudent_compare,
-    prudent_incomparable,
     prudent_less,
     prune,
     simple_compare,
@@ -96,6 +95,38 @@ MOVABLE_BOARDS: dict[int, tuple[str, ...]] = {
 def movable_board_strategy(max_n: int = 7) -> st.SearchStrategy:
     pool = [b for n in range(2, max_n + 1) for b in MOVABLE_BOARDS[n]]
     return st.sampled_from(pool)
+
+
+# ---------------------------------------------------------------------------
+# reference code: small definitions the library does not need
+
+
+def canonicalize(v: GameValue) -> GameValue:
+    """Rebuild a value bottom-up; identity on anything built by choice()."""
+    if v.children is None:
+        return v
+    return choice(canonicalize(c) for c in v.children)
+
+
+def next_active_player(
+    graph: BoardGraph, occupancy: bytes, after: int, players: int = 3
+) -> Optional[int]:
+    """The first player in rotation strictly after `after` who can move.
+
+    Tries at most `players` candidates, so it wraps all the way around
+    to `after` itself; returns None when nobody can move.
+    """
+    mask = movers_mask(graph, occupancy)
+    for step in range(1, players + 1):
+        cand = (after - 1 + step) % players + 1
+        if mask & (1 << cand):
+            return cand
+    return None
+
+
+def prudent_incomparable(x: GameValue, y: GameValue, p: int) -> bool:
+    """Neither value prudently below the other (equal values included)."""
+    return not prudent_less(x, y, p) and not prudent_less(y, x, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,12 @@ def test_solve_rejects_unplayable_boards(capsys):
     assert err.startswith("error: no initial move")
     code, _, err = run(capsys, "solve", "1x2")
     assert code == 3 and err.startswith("error:")
+
+
+def test_solve_counts_grid_digits_before_building_the_grid(capsys):
+    code, out, err = run(capsys, "solve", "12", "--grid", "100000x100000")
+    assert (code, out) == (3, "")
+    assert err == "error: grid 100000x100000 needs 10000000000 digits, got 2\n"
 
 
 def test_solve_usage_errors_exit_2(capsys):
@@ -181,6 +191,16 @@ def test_compare_prudent_relation(capsys):
     assert (code, out.strip()) == (0, "greater")
 
 
+def test_compare_prudent_needs_three_players(capsys):
+    for players, left, right in (("4", "[1,4]", "[2,4]"), ("2", "[1,2]", "2")):
+        code, out, err = run(
+            capsys, "compare", left, right, "-p", "1",
+            "--relation", "prudent", "--players", players,
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: the prudent relation is defined for exactly three players\n"
+
+
 def test_compare_indifferent_relation(capsys):
     code, out, _ = run(
         capsys, "compare", "2", "3", "-p", "1", "--relation", "indifferent"
@@ -270,3 +290,23 @@ def test_out_flag_writes_the_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "[[1,3]]\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "8", "--inventory"], ["table", "5", "--format", "json"]]
+)
+def test_a_reader_closing_stdout_early_gets_no_traceback(argv):
+    # With stdout buffered, the first output (155 kB) fails in print and
+    # the second (under 1 kB) in the final flush.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nclobber.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first write
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (0, "")

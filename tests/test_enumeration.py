@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,18 @@ def test_games_analysed_n13_diagnosis():
     assert count_boards(13) == 10927980
     assert count_boards(13, BoardFilter(movable=False)) == 10949499
     assert PUBLISHED_COUNTS["games"][13] == 10949499
+
+
+def test_games_analysed_report_table_matches_the_code():
+    report = Path(__file__).resolve().parents[1] / "reports" / "games_analysed_n13.md"
+    row = re.compile(r"^\| (\d+) \| ([\d,*]+) \| ([\d,*]+) \|$", re.M)
+    rows = [
+        [int(cell.strip("*").replace(",", "")) for cell in cells]
+        for cells in row.findall(report.read_text())
+    ]
+    assert [n for n, _, _ in rows] == list(range(2, 14))
+    for n, reference, computed in rows:
+        assert (reference, computed) == (PUBLISHED_COUNTS["games"][n], count_boards(n)), n
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from helpers import (
     VALUE_12223,
     VALUE_213,
     VALUE_1232132321,
+    next_active_player,
     reference_evaluate,
 )
 from nclobber.enumeration import BoardFilter, generate_boards
 from nclobber.game_core import (
     Position,
     movers_mask,
-    next_active_player,
     parse_board,
 )
 from nclobber.preferences import prudent_simplify

@@ -3,20 +3,17 @@
 import pytest
 from hypothesis import given
 
-from helpers import value_trees
+from helpers import canonicalize, value_trees
 from nclobber.values import (
     DEFAULT_PROFILE,
     NormalizationProfile,
     SimpleValue,
     ValueSyntaxError,
-    canonicalize,
     choice,
-    clear_caches,
     expand_simple,
     leaf,
     match_simple,
     normalize,
-    outcome_set,
     parse_value,
     render_value,
 )
@@ -64,8 +61,8 @@ def test_empty_choice_is_rejected():
 
 def test_outcomes_union_children():
     v = parse_value("[[1,2],[3]]")
-    assert outcome_set(v) == frozenset({1, 2, 3})
-    assert outcome_set(leaf(2)) == frozenset({2})
+    assert v.outcomes == frozenset({1, 2, 3})
+    assert leaf(2).outcomes == frozenset({2})
 
 
 @given(value_trees())
@@ -205,15 +202,8 @@ def test_l2_needs_three_players():
 def test_normalize_is_idempotent_and_preserves_outcomes(profile, v):
     once = normalize(v, profile)
     assert normalize(once, profile) is once
-    assert outcome_set(once) == outcome_set(v)
+    assert once.outcomes == v.outcomes
 
 
 def test_default_profile_keeps_syntactic_rules_only():
     assert DEFAULT_PROFILE is L1
-
-
-def test_clear_caches_keeps_results_stable():
-    v = parse_value("[1,[[[2,3]]]]")
-    before = normalize(v, L1).text
-    clear_caches()
-    assert normalize(parse_value("[1,[[[2,3]]]]"), L1).text == before
