@@ -24,9 +24,9 @@ import itertools
 import random
 import sys
 
-from nclobber.enumeration import enumerate_values
+from nclobber.enumeration import generate_boards, raw_values
 from nclobber.preferences import leq, prudent_less
-from nclobber.values import parse_value
+from nclobber.values import render_value
 
 
 def _strict_selfish(x, y, p):
@@ -43,11 +43,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    texts: set[str] = set()
-    for n in range(2, args.max_n + 1):
-        report = enumerate_values(n, ("unsimplified",), collect_inventory=True)
-        texts.update(report.value_inventory["unsimplified"])
-    values = [parse_value(t) for t in sorted(texts)]
+    boards = (b for n in range(2, args.max_n + 1) for b in generate_boards(n))
+    # Bar text orders the values as census inventories do, so a seed
+    # samples the same triples.
+    values = sorted(raw_values(boards), key=lambda v: render_value(v, "bar"))
     print(f"{len(values)} distinct raw values from lengths 2..{args.max_n}")
 
     rng = random.Random(args.seed)

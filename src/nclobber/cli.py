@@ -14,12 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .enumeration import (
-    REGIMES,
-    build_table,
-    enumerate_values,
-    render_reports,
-)
+from .enumeration import REGIMES, enumerate_values, render_reports
 from .game_core import BoardError, Position, parse_board
 from .preferences import (
     ChainError,
@@ -187,21 +182,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    reports = build_table(
-        args.max_n, args.modes, args.profile, workers=args.jobs, players=args.players
-    )
+    reports = [
+        enumerate_values(
+            n, args.modes, args.profile, args.jobs, collect_inventory=False,
+            players=args.players,
+        )
+        for n in range(2, args.max_n + 1)
+    ]
     _emit(render_reports(reports, args.format, args.modes), args.out)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, formats: Sequence[str]) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, *, formats: Sequence[str], profile: bool = True
+) -> None:
     parser.add_argument("--players", type=int, default=3, help="number of players")
-    parser.add_argument(
-        "--profile",
-        type=_profile_arg,
-        default=DEFAULT_PROFILE,
-        help=f"normalization profile L0/L1/L2 (default: {DEFAULT_PROFILE.name})",
-    )
+    if profile:
+        parser.add_argument(
+            "--profile",
+            type=_profile_arg,
+            default=DEFAULT_PROFILE,
+            help=f"normalization profile L0/L1/L2 (default: {DEFAULT_PROFILE.name})",
+        )
     parser.add_argument(
         "--format", choices=tuple(formats), default=formats[0], help="output format"
     )
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument(
         "--relation", choices=("base", "prudent", "indifferent"), default="base"
     )
-    _add_common(cmp_parser, formats=("text", "json"))
+    _add_common(cmp_parser, formats=("text", "json"), profile=False)
     cmp_parser.set_defaults(handler=_cmd_compare)
 
     enum_parser = sub.add_parser("enumerate", help="census of one board length")

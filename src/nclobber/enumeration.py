@@ -32,11 +32,12 @@ import csv
 import io
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .game_core import BoardGraph, Position, parse_board
+from .game_core import Position, parse_board
 from .solver import EvalCache, Folds, evaluate, fold_raw, render_result
 from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
@@ -219,14 +220,12 @@ def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
 
 
 def raw_values(boards: Iterable[str], players: int = 3) -> set[GameValue]:
-    """The distinct raw values of line boards, player 1 to move."""
+    """The distinct raw values of line boards of any lengths, player 1
+    to move, through one cache."""
     roots: set[GameValue] = set()
-    caches: dict[BoardGraph, EvalCache] = {}
+    cache = EvalCache(players)
     for board in boards:
         graph, occupancy = parse_board(board, players=players)
-        cache = caches.get(graph)
-        if cache is None:
-            cache = caches[graph] = EvalCache(graph, players)
         position = Position(graph, occupancy, 1)
         roots.add(evaluate(position, "raw", cache=cache, players=players).value)
     return roots
@@ -258,8 +257,9 @@ def enumerate_values(
 
     collect_inventory defaults to on for n <= 10, where keeping the
     sorted value lists costs little and makes count diffs diagnosable.
-    Workers split the boards into slices with independent caches; the
-    merged report does not depend on the worker count.
+    Workers split the boards into slices with independent caches, run
+    by at most one process per CPU; the merged report does not depend on
+    the worker count.
     """
     modes = _check_modes(modes, players)
     if collect_inventory is None:
@@ -270,7 +270,8 @@ def enumerate_values(
     if len(payloads) <= 1:
         partials = [_census_chunk(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        processes = min(len(payloads), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             partials = list(pool.map(_census_chunk, payloads))
     merged: dict[str, set[str]] = {m: set() for m in modes}
     for part in partials:
@@ -283,24 +284,6 @@ def enumerate_values(
         else None
     )
     return EnumerationReport(n, len(boards), counts, inventory)
-
-
-def build_table(
-    max_n: int,
-    modes: Sequence[str] = REGIMES,
-    profile: NormalizationProfile = DEFAULT_PROFILE,
-    workers: int = 1,
-    players: int = 3,
-) -> list[EnumerationReport]:
-    """One census per board length from 2 up to max_n, without inventories."""
-    if max_n < 2:
-        raise ValueError("the table starts at board length 2")
-    return [
-        enumerate_values(
-            n, modes, profile, workers, collect_inventory=False, players=players
-        )
-        for n in range(2, max_n + 1)
-    ]
 
 
 def render_reports(

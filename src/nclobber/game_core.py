@@ -24,9 +24,14 @@ class BoardError(ValueError):
     """Raised for malformed board text or illegal moves."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoardGraph:
-    """An undirected graph with sorted adjacency lists."""
+    """An undirected graph with sorted adjacency lists.
+
+    Graphs compare and hash by identity, so keying a memo on one costs
+    no walk over its edges; line_graph and grid_graph return one object
+    per shape.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]

@@ -5,10 +5,10 @@ tree has a node for every (occupancy, player to move) pair: a player
 with no move passes, so their node is the singleton choice over the
 same occupancy with the next player to move.  Such a wrapper is
 invisible when the value below is a bare winner (singleton-of-leaf
-identification) but real otherwise.  A move that empties the board of
-moves ends the game with the mover winning, so such a child is the
-mover's leaf.  The node value is the canonical choice over the child
-values.
+identification) but real otherwise.  A position where nobody can move
+is won by the player who made the last move, the one before the
+mover: only a move ends a game, never a pass.  The node value is the
+canonical choice over the child values.
 
 Every other mode is a memoized fold over the raw value, whose levels
 rotate the mover one player down:
@@ -26,9 +26,9 @@ fold_raw is the one place a raw value becomes a mode's result; evaluate,
 the census and the profile calibration all call it.  Results are wrapped
 in one of three variants: Raw carries a value tree, Simple a simple
 value, Class a loss-blind class.  A cache holds the raw values of
-resolved (occupancy, mover) pairs and the memos of every fold (selfish,
-indifferent, prudent); it serves every mode and profile on one board
-graph and player count, and its memos are freed with it.
+resolved (graph, occupancy, mover) positions and the memos of every
+fold (selfish, indifferent, prudent); it serves every board graph, mode
+and profile for one player count, and its memos are freed with it.
 """
 
 from __future__ import annotations
@@ -111,16 +111,15 @@ Folds = dict[tuple[str, NormalizationProfile], dict]
 
 @dataclass
 class EvalCache:
-    """Raw values of resolved (occupancy, mover) pairs, and the fold
-    memos over them, for one board graph and player count.
+    """Raw values of resolved (graph, occupancy, mover) positions, and
+    the fold memos over them, for one player count.
 
-    Every mode and profile may share a cache; reusing it with another
-    graph or player count is an error.
+    Every board graph, mode and profile may share a cache; reusing it
+    with another player count is an error.
     """
 
-    graph: BoardGraph
     players: int = 3
-    entries: dict[tuple[bytes, int], GameValue] = field(default_factory=dict)
+    entries: dict[tuple[BoardGraph, bytes, int], GameValue] = field(default_factory=dict)
     folds: Folds = field(default_factory=dict)
 
 
@@ -140,9 +139,9 @@ def evaluate(
         raise ValueError("prudent evaluation is defined for exactly three players")
     graph = position.graph
     if cache is None:
-        cache = EvalCache(graph, players)
-    elif cache.graph != graph or cache.players != players:
-        raise ValueError("cache was built for a different board graph or player count")
+        cache = EvalCache(players)
+    elif cache.players != players:
+        raise ValueError("cache was built for a different player count")
     if movers_mask(graph, position.occupancy) == 0:
         raise NoMoveError("no player can move from the root position")
     raw = _eval_raw(graph, position.occupancy, position.mover, cache)
@@ -196,19 +195,20 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
 
 
 def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
-    key = (occupancy, mover)
+    key = (graph, occupancy, mover)
     got = cache.entries.get(key)
     if got is not None:
         return got
-    after = mover % cache.players + 1
+    players = cache.players
+    mask = movers_mask(graph, occupancy)
+    if not mask:
+        # The game is over: the player before the mover moved last.
+        return leaf((mover - 2) % players + 1)
+    after = mover % players + 1
     options = set()
-    if movers_mask(graph, occupancy) & (1 << mover):
+    if mask & (1 << mover):
         for move in legal_moves(graph, occupancy, mover):
-            child = apply_move(occupancy, move)
-            if movers_mask(graph, child) == 0:
-                options.add(leaf(mover))
-            else:
-                options.add(_eval_raw(graph, child, after, cache))
+            options.add(_eval_raw(graph, apply_move(occupancy, move), after, cache))
     else:
         # The mover passes: a forced continuation, one list level.
         options.add(_eval_raw(graph, occupancy, after, cache))
@@ -228,7 +228,7 @@ def evaluate_all_starts(
     graph, occupancy = parse_board(board, shape=shape, players=players)
     results: dict[int, EvalResult] = {}
     # Memo keys carry the resolved mover, so one cache serves all starts.
-    cache = EvalCache(graph, players)
+    cache = EvalCache(players)
     for start in range(1, players + 1):
         results[start] = evaluate(
             Position(graph, occupancy, start), mode, profile, cache, players

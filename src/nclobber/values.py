@@ -72,7 +72,7 @@ DEFAULT_PROFILE = NormalizationProfile.L1
 class GameValue:
     """An interned game value tree.  Use leaf() and choice() to build."""
 
-    __slots__ = ("winner", "children", "outcomes", "text", "_hash", "_simple", "_bar")
+    __slots__ = ("winner", "children", "outcomes", "text", "_simple", "_bar")
 
     winner: Optional[int]
     children: Optional[tuple["GameValue", ...]]
@@ -84,15 +84,11 @@ class GameValue:
         self.children = children
         self.outcomes = outcomes
         self.text = text
-        self._hash = hash(text)
         self._simple = _UNRESOLVED
         self._bar = None
 
-    def __hash__(self) -> int:
-        return self._hash
-
     # Interning makes structural equality identity equality; the default
-    # object __eq__ is exactly right.
+    # object __eq__ and __hash__ are exactly right.
 
     def __repr__(self) -> str:
         return render_value(self)

@@ -380,11 +380,9 @@ def test_c10_structural_invariants(census, criterion_log):
 
     # mirror invariance of every filtered board through n=8
     for n in range(2, 9):
-        cache = None
+        cache = EvalCache()
         for board in generate_boards(n):
             graph, occ = parse_board(board)
-            if cache is None:
-                cache = EvalCache(graph)
             _, rocc = parse_board(board[::-1])
             a = evaluate(Position(graph, occ, 1), "raw", cache=cache)
             b = evaluate(Position(graph, rocc, 1), "raw", cache=cache)

@@ -184,6 +184,13 @@ def test_compare_base_relation(capsys):
     assert (code, out.strip()) == (0, "less")
 
 
+def test_compare_takes_no_profile():
+    # The relations fix their own rewriting, so a profile would do nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "2", "3", "-p", "1", "--profile", "L2"])
+    assert exc.value.code == 2
+
+
 def test_compare_prudent_relation(capsys):
     code, out, _ = run(
         capsys, "compare", "2_1", "2_2", "-p", "1", "--relation", "prudent"

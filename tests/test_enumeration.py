@@ -2,18 +2,19 @@
 
 import itertools
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 from calibrate_profile import calibrate_normalization, conservative_splice
+from nclobber import enumeration
 from nclobber.enumeration import (
     PUBLISHED_COUNTS,
     REGIMES,
     BoardFilter,
     board_passes,
-    build_table,
     count_boards,
     enumerate_values,
     generate_boards,
@@ -154,12 +155,36 @@ def test_worker_count_does_not_change_the_report():
     assert alone == split
 
 
+def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for; maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    report = enumerate_values(4, workers=64)
+    assert sizes and max(sizes) <= (os.cpu_count() or 1)
+    assert report == enumerate_values(4, workers=1)
+
+
 def _per_board_inventories(n, profile):
     """Each regime's distinct renderings of every board's own evaluation."""
     mode_of = {"unsimplified": "raw"}
     boards = list(generate_boards(n))
     graph = parse_board(boards[0])[0]
-    cache = EvalCache(graph)
+    cache = EvalCache()
     out = {regime: set() for regime in REGIMES}
     for board in boards:
         position = Position(graph, parse_board(board)[1], 1)
@@ -189,8 +214,6 @@ def test_census_argument_validation():
         enumerate_values(4, ("selfish", "selfish"))
     with pytest.raises(ValueError):
         enumerate_values(4, ("prudent",), players=4)
-    with pytest.raises(ValueError):
-        build_table(1)
 
 
 def test_inventory_strings_parse_back_to_distinct_values():

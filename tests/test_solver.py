@@ -129,8 +129,8 @@ def test_prudent_solver_matches_collapsing_the_raw_tree():
     for n in (3, 4, 5, 6):
         for board in MOVABLE_BOARDS[n]:
             graph, occ = parse_board(board)
-            raw_cache = EvalCache(graph)
-            prudent_cache = EvalCache(graph)
+            raw_cache = EvalCache()
+            prudent_cache = EvalCache()
             for start in (1, 2, 3):
                 raw = evaluate(Position(graph, occ, start), "raw", cache=raw_cache)
                 fast = evaluate(
@@ -175,7 +175,7 @@ def test_syntactic_mode_equals_normalizing_the_raw_tree():
 
 def test_cache_reuse_is_safe_and_checked():
     graph, occ = parse_board("123213")
-    cache = EvalCache(graph)
+    cache = EvalCache()
     first = evaluate(Position(graph, occ, 1), "raw", cache=cache)
     again = evaluate(Position(graph, occ, 1), "raw", cache=cache)
     assert first.value is again.value
@@ -184,24 +184,38 @@ def test_cache_reuse_is_safe_and_checked():
     position = Position(graph, occ, 1)
     for mode in ("raw", "selfish", "prudent"):
         shared = evaluate(position, mode, cache=cache)
-        assert shared == evaluate(position, mode, cache=EvalCache(graph)), mode
-    # but never another board graph or player count
-    other_graph, other_occ = parse_board("1232")
-    with pytest.raises(ValueError):
-        evaluate(Position(other_graph, other_occ, 1), "raw", cache=cache)
+        assert shared == evaluate(position, mode, cache=EvalCache()), mode
+    # and every other board graph
+    other = Position(*parse_board("1232"), 1)
+    assert evaluate(other, "raw", cache=cache) == evaluate(other, "raw", cache=EvalCache())
+    # but never another player count
     with pytest.raises(ValueError):
         evaluate(position, "raw", cache=cache, players=4)
+
+
+def test_one_cache_serves_every_shape_of_the_same_digits():
+    # 1x6, 2x3 and 3x2 share their occupancy bytes; only the graph in
+    # the memo key tells their positions apart.
+    cache = EvalCache()
+    for start in (1, 2, 3):
+        got = set()
+        for shape in ("line", (2, 3), (3, 2)):
+            position = Position(*parse_board("123213", shape=shape), start)
+            value = evaluate(position, "raw", cache=cache).value
+            assert value is evaluate(position, "raw", cache=EvalCache()).value, (shape, start)
+            got.add(value)
+        assert len(got) == 3, start
 
 
 def test_fold_memos_in_one_cache_do_not_leak_between_modes():
     for n in (3, 4, 5, 6):
         graph = parse_board(MOVABLE_BOARDS[n][0])[0]
-        cache = EvalCache(graph)
+        cache = EvalCache()
         for board in MOVABLE_BOARDS[n]:
             for start in (1, 2, 3):
                 position = Position(graph, parse_board(board)[1], start)
                 for mode in ("prudent", "selfish", "prudent"):
-                    fresh = evaluate(position, mode, cache=EvalCache(graph))
+                    fresh = evaluate(position, mode, cache=EvalCache())
                     got = evaluate(position, mode, cache=cache)
                     assert got == fresh, (board, start, mode)
         assert {mode for mode, _ in cache.folds} == {"prudent", "selfish"}
@@ -223,18 +237,15 @@ def _mismatches(boards, modes, profiles, players=3, shape="line"):
     """Compare evaluate with the reference on every board, start, mode
     and profile; return (cases, mismatch descriptions).
 
-    Both sides share their memos across the boards of one graph, as the
-    census does: evaluate one cache for all modes, the reference one per
-    mode and profile.
+    Both sides share their memos across the boards: evaluate one cache
+    for every graph and mode, as the census does, the reference one per
+    graph, mode and profile.
     """
-    caches, memos, bad, cases = {}, {}, [], 0
+    cache, memos, bad, cases = EvalCache(players), {}, [], 0
     for board in boards:
         graph, occ = parse_board(board, shape=shape, players=players)
         if movers_mask(graph, occ) == 0:
             continue
-        if graph not in caches:
-            caches[graph] = EvalCache(graph, players)
-        cache = caches[graph]
         for start in range(1, players + 1):
             position = Position(graph, occ, start)
             for mode in modes:

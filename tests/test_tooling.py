@@ -1,12 +1,15 @@
-"""The benchmark's per-layer tracer still finds every function it times."""
+"""The benchmark's worker and tracer still find what they use of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import nclobber
 import nclobber.cli  # the package does not import its CLI module
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+WORKER = BENCH / "worker.py"
 
 
 def test_every_traced_function_resolves_on_the_package():
@@ -25,3 +28,24 @@ def test_every_traced_function_resolves_on_the_package():
         if not callable(getattr(getattr(nclobber, module, None), name, None))
     ]
     assert traced and not missing, missing
+
+
+def test_every_worker_import_resolves_on_the_package():
+    # Read the worker's imports without importing the benchmark's files.
+    wanted = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(WORKER.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nclobber.")
+        for alias in node.names
+    ]
+    missing = [
+        f"{module}.{name}"
+        for module, name in wanted
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert wanted and not missing, missing
+
+
+def test_eval_cache_entries_is_a_dict():
+    # The tracer's solver.positions counter sums len(cache.entries).
+    assert isinstance(nclobber.solver.EvalCache().entries, dict)
