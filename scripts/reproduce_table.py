@@ -17,12 +17,12 @@ import sys
 import time
 
 from nclobber.enumeration import (
-    PUBLISHED_COUNTS,
     REGIMES,
     count_boards,
     enumerate_values,
     render_reports,
 )
+from published_counts import PUBLISHED_COUNTS
 
 
 def main(argv=None) -> int:

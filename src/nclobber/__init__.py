@@ -5,7 +5,6 @@ types of their signatures; importing it binds all five submodules.
 """
 
 from .enumeration import (
-    PUBLISHED_COUNTS,
     EnumerationReport,
     count_boards,
     enumerate_values,

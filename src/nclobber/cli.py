@@ -3,7 +3,8 @@ and run the 1xn censuses, with text, csv, and json output.
 
 Exit codes: 0 on success (also when the reader of stdout stops early),
 2 on usage errors (bad flags or arguments), 3 on domain errors
-(unparseable board or value, no opening move).
+(unparseable board or value, no opening move, an --out file that
+cannot be opened).
 """
 
 from __future__ import annotations
@@ -71,12 +72,20 @@ def _modes_arg(text: str) -> tuple[str, ...]:
             )
     if not picked:
         raise argparse.ArgumentTypeError("at least one census regime is required")
+    if len(set(picked)) != len(picked):
+        raise argparse.ArgumentTypeError(f"census regimes repeat in {quote(text)}")
     return picked
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
+        # Only the open is a domain error: main reads BrokenPipeError,
+        # also an OSError, as a reader that stopped early.
+        try:
+            handle = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {quote(out)}: {exc.strerror}") from None
+        with handle:
             handle.write(text + "\n")
     else:
         print(text, flush=True)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from hypothesis import strategies as st
 
-from nclobber.enumeration import BoardFilter, generate_boards
+from nclobber.enumeration import generate_boards
 from nclobber.game_core import (
     BoardGraph,
     Position,

@@ -41,12 +41,7 @@ from helpers import (
     successor_incomparability_violations,
 )
 from calibrate_profile import calibrate_normalization
-from nclobber.enumeration import (
-    PUBLISHED_COUNTS,
-    count_boards,
-    enumerate_values,
-    generate_boards,
-)
+from nclobber.enumeration import count_boards, enumerate_values, generate_boards
 from nclobber.game_core import Position, parse_board
 from nclobber.preferences import chain_coordinate, simple_compare, Comparison
 from nclobber.solver import EvalCache, evaluate, evaluate_all_starts, evaluate_text
@@ -58,6 +53,7 @@ from nclobber.values import (
     normalize,
     parse_value,
 )
+from published_counts import PUBLISHED_COUNTS
 
 L2 = NormalizationProfile.L2
 REPORTS_DIR = Path(__file__).resolve().parent.parent / "reports"

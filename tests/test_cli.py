@@ -282,9 +282,10 @@ def test_table_rejects_lengths_outside_the_study(capsys):
 def test_modes_all_and_bad_mode(capsys):
     code, out, _ = run(capsys, "enumerate", "2", "--modes", "all")
     assert code == 0 and "prudent=2" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "2", "--modes", "bogus"])
-    assert exc.value.code == 2
+    for modes in ("bogus", "selfish,selfish"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "2", "--modes", modes])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,14 @@ def test_out_flag_writes_the_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "[[1,3]]\n"
+
+
+@pytest.mark.parametrize("where", ["missing/dir/x.txt", "."], ids=["missing", "directory"])
+def test_out_to_an_unopenable_path_is_a_domain_error(capsys, tmp_path, where):
+    code, out, err = run(capsys, "solve", "12", "--out", str(tmp_path / where))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

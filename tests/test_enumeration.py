@@ -11,9 +11,7 @@ import pytest
 from calibrate_profile import calibrate_normalization, conservative_splice
 from nclobber import enumeration
 from nclobber.enumeration import (
-    PUBLISHED_COUNTS,
     REGIMES,
-    BoardFilter,
     board_passes,
     count_boards,
     enumerate_values,
@@ -23,9 +21,13 @@ from nclobber.enumeration import (
 from nclobber.game_core import Position, parse_board
 from nclobber.solver import EvalCache, evaluate, render_result
 from nclobber.values import NormalizationProfile, parse_value
+from published_counts import PUBLISHED_COUNTS
 
-ALL_ON = BoardFilter()
-NO_MIRROR = BoardFilter(mirror_canonical=False)
+
+def _brute(n, alphabet="0123", **kwargs):
+    """Every string of length n over the alphabet that board_passes keeps."""
+    strings = ("".join(cells) for cells in itertools.product(alphabet, repeat=n))
+    return {s for s in strings if board_passes(s, **kwargs)}
 
 
 # ---------------------------------------------------------------------------
@@ -34,50 +36,41 @@ NO_MIRROR = BoardFilter(mirror_canonical=False)
 
 def test_generate_boards_golden_n2():
     assert list(generate_boards(2)) == ["21", "31", "32"]
-    assert list(generate_boards(2, BoardFilter(movable=False))) == [
-        "11", "21", "22", "31", "32", "33",
-    ]
+    assert sorted(_brute(2, movable=False)) == ["11", "21", "22", "31", "32", "33"]
 
 
 def test_generated_boards_are_sorted_and_pass_their_own_filter():
     for n in (3, 4, 5, 6):
-        for flt in (ALL_ON, NO_MIRROR, BoardFilter(movable=False)):
-            boards = list(generate_boards(n, flt))
+        for players in (2, 3, 4):
+            boards = list(generate_boards(n, players))
             assert boards == sorted(boards)
             assert len(set(boards)) == len(boards)
-            assert all(board_passes(b, flt) for b in boards)
+            assert all(board_passes(b, players) for b in boards)
 
 
 def test_board_passes_agrees_with_exhaustive_generation():
     for n in (2, 3, 4, 5):
-        generated = set(generate_boards(n))
-        brute = {
-            "".join(cells)
-            for cells in itertools.product("0123", repeat=n)
-            if board_passes("".join(cells), ALL_ON)
-        }
-        assert generated == brute
+        assert set(generate_boards(n)) == _brute(n)
+    assert set(generate_boards(4, players=4)) == _brute(4, "01234", players=4)
 
 
 def test_filters_have_the_advertised_meanings():
-    wide_open = BoardFilter(
-        no_edge_zeros=False,
-        no_double_zeros=False,
-        mirror_canonical=False,
-        movable=False,
-    )
-    assert count_boards(2, wide_open) == 16  # all strings over 0..3
-    assert not board_passes("012", ALL_ON)  # leading zero
-    assert not board_passes("1002", BoardFilter(no_edge_zeros=False))
-    assert not board_passes("12", BoardFilter())  # mirror: "12" < "21"
-    assert board_passes("12", NO_MIRROR)
-    assert not board_passes("11", ALL_ON)  # no move available
-    assert not board_passes("142", ALL_ON)  # token above the player count
+    assert not board_passes("0210")  # blank end cells
+    assert not board_passes("120")  # blank end cell
+    assert not board_passes("2001")  # two adjacent blanks
+    assert board_passes("2101")
+    assert not board_passes("12")  # mirror: "12" < "21"
+    assert board_passes("21")
+    assert not board_passes("11")  # no move available
+    assert board_passes("11", movable=False)
+    assert not board_passes("241")  # token above the player count
+    assert board_passes("241", players=4)
 
 
 def test_mirror_filter_keeps_one_board_per_reflection_pair():
     for n in (2, 3, 4, 5):
-        full = set(generate_boards(n, NO_MIRROR))
+        strings = ("".join(cells) for cells in itertools.product("0123", repeat=n))
+        full = {s for s in strings if board_passes(s) or board_passes(s[::-1])}
         kept = set(generate_boards(n))
         assert kept == {b for b in full if b >= b[::-1]}
         assert {min(b, b[::-1]) for b in full} == {
@@ -87,8 +80,10 @@ def test_mirror_filter_keeps_one_board_per_reflection_pair():
 
 def test_count_boards_matches_the_generator():
     for n in range(2, 9):
-        for flt in (ALL_ON, NO_MIRROR, BoardFilter(movable=False)):
-            assert count_boards(n, flt) == sum(1 for _ in generate_boards(n, flt))
+        assert count_boards(n) == sum(1 for _ in generate_boards(n))
+        assert count_boards(n, players=2) == sum(1 for _ in generate_boards(n, 2))
+    for n in range(2, 8):
+        assert count_boards(n, movable=False) == len(_brute(n, movable=False))
 
 
 def test_count_boards_matches_the_reference_through_n12():
@@ -101,7 +96,7 @@ def test_games_analysed_n13_diagnosis():
     filter; with uniform semantics the count lands 21519 lower.  See
     reports/games_analysed_n13.md."""
     assert count_boards(13) == 10927980
-    assert count_boards(13, BoardFilter(movable=False)) == 10949499
+    assert count_boards(13, movable=False) == 10949499
     assert PUBLISHED_COUNTS["games"][13] == 10949499
 
 
@@ -157,9 +152,10 @@ def test_worker_count_does_not_change_the_report():
 
 def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
     sizes = []
+    mapped = []
 
     class SerialPool:
-        """Records the pool size it is asked for; maps in this process."""
+        """Records the pool size and the payloads; maps in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -171,12 +167,21 @@ def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            mapped.append(len(items))
             return map(fn, items)
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
     report = enumerate_values(4, workers=64)
-    assert sizes and max(sizes) <= (os.cpu_count() or 1)
+    assert sizes == [2] and mapped == [2]
     assert report == enumerate_values(4, workers=1)
+
+
+def test_census_needs_at_least_one_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_values(4, workers=workers)
 
 
 def _per_board_inventories(n, profile):

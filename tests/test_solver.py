@@ -13,7 +13,7 @@ from helpers import (
     next_active_player,
     reference_evaluate,
 )
-from nclobber.enumeration import BoardFilter, generate_boards
+from nclobber.enumeration import generate_boards
 from nclobber.game_core import (
     Position,
     movers_mask,
@@ -280,9 +280,7 @@ def test_folds_match_the_reference_under_other_profiles():
 
 @pytest.mark.parametrize("players", [2, 4])
 def test_folds_match_the_reference_for_other_player_counts(players):
-    boards = [
-        b for n in range(2, 7) for b in generate_boards(n, BoardFilter(players=players))
-    ]
+    boards = [b for n in range(2, 7) for b in generate_boards(n, players)]
     modes = ("raw", "syntactic", "selfish", "indifferent")
     cases, bad = _mismatches(boards, modes, (L1,), players)
     assert not bad, bad[:10]

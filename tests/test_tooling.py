@@ -1,13 +1,20 @@
-"""The benchmark's worker and tracer still find what they use of the package."""
+"""The benchmark's worker and tracer still find what they use of the
+package, and the scripts run as scripts."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nclobber
 import nclobber.cli  # the package does not import its CLI module
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 WORKER = BENCH / "worker.py"
 
@@ -49,3 +56,14 @@ def test_every_worker_import_resolves_on_the_package():
 def test_eval_cache_entries_is_a_dict():
     # The tracer's solver.positions counter sums len(cache.entries).
     assert isinstance(nclobber.solver.EvalCache().entries, dict)
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_every_script_runs_with_only_src_on_the_path(script):
+    # pytest puts scripts/ on sys.path; a script run directly must find
+    # its sibling modules without that help.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
