@@ -3,20 +3,20 @@ and run the 1xn censuses, with text, csv, and json output.
 
 Exit codes: 0 on success (also when the reader of stdout stops early),
 2 on usage errors (bad flags or arguments), 3 on domain errors
-(unparseable board or value, no opening move, an --out file that
-cannot be opened).
+(unparseable board or value, no opening move, an --out file or stdout
+that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
 from .enumeration import REGIMES, enumerate_values, render_reports
-from .game_core import BoardError, Position, parse_board
 from .preferences import (
     ChainError,
     compare,
@@ -24,18 +24,10 @@ from .preferences import (
     prudent_simplify,
     prune,
 )
-from .solver import (
-    MODES,
-    NoMoveError,
-    Raw,
-    Simple,
-    evaluate,
-    render_result,
-)
+from .solver import MODES, Raw, Simple, evaluate_text, render_result
 from .values import (
     DEFAULT_PROFILE,
     NormalizationProfile,
-    ValueSyntaxError,
     choice,
     normalize,
     parse_value,
@@ -78,44 +70,48 @@ def _modes_arg(text: str) -> tuple[str, ...]:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        # Only the open is a domain error: main reads BrokenPipeError,
-        # also an OSError, as a reader that stopped early.
-        try:
-            handle = open(out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write {quote(out)}: {exc.strerror}") from None
-        with handle:
-            handle.write(text + "\n")
-    else:
-        print(text, flush=True)
+    """Write text and a newline to out, or to stdout if out is None.
 
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    shape = args.grid if args.grid else "line"
-    graph, occupancy = parse_board(args.board, shape=shape, players=args.players)
-    position = Position(graph, occupancy, args.start)
+    A failed open, write or close is a domain error, except that a
+    reader closing stdout early is not an error at all.
+    """
     try:
-        result = evaluate(position, args.mode, args.profile, None, args.players)
-    except NoMoveError:
-        raise NoMoveError(f"no initial move on board {quote(args.board)}")
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not out:
+            # Point stdout at devnull so the flush at interpreter exit
+            # does not fail again on what is still buffered.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return
+        target = quote(out) if out else "stdout"
+        raise ValueError(f"cannot write {target}: {exc.strerror}") from None
+
+
+def _cmd_solve(args: argparse.Namespace) -> str:
+    shape = args.grid or "line"
+    result = evaluate_text(
+        args.board, args.start, args.mode, args.profile, args.players, shape
+    )
     rendered = render_result(result, args.render)
-    if args.format == "json":
-        payload = {
-            "board": args.board,
-            "shape": "line" if shape == "line" else f"{shape[0]}x{shape[1]}",
-            "start": args.start,
-            "mode": args.mode,
-            "profile": args.profile.name,
-            "value": rendered,
-        }
-        _emit(json.dumps(payload), args.out)
-    else:
-        _emit(rendered, args.out)
-    return 0
+    if args.format == "text":
+        return rendered
+    payload = {
+        "board": args.board,
+        "shape": "line" if shape == "line" else f"{shape[0]}x{shape[1]}",
+        "start": args.start,
+        "mode": args.mode,
+        "profile": args.profile.name,
+        "value": rendered,
+    }
+    return json.dumps(payload)
 
 
-def _cmd_simplify(args: argparse.Namespace) -> int:
+def _cmd_simplify(args: argparse.Namespace) -> str:
     if args.mode == "prudent" and args.players != 3:
         raise ValueError("prudent simplification is defined for exactly three players")
     value = parse_value(args.value, players=args.players)
@@ -129,21 +125,19 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
             value = normalize(choice(kept), args.profile, args.players)
         result = Raw(value)
     rendered = render_result(result, args.render)
-    if args.format == "json":
-        payload = {
-            "input": args.value,
-            "mode": args.mode,
-            "profile": args.profile.name,
-            "perspective": args.perspective,
-            "value": rendered,
-        }
-        _emit(json.dumps(payload), args.out)
-    else:
-        _emit(rendered, args.out)
-    return 0
+    if args.format == "text":
+        return rendered
+    payload = {
+        "input": args.value,
+        "mode": args.mode,
+        "profile": args.profile.name,
+        "perspective": args.perspective,
+        "value": rendered,
+    }
+    return json.dumps(payload)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> str:
     if args.relation == "prudent" and args.players != 3:
         raise ValueError("the prudent relation is defined for exactly three players")
     left = parse_value(args.left, players=args.players)
@@ -154,21 +148,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         base = "indifferent" if args.relation == "indifferent" else "selfish"
         outcome = compare(left, right, p, base, args.players)
-    if args.format == "json":
-        payload = {
-            "left": args.left,
-            "right": args.right,
-            "perspective": p,
-            "relation": args.relation,
-            "result": outcome.value,
-        }
-        _emit(json.dumps(payload), args.out)
-    else:
-        _emit(outcome.value, args.out)
-    return 0
+    if args.format == "text":
+        return outcome.value
+    payload = {
+        "left": args.left,
+        "right": args.right,
+        "perspective": p,
+        "relation": args.relation,
+        "result": outcome.value,
+    }
+    return json.dumps(payload)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> str:
     report = enumerate_values(
         args.n,
         args.modes,
@@ -178,19 +170,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         players=args.players,
     )
     if args.format != "text":
-        _emit(render_reports([report], args.format, args.modes), args.out)
-    else:
-        fields = [f"n={report.board_length}", f"games={report.games_analysed}"]
-        fields += [f"{m}={report.unique_values[m]}" for m in args.modes]
-        lines = [" ".join(fields)]
-        if args.inventory and report.value_inventory is not None:
-            for m in args.modes:
-                lines.append(f"{m}: " + " ".join(report.value_inventory[m]))
-        _emit("\n".join(lines), args.out)
-    return 0
+        return render_reports([report], args.format, args.modes)
+    fields = [f"n={report.board_length}", f"games={report.games_analysed}"]
+    fields += [f"{m}={report.unique_values[m]}" for m in args.modes]
+    lines = [" ".join(fields)]
+    if args.inventory and report.value_inventory is not None:
+        for m in args.modes:
+            lines.append(f"{m}: " + " ".join(report.value_inventory[m]))
+    return "\n".join(lines)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> str:
     reports = [
         enumerate_values(
             n, args.modes, args.profile, args.jobs, collect_inventory=False,
@@ -198,8 +188,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
         for n in range(2, args.max_n + 1)
     ]
-    _emit(render_reports(reports, args.format, args.modes), args.out)
-    return 0
+    return render_reports(reports, args.format, args.modes)
 
 
 def _add_common(
@@ -219,7 +208,9 @@ def _add_common(
     parser.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nclobber",
         description="Game values for N-player Clobber under normal play.",
@@ -312,15 +303,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        return args.handler(args)
-    except (BoardError, ValueSyntaxError, NoMoveError, ChainError, ValueError) as exc:
+        _emit(args.handler(args), args.out)
+    except (ValueError, ChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader stopped early (`| head`).  Point stdout at devnull so
-        # the flush at interpreter exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -36,8 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .game_core import Position, parse_board
-from .solver import EvalCache, Folds, evaluate, fold_raw, render_result
+from .solver import EvalCache, Folds, evaluate_text, fold_raw, render_result
 from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
@@ -176,9 +175,7 @@ def raw_values(boards: Iterable[str], players: int = 3) -> set[GameValue]:
     roots: set[GameValue] = set()
     cache = EvalCache(players)
     for board in boards:
-        graph, occupancy = parse_board(board, players=players)
-        position = Position(graph, occupancy, 1)
-        roots.add(evaluate(position, "raw", cache=cache, players=players).value)
+        roots.add(evaluate_text(board, players=players, cache=cache).value)
     return roots
 
 

@@ -39,6 +39,7 @@ from typing import Optional, Union
 from .game_core import (
     BoardGraph,
     Position,
+    Shape,
     apply_move,
     legal_moves,
     movers_mask,
@@ -59,6 +60,7 @@ from .values import (
     expand_simple,
     leaf,
     normalize,
+    quote,
     render_value,
 )
 
@@ -66,7 +68,11 @@ MODES = ("raw", "syntactic", "selfish", "indifferent", "prudent")
 
 
 class NoMoveError(ValueError):
-    """No player can move from the given root position."""
+    """No player can move from the given root position.
+
+    The message quotes the board's digits, row-major: "no initial move
+    on board '11'".
+    """
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ def evaluate(
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
     if movers_mask(graph, position.occupancy) == 0:
-        raise NoMoveError("no player can move from the root position")
+        digits = "".join(map(str, position.occupancy))
+        raise NoMoveError(f"no initial move on board {quote(digits)}")
     raw = _eval_raw(graph, position.occupancy, position.mover, cache)
     return fold_raw(raw, position.mover, mode, profile, players, cache.folds)
 
@@ -222,7 +229,7 @@ def evaluate_all_starts(
     mode: str = "raw",
     profile: NormalizationProfile = DEFAULT_PROFILE,
     players: int = 3,
-    shape: str = "line",
+    shape: Shape = "line",
 ) -> dict[int, EvalResult]:
     """Evaluate the same board once per starting player 1..players."""
     graph, occupancy = parse_board(board, shape=shape, players=players)
@@ -242,9 +249,10 @@ def evaluate_text(
     mode: str = "raw",
     profile: NormalizationProfile = DEFAULT_PROFILE,
     players: int = 3,
-    shape: str = "line",
+    shape: Shape = "line",
     cache: Optional[EvalCache] = None,
 ) -> EvalResult:
-    """Parse a board string and evaluate it; convenience front door."""
+    """Parse a board string and evaluate it: the one path from board text
+    to a result, for the CLI and the census alike."""
     graph, occupancy = parse_board(board, shape=shape, players=players)
     return evaluate(Position(graph, occupancy, start), mode, profile, cache, players)

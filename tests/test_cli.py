@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -308,21 +309,66 @@ def test_out_to_an_unopenable_path_is_a_domain_error(capsys, tmp_path, where):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+def _buffered_env():
+    """The environment for a CLI subprocess whose stdout is buffered."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return env
+
+
 @pytest.mark.parametrize(
     "argv", [["enumerate", "8", "--inventory"], ["table", "5", "--format", "json"]]
 )
 def test_a_reader_closing_stdout_early_gets_no_traceback(argv):
     # With stdout buffered, the first output (155 kB) fails in print and
     # the second (under 1 kB) in the final flush.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.Popen(
         [sys.executable, "-m", "nclobber.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_buffered_env(),
     )
     proc.stdout.close()  # the reader leaves before the first write
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err.decode()) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, to_stdout",
+    [
+        (["solve", "12", "--out", "/dev/full"], False),
+        (["solve", "12"], True),
+        (["enumerate", "8", "--inventory"], True),
+    ],
+    ids=["out-flag", "stdout", "stdout-155kB"],
+)
+def test_a_full_disk_is_a_domain_error(argv, to_stdout):
+    # The small outputs fail in the flush, the 155 kB one in the write.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nclobber.cli", *argv],
+            stdout=full if to_stdout else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_buffered_env(),
+            timeout=120,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert not proc.stdout
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(capsys, "solve", "12223")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "solve", "12223") == (0, "[[1,3]]\n", "")
+    assert len(built) == 0

@@ -88,6 +88,8 @@ def test_stuck_movers_pass_through_as_forced_nodes():
 
 
 def test_no_move_at_all_raises():
+    with pytest.raises(NoMoveError, match="no initial move on board '11'"):
+        evaluate(Position(*parse_board("11")))
     with pytest.raises(NoMoveError):
         evaluate_text("11")
     with pytest.raises(NoMoveError):

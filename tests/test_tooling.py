@@ -1,5 +1,6 @@
 """The benchmark's worker and tracer still find what they use of the
-package, and the scripts run as scripts."""
+package, the installed command resolves, and the scripts run as
+scripts."""
 
 import ast
 import importlib
@@ -56,6 +57,14 @@ def test_every_worker_import_resolves_on_the_package():
 def test_eval_cache_entries_is_a_dict():
     # The tracer's solver.positions counter sums len(cache.entries).
     assert isinstance(nclobber.solver.EvalCache().entries, dict)
+
+
+def test_the_installed_command_resolves_to_a_callable():
+    # Every CLI test calls main directly, so check the pyproject entry.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, function = pyproject["project"]["scripts"]["nclobber"].partition(":")
+    assert callable(getattr(importlib.import_module(module), function, None))
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
