@@ -171,7 +171,11 @@ def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
 
 def raw_values(boards: Iterable[str], players: int = 3) -> set[GameValue]:
     """The distinct raw values of line boards of any lengths, player 1
-    to move, through one cache."""
+    to move, through one cache.
+
+    Line positions are keyed on their live runs, and every run is a
+    shorter line, so boards of different lengths share memo entries.
+    """
     roots: set[GameValue] = set()
     cache = EvalCache(players)
     for board in boards:

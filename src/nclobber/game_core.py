@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .values import quote
 
@@ -87,6 +87,9 @@ def grid_graph(rows: int, cols: int) -> BoardGraph:
 
 Shape = Union[str, tuple[int, int]]
 
+# ASCII digit -> cell byte.
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
 
 def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[BoardGraph, bytes]:
     """Turn a digit string into (graph, occupancy).
@@ -99,10 +102,10 @@ def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[Boa
         raise BoardError(f"player count must be 1..9, got {players}")
     if not text or not (text.isascii() and text.isdigit()):
         raise BoardError(f"board must be a nonempty digit string, got {quote(text)}")
-    cells = bytes(int(ch) for ch in text)
-    bad = [ch for ch in text if int(ch) > players]
-    if bad:
-        raise BoardError(f"digit {bad[0]} exceeds player count {players}")
+    cells = text.encode().translate(_DIGITS)
+    if max(cells) > players:
+        bad = next(ch for ch in text if int(ch) > players)
+        raise BoardError(f"digit {bad} exceeds player count {players}")
     if shape == "line":
         return line_graph(len(cells)), cells
     rows, cols = shape
@@ -158,3 +161,35 @@ def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
             if b and b != a:
                 mask |= (1 << a) | (1 << b)
     return mask
+
+
+# ---------------------------------------------------------------------------
+# live runs of a line board: the stretches between empty cells that hold
+# two or more colours.  The solver keys line positions on them.
+
+
+def _live_runs(pieces: Iterable[bytes]) -> tuple[bytes, ...]:
+    # A run of one colour (or none) strips to nothing.
+    return tuple(sorted(max(r, r[::-1]) for r in pieces if r.strip(r[:1])))
+
+
+def line_runs(occupancy: bytes) -> tuple[bytes, ...]:
+    """The live runs of a line occupancy: mirror-canonical, sorted."""
+    return _live_runs(occupancy.split(b"\0"))
+
+
+def run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
+    """The distinct live-run tuples that replace one live run after each
+    of player's moves in it; empty when player cannot move there.
+
+    Moving from cell i onto i+1, or from i+1 onto i, empties one cell
+    and so splits the run there.
+    """
+    found: set[tuple[bytes, ...]] = set()
+    for i in range(len(run) - 1):
+        a, b = run[i], run[i + 1]
+        if a == player != b:
+            found.add(_live_runs((run[:i], bytes((a,)) + run[i + 2 :])))
+        elif b == player != a:
+            found.add(_live_runs((run[:i] + bytes((b,)), run[i + 2 :])))
+    return tuple(sorted(found))

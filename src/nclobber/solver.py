@@ -26,9 +26,20 @@ fold_raw is the one place a raw value becomes a mode's result; evaluate,
 the census and the profile calibration all call it.  Results are wrapped
 in one of three variants: Raw carries a value tree, Simple a simple
 value, Class a loss-blind class.  A cache holds the raw values of
-resolved (graph, occupancy, mover) positions and the memos of every
-fold (selfish, indifferent, prudent); it serves every board graph, mode
-and profile for one player count, and its memos are freed with it.
+resolved positions and the memos of every fold (selfish, indifferent,
+prudent); it serves every board graph, mode and profile for one player
+count, and its memos are freed with it.
+
+Positions are memoized under one of two keys:
+
+  line boards  (mover, live runs): the sorted tuple of the position's
+               runs between empty cells that hold two or more colours,
+               each read the larger way round (game_core.line_runs).
+               The key is exact: empty cells stay empty, so runs never
+               interact; reversing a run is a graph automorphism; and a
+               run of one colour can never move again.  Every run is a
+               shorter line, so one memo serves every board length.
+  other graphs (graph, occupancy, mover), walked edge by edge.
 """
 
 from __future__ import annotations
@@ -42,8 +53,11 @@ from .game_core import (
     Shape,
     apply_move,
     legal_moves,
+    line_graph,
+    line_runs,
     movers_mask,
     parse_board,
+    run_moves,
 )
 from .preferences import (
     ChainError,
@@ -117,15 +131,20 @@ Folds = dict[tuple[str, NormalizationProfile], dict]
 
 @dataclass
 class EvalCache:
-    """Raw values of resolved (graph, occupancy, mover) positions, and
-    the fold memos over them, for one player count.
+    """Raw values of resolved positions, and the fold memos over them,
+    for one player count.
 
-    Every board graph, mode and profile may share a cache; reusing it
-    with another player count is an error.
+    entries keys a line position on (mover, live runs) and any other
+    position on (graph, occupancy, mover); see the module docstring for
+    why the line key is exact.  runs holds, per live run and player, the
+    runs that player's moves there leave (game_core.run_moves), each
+    computed once.  Every board graph, mode and profile may share a
+    cache; reusing it with another player count is an error.
     """
 
     players: int = 3
-    entries: dict[tuple[BoardGraph, bytes, int], GameValue] = field(default_factory=dict)
+    entries: dict[tuple, GameValue] = field(default_factory=dict)
+    runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = field(default_factory=dict)
     folds: Folds = field(default_factory=dict)
 
 
@@ -202,6 +221,42 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
 
 
 def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
+    if graph is line_graph(graph.vertex_count):
+        return _eval_runs(line_runs(occupancy), mover, cache)
+    return _eval_graph(graph, occupancy, mover, cache)
+
+
+def _eval_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:
+    key = (mover, parts)
+    got = cache.entries.get(key)
+    if got is not None:
+        return got
+    players = cache.players
+    if not parts:
+        # Nobody can move: the player before the mover moved last.
+        return leaf((mover - 2) % players + 1)
+    after = mover % players + 1
+    runs = cache.runs
+    options = set()
+    for j, run in enumerate(parts):
+        if j and run == parts[j - 1]:
+            continue  # the same run again: the same children
+        moves = runs.get((run, mover))
+        if moves is None:
+            moves = runs[run, mover] = run_moves(run, mover)
+        rest = parts[:j] + parts[j + 1 :]
+        for replacement in moves:
+            child = tuple(sorted(rest + replacement)) if rest else replacement
+            options.add(_eval_runs(child, after, cache))
+    if not options:
+        # The mover passes: a forced continuation, one list level.
+        options.add(_eval_runs(parts, after, cache))
+    value = choice(options)
+    cache.entries[key] = value
+    return value
+
+
+def _eval_graph(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
     key = (graph, occupancy, mover)
     got = cache.entries.get(key)
     if got is not None:
@@ -215,10 +270,10 @@ def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache)
     options = set()
     if mask & (1 << mover):
         for move in legal_moves(graph, occupancy, mover):
-            options.add(_eval_raw(graph, apply_move(occupancy, move), after, cache))
+            options.add(_eval_graph(graph, apply_move(occupancy, move), after, cache))
     else:
         # The mover passes: a forced continuation, one list level.
-        options.add(_eval_raw(graph, occupancy, after, cache))
+        options.add(_eval_graph(graph, occupancy, after, cache))
     value = choice(options)
     cache.entries[key] = value
     return value

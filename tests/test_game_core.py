@@ -13,8 +13,10 @@ from nclobber.game_core import (
     grid_graph,
     legal_moves,
     line_graph,
+    line_runs,
     movers_mask,
     parse_board,
+    run_moves,
 )
 
 
@@ -65,6 +67,34 @@ def test_parse_board_rejects_bad_input():
     with pytest.raises(BoardError, match="nonempty digit string"):
         parse_board("12\u00b23")  # a superscript two passes str.isdigit
     assert parse_board("124", players=4)[1] == bytes([1, 2, 4])
+
+
+def test_parse_board_names_the_first_digit_above_the_player_count():
+    with pytest.raises(BoardError, match="^digit 4 exceeds player count 3$"):
+        parse_board("12450")
+    with pytest.raises(BoardError, match="^digit 5 exceeds player count 3$"):
+        parse_board("120534", shape=(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# live runs of a line board
+
+
+def test_line_runs_drop_one_colour_runs_and_read_each_the_larger_way():
+    assert line_runs(bytes([1, 2, 0, 3, 3, 0, 2])) == (bytes([2, 1]),)
+    assert line_runs(bytes([1, 3, 0, 2, 1, 0, 0, 1, 2])) == (bytes([2, 1]), bytes([2, 1]), bytes([3, 1]))
+    assert line_runs(bytes([1, 1, 0, 2])) == ()
+
+
+def test_run_moves_split_the_run_where_a_cell_empties():
+    # The run 312 (the larger reading of 213).
+    run = bytes([3, 1, 2])
+    assert run_moves(run, 1) == ((),)  # either capture leaves two lone tokens
+    assert run_moves(run, 2) == ((bytes([3, 2]),),)
+    assert run_moves(run, 3) == ((bytes([3, 2]),),)
+    assert run_moves(run, 4) == ()
+    # In 2121 player 1 leaves 1|21, 2|11 or 211|: nothing live, 21 or 211.
+    assert run_moves(bytes([2, 1, 2, 1]), 1) == ((), (bytes([2, 1]),), (bytes([2, 1, 1]),))
 
 
 # ---------------------------------------------------------------------------

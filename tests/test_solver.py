@@ -1,5 +1,6 @@
 """Board evaluation in all four modes, pass handling, and caching."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
 from nclobber.enumeration import generate_boards
 from nclobber.game_core import (
     Position,
+    line_graph,
     movers_mask,
     parse_board,
 )
@@ -300,3 +302,84 @@ def test_folds_match_the_reference_on_random_grids():
         assert not bad, bad[:10]
         cases += got
     assert cases > 1000
+
+
+# ---------------------------------------------------------------------------
+# line positions keyed on their live runs
+
+
+def _line_vs_grid(boards, players=3, modes=MODES):
+    """Evaluate every board on its line (keyed on live runs) and as a
+    1xn grid (keyed on its bytes), every start and mode; return (cases,
+    mismatch descriptions).  Each path keeps one cache for all boards."""
+    line_cache, grid_cache, bad, cases = EvalCache(players), EvalCache(players), [], 0
+    for board in boards:
+        for start in range(1, players + 1):
+            for mode in modes:
+                a = evaluate_text(board, start, mode, players=players, cache=line_cache)
+                b = evaluate_text(
+                    board, start, mode, players=players, shape=(1, len(board)), cache=grid_cache
+                )
+                cases += 1
+                same = a.value is b.value if isinstance(a, Raw) else a == b
+                if type(a) is not type(b) or not same:
+                    bad.append(f"{board} start={start} {mode}: {a} != {b}")
+    return cases, bad
+
+
+def _movable_strings(n, players):
+    """Every digit string over 0..players of length n with a move."""
+    for cells in itertools.product(range(players + 1), repeat=n):
+        occ = bytes(cells)
+        if movers_mask(line_graph(n), occ):
+            yield "".join(map(str, cells))
+
+
+def test_line_keys_match_byte_keys_on_every_novel_board_up_to_8():
+    boards = [b for n in range(2, 9) for b in generate_boards(n)]
+    cases, bad = _line_vs_grid(boards)
+    assert not bad, bad[:10]
+    assert cases == 5 * 3 * len(boards)
+
+
+def test_line_keys_match_byte_keys_with_blank_ends_and_doubled_blanks():
+    boards = [b for n in range(2, 7) for b in _movable_strings(n, 3)]
+    assert "0120" in boards and "120013" in boards
+    cases, bad = _line_vs_grid(boards)
+    assert not bad, bad[:10]
+    assert cases == 5 * 3 * len(boards)
+
+
+def test_line_keys_match_byte_keys_for_four_players():
+    boards = [b for n in range(2, 6) for b in _movable_strings(n, 4)]
+    modes = ("raw", "syntactic", "selfish", "indifferent")
+    cases, bad = _line_vs_grid(boards, 4, modes)
+    assert not bad, bad[:10]
+    assert cases == 4 * 4 * len(boards)
+
+
+@pytest.mark.parametrize(
+    "boards",
+    [
+        ("1203302", "2033021", "1203302011102"),  # mirror; dead runs added
+        ("12013", "13012"),  # runs swapped and mirrored
+    ],
+)
+def test_boards_with_the_same_live_runs_share_one_memo_entry(boards):
+    cache = EvalCache()
+    first = evaluate_text(boards[0], cache=cache).value
+    size = len(cache.entries)
+    for board in boards[1:]:
+        assert evaluate_text(board, cache=cache).value is first, board
+        assert len(cache.entries) == size, board
+
+
+def test_one_cache_shares_line_positions_across_lengths():
+    shared, separate = EvalCache(), 0
+    for n in range(2, 9):
+        own = EvalCache()
+        for board in generate_boards(n):
+            evaluate_text(board, cache=shared)
+            evaluate_text(board, cache=own)
+        separate += len(own.entries)
+    assert len(shared.entries) < separate

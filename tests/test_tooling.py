@@ -1,9 +1,10 @@
 """The benchmark's worker and tracer still find what they use of the
-package, the installed command resolves, and the scripts run as
-scripts."""
+package, committed benchmark records are correct, the installed command
+resolves, and the scripts run as scripts."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +53,17 @@ def test_every_worker_import_resolves_on_the_package():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert wanted and not missing, missing
+
+
+def test_committed_bench_records_are_correct():
+    # Each is the output of `bench/run.py --workload all --out BENCH_<label>.json`.
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        runs = json.loads(path.read_text())
+        assert runs, path.name
+        for run in runs:
+            assert run["correct"] is True and run["failed"] == 0, (path.name, run["workload"])
 
 
 def test_eval_cache_entries_is_a_dict():
