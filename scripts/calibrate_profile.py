@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from nclobber.enumeration import generate_boards, raw_values
+from nclobber.enumeration import raw_values, run_keys
 from nclobber.solver import Folds, fold_raw
 from nclobber.values import GameValue, NormalizationProfile, _unwrap_exact, choice
 from published_counts import PUBLISHED_COUNTS
@@ -131,7 +131,7 @@ def calibrate_normalization(
     folds: Folds = {}
     splice_memo: dict[GameValue, GameValue] = {}
     for n in ns:
-        roots = raw_values(generate_boards(n, players), players)
+        roots = raw_values(run_keys(n, players), players)
         counts["syntactic"]["unsimplified"][n] = len(roots)
         for column in columns:
             for prof in profiles:

@@ -24,7 +24,7 @@ import itertools
 import random
 import sys
 
-from nclobber.enumeration import generate_boards, raw_values
+from nclobber.enumeration import raw_values, run_keys
 from nclobber.preferences import leq, prudent_less
 from nclobber.values import render_value
 
@@ -43,10 +43,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    boards = (b for n in range(2, args.max_n + 1) for b in generate_boards(n))
+    keys = (key for n in range(2, args.max_n + 1) for key in run_keys(n))
     # Bar text orders the values as census inventories do, so a seed
     # samples the same triples.
-    values = sorted(raw_values(boards), key=lambda v: render_value(v, "bar"))
+    values = sorted(raw_values(keys), key=lambda v: render_value(v, "bar"))
     print(f"{len(values)} distinct raw values from lengths 2..{args.max_n}")
 
     rng = random.Random(args.seed)

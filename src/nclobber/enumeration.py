@@ -8,10 +8,6 @@ and counts the distinct values under four regimes:
   selfish        the raw trees folded with selfish pruning and rewriting
   prudent        the raw trees collapsed to simple values by prudent play
 
-Each board is traversed once, into its raw value, and only the distinct
-raw values go on: every regime is a fold of them (solver.fold_raw), and
-each distinct result is rendered once.
-
 A board is novel when it has no blank end cell, no two adjacent blanks,
 is at least as large as its mirror image, and has at least one legal
 opening move for somebody.  The number of novel boards has a closed
@@ -19,10 +15,17 @@ form — a transfer-matrix pass over (last cell, movable-pair-seen)
 states, with palindromes counted explicitly to undo the mirror halving
 — so census sizes are checkable without generating a single board.
 
-Censuses parallelize over boards: the boards are cut into one slice per
-process, each process collects the distinct raw values of its slice,
-folds them itself and returns the rendered value strings, which merge
-by set union, so reports are identical for any worker count.
+A census builds no board either.  A line position's value depends only
+on its live-run key (game_core.line_runs), and many boards share one,
+so run_keys lists the keys of the novel boards directly and each key is
+traversed once, into its raw value (solver.evaluate_runs).  Only the
+distinct raw values go on: every regime is a fold of them
+(solver.fold_raw), and each distinct result is rendered once.
+
+Censuses parallelize over keys: the sorted keys are cut into one slice
+per process, each process collects the distinct raw values of its
+slice, folds them itself and returns the rendered value strings, which
+merge by set union, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .solver import EvalCache, Folds, evaluate_text, fold_raw, render_result
+from .solver import EvalCache, Folds, evaluate_runs, fold_raw, render_result
 from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
@@ -92,6 +95,48 @@ def generate_boards(n: int, players: int = 3) -> Iterator[str]:
             buf.pop()
 
     return rec(0)
+
+
+def run_keys(n: int, players: int = 3) -> list[tuple[bytes, ...]]:
+    """The distinct live-run keys (game_core.line_runs) of the novel
+    length-n boards, in ascending order, without building a board.
+
+    A novel board is non-empty segments joined by single blanks; its
+    live segments, read the larger way round, are its key.  With W the
+    sum of (length + 1) over the key's runs, the one-colour segments and
+    their blanks fill the other n + 1 - W cells: none when W = n + 1, and
+    two or more when W <= n - 1 (one segment fills any such room).  A
+    board and its mirror share their key, and a board has a move exactly
+    when its key is non-empty.
+    """
+    if n < 1:
+        raise ValueError("board length must be positive")
+    _alphabet(players)
+    # Every canonical live run of length 2..n, by length, then bytes.
+    runs = [
+        run
+        for m in range(2, n + 1)
+        for run in map(bytes, itertools.product(range(1, players + 1), repeat=m))
+        if run >= run[::-1] and run.strip(run[:1])
+    ]
+    keys: list[tuple[bytes, ...]] = []
+    chosen: list[bytes] = []
+
+    # Each multiset of runs once, chosen in list order; room is n + 1 - W.
+    def extend(start: int, room: int) -> None:
+        if chosen and room != 1:
+            keys.append(tuple(sorted(chosen)))
+        for j in range(start, len(runs)):
+            run = runs[j]
+            if len(run) >= room:
+                break
+            chosen.append(run)
+            extend(j, room - len(run) - 1)
+            chosen.pop()
+
+    extend(0, n + 1)
+    keys.sort()
+    return keys
 
 
 def _count_linear(n: int, players: int, movable: bool) -> int:
@@ -169,24 +214,21 @@ def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
     return out
 
 
-def raw_values(boards: Iterable[str], players: int = 3) -> set[GameValue]:
-    """The distinct raw values of line boards of any lengths, player 1
-    to move, through one cache.
+def raw_values(keys: Iterable[tuple[bytes, ...]], players: int = 3) -> set[GameValue]:
+    """The distinct raw values, player 1 to move, of line positions
+    given by their live-run keys (run_keys), through one cache.
 
-    Line positions are keyed on their live runs, and every run is a
-    shorter line, so boards of different lengths share memo entries.
+    Every run is a shorter line, so keys of different lengths share
+    memo entries.
     """
-    roots: set[GameValue] = set()
     cache = EvalCache(players)
-    for board in boards:
-        roots.add(evaluate_text(board, players=players, cache=cache).value)
-    return roots
+    return {evaluate_runs(key, 1, cache) for key in keys}
 
 
 def _census_chunk(args: tuple) -> dict[str, set[str]]:
-    """Distinct rendered values per regime over one batch of boards."""
-    boards, modes, profile, players = args
-    roots = raw_values(boards, players)
+    """Distinct rendered values per regime over one batch of keys."""
+    keys, modes, profile, players = args
+    roots = raw_values(keys, players)
     folds: Folds = {}
     out: dict[str, set[str]] = {}
     for m in modes:
@@ -208,18 +250,18 @@ def enumerate_values(
 
     collect_inventory defaults to on for n <= 10, where keeping the
     sorted value lists costs little and makes count diffs diagnosable.
-    The boards are cut into min(workers, CPUs) slices with independent
-    caches, one process each; the merged report does not depend on the
-    worker count.
+    The sorted run keys are cut into min(workers, CPUs) slices with
+    independent caches, one process each; the merged report does not
+    depend on the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     modes = _check_modes(modes, players)
     if collect_inventory is None:
         collect_inventory = n <= 10
-    boards = list(generate_boards(n, players))
+    keys = run_keys(n, players)
     k = min(workers, os.cpu_count() or 1)
-    chunks = [boards[i::k] for i in range(k)]
+    chunks = [keys[i::k] for i in range(k)]
     payloads = [(chunk, modes, profile, players) for chunk in chunks if chunk]
     if len(payloads) <= 1:
         partials = [_census_chunk(p) for p in payloads]
@@ -236,7 +278,7 @@ def enumerate_values(
         if collect_inventory
         else None
     )
-    return EnumerationReport(n, len(boards), counts, inventory)
+    return EnumerationReport(n, count_boards(n, players), counts, inventory)
 
 
 def render_reports(

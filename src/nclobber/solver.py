@@ -23,12 +23,14 @@ rotate the mover one player down:
               (preferences.prudent_simplify; three players only)
 
 fold_raw is the one place a raw value becomes a mode's result; evaluate,
-the census and the profile calibration all call it.  Results are wrapped
-in one of three variants: Raw carries a value tree, Simple a simple
-value, Class a loss-blind class.  A cache holds the raw values of
-resolved positions and the memos of every fold (selfish, indifferent,
-prudent); it serves every board graph, mode and profile for one player
-count, and its memos are freed with it.
+the census and the profile calibration all call it.  The census reaches
+the traversal through evaluate_runs, with a line position's live-run
+key and no board.  Results are wrapped in one of three variants: Raw
+carries a value tree, Simple a simple value, Class a loss-blind class.
+A cache holds the raw values of resolved positions and the memos of
+every fold (selfish, indifferent, prudent); it serves every board
+graph, mode and profile for one player count, and its memos are freed
+with it.
 
 Positions are memoized under one of two keys:
 
@@ -222,11 +224,15 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
 
 def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
     if graph is line_graph(graph.vertex_count):
-        return _eval_runs(line_runs(occupancy), mover, cache)
+        return evaluate_runs(line_runs(occupancy), mover, cache)
     return _eval_graph(graph, occupancy, mover, cache)
 
 
-def _eval_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:
+def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:
+    """Raw value of the line position whose live-run key is parts
+    (game_core.line_runs), mover to move: the census's entry point,
+    which needs no board.  An empty key is the finished game.
+    """
     key = (mover, parts)
     got = cache.entries.get(key)
     if got is not None:
@@ -247,10 +253,10 @@ def _eval_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameVa
         rest = parts[:j] + parts[j + 1 :]
         for replacement in moves:
             child = tuple(sorted(rest + replacement)) if rest else replacement
-            options.add(_eval_runs(child, after, cache))
+            options.add(evaluate_runs(child, after, cache))
     if not options:
         # The mover passes: a forced continuation, one list level.
-        options.add(_eval_runs(parts, after, cache))
+        options.add(evaluate_runs(parts, after, cache))
     value = choice(options)
     cache.entries[key] = value
     return value
@@ -308,6 +314,6 @@ def evaluate_text(
     cache: Optional[EvalCache] = None,
 ) -> EvalResult:
     """Parse a board string and evaluate it: the one path from board text
-    to a result, for the CLI and the census alike."""
+    to a result."""
     graph, occupancy = parse_board(board, shape=shape, players=players)
     return evaluate(Position(graph, occupancy, start), mode, profile, cache, players)

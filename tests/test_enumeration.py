@@ -16,10 +16,12 @@ from nclobber.enumeration import (
     count_boards,
     enumerate_values,
     generate_boards,
+    raw_values,
     render_reports,
+    run_keys,
 )
-from nclobber.game_core import Position, parse_board
-from nclobber.solver import EvalCache, evaluate, render_result
+from nclobber.game_core import Position, line_runs, parse_board
+from nclobber.solver import EvalCache, evaluate, evaluate_text, render_result
 from nclobber.values import NormalizationProfile, parse_value
 from published_counts import PUBLISHED_COUNTS
 
@@ -110,6 +112,31 @@ def test_games_analysed_report_table_matches_the_code():
     assert [n for n, _, _ in rows] == list(range(2, 14))
     for n, reference, computed in rows:
         assert (reference, computed) == (PUBLISHED_COUNTS["games"][n], count_boards(n)), n
+
+
+# ---------------------------------------------------------------------------
+# run keys: the census's fast path, checked against the boards it replaces
+
+
+@pytest.mark.parametrize("players, max_n", [(3, 10), (2, 12), (4, 7)])
+def test_run_keys_are_the_live_runs_of_the_generated_boards(players, max_n):
+    for n in range(1, max_n + 1):
+        keys = run_keys(n, players)
+        assert len(set(keys)) == len(keys), n
+        assert keys == sorted(keys), n
+        want = {
+            line_runs(parse_board(b, players=players)[1])
+            for b in generate_boards(n, players)
+        }
+        assert set(keys) == want, n
+
+
+def test_raw_values_of_keys_equal_per_board_evaluation():
+    # Interned values compare by identity: equal sets hold the same objects.
+    cache = EvalCache()
+    for n in range(1, 10):
+        want = {evaluate_text(b, cache=cache).value for b in generate_boards(n)}
+        assert raw_values(run_keys(n)) == want, n
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +232,21 @@ def _per_board_inventories(n, profile):
     [(NormalizationProfile.L1, 8), (NormalizationProfile.L2, 6)],
     ids=["L1", "L2"],
 )
-def test_census_inventories_equal_per_board_evaluation(profile, max_n):
+def test_census_inventories_equal_per_board_evaluation(profile, max_n, monkeypatch):
+    # Three CPUs, so workers=3 cuts three uneven stride slices of the keys.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for n in range(2, max_n + 1):
         want = _per_board_inventories(n, profile)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             report = enumerate_values(n, REGIMES, profile, workers=workers)
             assert report.value_inventory == want, (n, workers)
+
+
+def test_games_analysed_counts_the_generated_boards():
+    for players in (3, 2):
+        for n in range(1, 9):
+            report = enumerate_values(n, ("unsimplified",), players=players)
+            assert report.games_analysed == sum(1 for _ in generate_boards(n, players))
 
 
 def test_census_argument_validation():
