@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .values import quote
 
@@ -168,14 +168,11 @@ def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
 # two or more colours.  The solver keys line positions on them.
 
 
-def _live_runs(pieces: Iterable[bytes]) -> tuple[bytes, ...]:
-    # A run of one colour (or none) strips to nothing.
-    return tuple(sorted(max(r, r[::-1]) for r in pieces if r.strip(r[:1])))
-
-
 def line_runs(occupancy: bytes) -> tuple[bytes, ...]:
     """The live runs of a line occupancy: mirror-canonical, sorted."""
-    return _live_runs(occupancy.split(b"\0"))
+    # A run of one colour (or none) strips to nothing.
+    pieces = occupancy.split(b"\0")
+    return tuple(sorted(max(r, r[::-1]) for r in pieces if r.strip(r[:1])))
 
 
 def run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
@@ -183,13 +180,28 @@ def run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
     of player's moves in it; empty when player cannot move there.
 
     Moving from cell i onto i+1, or from i+1 onto i, empties one cell
-    and so splits the run there.
+    and so splits the run there.  Each piece is canonicalized as in
+    line_runs.
     """
     found: set[tuple[bytes, ...]] = set()
     for i in range(len(run) - 1):
         a, b = run[i], run[i + 1]
         if a == player != b:
-            found.add(_live_runs((run[:i], bytes((a,)) + run[i + 2 :])))
+            left, right = run[:i], bytes((a,)) + run[i + 2 :]
         elif b == player != a:
-            found.add(_live_runs((run[:i] + bytes((b,)), run[i + 2 :])))
+            left, right = run[:i] + bytes((b,)), run[i + 2 :]
+        else:
+            continue
+        # A piece of one colour (or none) strips to nothing.
+        if left.strip(left[:1]):
+            left = max(left, left[::-1])
+            if right.strip(right[:1]):
+                right = max(right, right[::-1])
+                found.add((left, right) if left <= right else (right, left))
+            else:
+                found.add((left,))
+        elif right.strip(right[:1]):
+            found.add((max(right, right[::-1]),))
+        else:
+            found.add(())
     return tuple(sorted(found))

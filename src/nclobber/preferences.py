@@ -24,6 +24,15 @@ the mover's own base and q_j for another player's, the coordinates
 sort into one chain: asc(0) < asc(1) < ... < desc(2) < desc(1) < top,
 with values sharing a coordinate mutually incomparable.  Incomparable
 simples merge to the mover's own member of their coordinate group.
+prudent_simplify ranks an option by one integer, e = j for p_j and
+e = j + 1 for q_j: odd e is asc((e-1)/2), even e is desc(e/2) and e = 0
+the top, so options tie exactly when their e is equal, and a tie merges
+to p_e.
+
+A class gap settles both the selfish and the indifferent relation, and
+rewriting keeps outcome sets, so prune drops every option below the top
+class for the player before it rewrites or compares anything; it
+compares only the options left in the top class.
 
 An indifferent player does not care which opponent wins.  That collapses
 every losing leaf into one symbol; comparisons run over the collapsed
@@ -210,18 +219,17 @@ class ChainCoordinate(NamedTuple):
         return (2, 0)
 
 
+def _chain_rank(s: SimpleValue, p: int) -> int:
+    # The rank e of the module docstring: j for p_j, j + 1 for q_j.
+    return s[1] if s[0] == p else s[1] + 1
+
+
 def chain_coordinate(s: SimpleValue, p: int) -> ChainCoordinate:
     """Where the simple value s sits in player p's prudent chain."""
-    base, j = s
-    if base == p:
-        if j == 0:
-            return ChainCoordinate("top", 0)
-        if j % 2 == 1:
-            return ChainCoordinate("asc", (j - 1) // 2)
-        return ChainCoordinate("desc", j // 2)
-    if j % 2 == 0:
-        return ChainCoordinate("asc", j // 2)
-    return ChainCoordinate("desc", (j + 1) // 2)
+    e = _chain_rank(s, p)
+    if e == 0:
+        return ChainCoordinate("top", 0)
+    return ChainCoordinate("asc" if e % 2 else "desc", e // 2)
 
 
 def simple_compare(a: SimpleValue, b: SimpleValue, p: int) -> Comparison:
@@ -249,15 +257,14 @@ def merge_incomparable_simples(simples: Iterable[SimpleValue], p: int) -> Simple
         raise ValueError("cannot merge an empty set of simples")
     if len(got) == 1:
         return next(iter(got))
-    coords = {chain_coordinate(s, p) for s in got}
-    if len(coords) != 1:
-        raise ChainError(f"simples {sorted(got)} span coordinates {sorted(coords)}")
-    (coord,) = coords
-    if coord.kind == "asc":
-        return SimpleValue(p, 2 * coord.index + 1)
-    if coord.kind == "desc":
-        return SimpleValue(p, 2 * coord.index)
-    raise ChainError("two distinct simples cannot both sit at the top")
+    ranks = {_chain_rank(s, p) for s in got}
+    if len(ranks) != 1:
+        coords = sorted({chain_coordinate(s, p) for s in got})
+        raise ChainError(f"simples {sorted(got)} span coordinates {coords}")
+    # Only p_0 sits at the top, so the group is asc or desc, and p_e is
+    # p_(2k+1) for asc(k), p_(2k) for desc(k).
+    (e,) = ranks
+    return SimpleValue(p, e)
 
 
 def prudent_simplify(
@@ -285,18 +292,39 @@ def prudent_simplify(
         return SimpleValue(v.winner, 0)
     if memo is None:
         memo = {}
-    key = (v, mover)
-    got = memo.get(key)
-    if got is None:
-        after = mover % 3 + 1
-        if len(v.children) == 1:
-            got = prudent_simplify(v.children[0], after, memo)
+    got = memo.get((v, mover))
+    return got if got is not None else _prudent(v, mover, memo)
+
+
+def _prudent(
+    v: GameValue, mover: int, memo: dict[tuple[GameValue, int], SimpleValue]
+) -> SimpleValue:
+    # prudent_simplify on a validated choice node, in one pass over the
+    # options with the integer rank e of the module docstring.  Two
+    # options at the best e differ when their bases do, and then merge to
+    # p_e.  Callers probe memo first.
+    after = mover % 3 + 1
+    best = -1  # below every rank
+    tie = False
+    for c in v.children:
+        if c.children is None:
+            s = SimpleValue(c.winner, 0)
         else:
-            options = {prudent_simplify(c, after, memo) for c in v.children}
-            best = max(chain_coordinate(s, mover).sort_key for s in options)
-            kept = {s for s in options if chain_coordinate(s, mover).sort_key == best}
-            got = merge_incomparable_simples(kept, mover)
-        memo[key] = got
+            s = memo.get((c, after))
+            if s is None:
+                s = _prudent(c, after, memo)
+        base = s[0]
+        e = s[1] if base == mover else s[1] + 1  # _chain_rank, inline
+        if e & 1:  # asc: above a lower asc only
+            higher = best & 1 and e > best
+        else:  # desc: above every asc, and above a larger desc
+            higher = best & 1 or e < best
+        if higher:
+            best, kept, tie = e, s, False
+        elif e == best and base != kept[0]:
+            tie = True
+    got = SimpleValue(mover, best) if tie else kept
+    memo[v, mover] = got
     return got
 
 
@@ -323,7 +351,12 @@ def prune_fold(
     got = memo.get(key)
     if got is None:
         after = mover % players + 1
-        options = {prune_fold(c, after, mode, profile, players, memo) for c in v.children}
+        options = set()
+        for c in v.children:
+            folded = c if c.children is None else memo.get((c, after))
+            if folded is None:
+                folded = prune_fold(c, after, mode, profile, players, memo)
+            options.add(folded)
         got = normalize(choice(prune(options, mover, mode, players)), profile, players)
         memo[key] = got
     return got
@@ -445,18 +478,26 @@ def prune(
         strict = lambda a, b: _indifferent_strict(a, b, p)
     else:
         raise ValueError(f"unknown preference mode {mode!r}")
+    # Every option below the top class for p is strictly below each
+    # top-class one (see the module docstring): it drops uncompared.
+    rank = {v: _class_rank(v, p) for v in opts}
+    top = max(rank.values())
+    best = [v for v in opts if rank[v] == top]
+    if len(best) == 1:
+        return set(best)
     # Compare through fully rewritten proxies, but keep the options as
     # given: the caller owns their presentation.
-    proxy = {v: _prepare(v, players) for v in opts}
+    proxy = {v: _prepare(v, players) for v in best}
     survivors = {
         v
-        for v in opts
-        if not any(strict(proxy[v], proxy[w]) for w in opts if proxy[w] is not proxy[v])
+        for v in best
+        if not any(strict(proxy[v], proxy[w]) for w in best if proxy[w] is not proxy[v])
     }
     if not survivors:
         # A dominance cycle; the relations are not proven acyclic, so
         # refuse to invent a choice and keep everything.
         survivors = opts
+        proxy = {v: _prepare(v, players) for v in opts}
     if mode == "indifferent" and len(survivors) > 1:
         merged: list[GameValue] = []
         for v in sorted(survivors, key=lambda v: v.text):

@@ -243,7 +243,7 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
         return leaf((mover - 2) % players + 1)
     after = mover % players + 1
     runs = cache.runs
-    options = set()
+    children = set()
     for j, run in enumerate(parts):
         if j and run == parts[j - 1]:
             continue  # the same run again: the same children
@@ -252,13 +252,17 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
             moves = runs[run, mover] = run_moves(run, mover)
         rest = parts[:j] + parts[j + 1 :]
         for replacement in moves:
-            child = tuple(sorted(rest + replacement)) if rest else replacement
-            options.add(evaluate_runs(child, after, cache))
-    if not options:
+            children.add(tuple(sorted(rest + replacement)) if rest else replacement)
+    if not children:
         # The mover passes: a forced continuation, one list level.
-        options.add(evaluate_runs(parts, after, cache))
+        children.add(parts)
+    entries = cache.entries
+    options = set()
+    for child in children:
+        got = entries.get((after, child))
+        options.add(got if got is not None else evaluate_runs(child, after, cache))
     value = choice(options)
-    cache.entries[key] = value
+    entries[key] = value
     return value
 
 

@@ -32,6 +32,7 @@ players' values at exponent ``i``.  ``1_1`` is [2,3], ``1_2`` is
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -120,6 +121,9 @@ def leaf(winner: int) -> GameValue:
     return v
 
 
+_BY_TEXT = operator.attrgetter("text")
+
+
 def choice(options: Iterable[GameValue]) -> GameValue:
     """The value of a position whose mover can reach the given values."""
     uniq = set(options)
@@ -129,7 +133,7 @@ def choice(options: Iterable[GameValue]) -> GameValue:
         (only,) = uniq
         if only.children is None:
             return only
-    kids = tuple(sorted(uniq, key=lambda v: v.text))
+    kids = tuple(sorted(uniq, key=_BY_TEXT))
     got = _CHOICES.get(kids)
     if got is not None:
         return got
@@ -173,21 +177,36 @@ def normalize(
         raise ValueError("rule1 needs simple values, which are defined for 3 players")
     if v.children is None:
         return v
-    key = (v, int(profile), players)
-    got = _NORMAL_CACHE.get(key)
-    if got is not None:
-        return got
-    node = choice(normalize(c, profile, players) for c in v.children)
-    if profile >= NormalizationProfile.L1:
+    level = int(profile)
+    got = _NORMAL_CACHE.get((v, level, players))
+    return got if got is not None else _normalize(v, level, players)
+
+
+def _normalize(v: GameValue, level: int, players: int) -> GameValue:
+    # normalize on a choice node, at profile level; callers probe the memo.
+    kids = v.children
+    normed = []
+    for c in kids:
+        if c.children is not None:
+            got = _NORMAL_CACHE.get((c, level, players))
+            c = got if got is not None else _normalize(c, level, players)
+        normed.append(c)
+    # A node whose children all rewrite to themselves is its own canonical
+    # rebuild: skip the text sort in choice.
+    node = v if all(map(operator.is_, normed, kids)) else choice(normed)
+    if level >= 1:
         while node.children is not None:
-            inner = _unwrap_exact(node, players)
+            inner = _unwrap_exact(node, players) if len(node.children) == 1 else None
             if inner is not None:
                 node = inner
                 continue
             spliced: list[GameValue] = []
             changed = False
             for c in node.children:
-                mid = _unwrap_exact(c, players - 1)
+                # players - 1 >= 1 wrappers start with a singleton.
+                mid = None
+                if players == 1 or c.children is not None and len(c.children) == 1:
+                    mid = _unwrap_exact(c, players - 1)
                 if mid is not None and mid.children is not None:
                     spliced.extend(mid.children)
                     changed = True
@@ -196,13 +215,13 @@ def normalize(
             if changed:
                 node = choice(spliced)
                 continue
-            if profile == NormalizationProfile.L2 and len(node.children) == 1:
+            if level == 2 and len(node.children) == 1:
                 only = node.children[0]
                 if match_simple(only) is not None:
                     node = only
                     continue
             break
-    _NORMAL_CACHE[key] = node
+    _NORMAL_CACHE[v, level, players] = node
     return node
 
 

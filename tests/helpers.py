@@ -10,7 +10,7 @@ the list is empty and still print exactly what broke.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from hypothesis import strategies as st
 
@@ -25,6 +25,9 @@ from nclobber.game_core import (
 )
 from nclobber.preferences import (
     ChainError,
+    _indifferent_equal,
+    _indifferent_strict,
+    _strict_less,
     Comparison,
     chain_coordinate,
     compare,
@@ -43,6 +46,7 @@ from nclobber.values import (
     choice,
     expand_simple,
     leaf,
+    match_simple,
     normalize,
 )
 
@@ -369,3 +373,173 @@ def _reference_prudent(
         value = _reference_prudent(graph, occupancy, after, memo)
     memo[key] = value
     return value
+
+
+# ---------------------------------------------------------------------------
+# reference folds and run moves: the straightforward versions the library's
+# fast paths replaced, kept to check those board for board
+
+
+def _reference_unwrap_exact(v: GameValue, levels: int) -> Optional[GameValue]:
+    """Strip exactly `levels` singleton choice wrappers, else None."""
+    cur = v
+    for _ in range(levels):
+        if cur.children is None or len(cur.children) != 1:
+            return None
+        cur = cur.children[0]
+    return cur
+
+
+_REFERENCE_NORMAL_CACHE: dict[tuple[GameValue, int, int], GameValue] = {}
+
+
+def reference_normalize(
+    v: GameValue,
+    profile: NormalizationProfile = NormalizationProfile.L1,
+    players: int = 3,
+) -> GameValue:
+    """values.normalize, rebuilding every node with choice."""
+    if profile == NormalizationProfile.L2 and players != 3:
+        raise ValueError("rule1 needs simple values, which are defined for 3 players")
+    if v.children is None:
+        return v
+    key = (v, int(profile), players)
+    got = _REFERENCE_NORMAL_CACHE.get(key)
+    if got is not None:
+        return got
+    node = choice(reference_normalize(c, profile, players) for c in v.children)
+    if profile >= NormalizationProfile.L1:
+        while node.children is not None:
+            inner = _reference_unwrap_exact(node, players)
+            if inner is not None:
+                node = inner
+                continue
+            spliced: list[GameValue] = []
+            changed = False
+            for c in node.children:
+                mid = _reference_unwrap_exact(c, players - 1)
+                if mid is not None and mid.children is not None:
+                    spliced.extend(mid.children)
+                    changed = True
+                else:
+                    spliced.append(c)
+            if changed:
+                node = choice(spliced)
+                continue
+            if profile == NormalizationProfile.L2 and len(node.children) == 1:
+                only = node.children[0]
+                if match_simple(only) is not None:
+                    node = only
+                    continue
+            break
+    _REFERENCE_NORMAL_CACHE[key] = node
+    return node
+
+
+def _reference_prepare(v: GameValue, players: int = 3) -> GameValue:
+    # Comparisons are defined on fully rewritten values.
+    if players == 3 and v.outcomes <= {1, 2, 3}:
+        return reference_normalize(v, NormalizationProfile.L2, 3)
+    return reference_normalize(v, NormalizationProfile.L1, players)
+
+
+def reference_prune(
+    options: Iterable[GameValue], p: int, mode: str = "selfish", players: int = 3
+) -> set[GameValue]:
+    """preferences.prune, comparing every pair of options."""
+    opts = set(options)
+    if not opts:
+        raise ValueError("cannot prune an empty set of options")
+    if mode == "selfish":
+        strict: Callable[[GameValue, GameValue], bool] = lambda a, b: _strict_less(a, b, p)
+    elif mode == "indifferent":
+        strict = lambda a, b: _indifferent_strict(a, b, p)
+    else:
+        raise ValueError(f"unknown preference mode {mode!r}")
+    proxy = {v: _reference_prepare(v, players) for v in opts}
+    survivors = {
+        v
+        for v in opts
+        if not any(strict(proxy[v], proxy[w]) for w in opts if proxy[w] is not proxy[v])
+    }
+    if not survivors:
+        survivors = opts
+    if mode == "indifferent" and len(survivors) > 1:
+        merged: list[GameValue] = []
+        for v in sorted(survivors, key=lambda v: v.text):
+            if not any(_indifferent_equal(proxy[v], proxy[rep], p) for rep in merged):
+                merged.append(v)
+        survivors = set(merged)
+    return survivors
+
+
+def reference_prune_fold(
+    v: GameValue,
+    mover: int,
+    mode: str,
+    profile: NormalizationProfile,
+    players: int,
+    memo: dict[tuple[GameValue, int], GameValue],
+) -> GameValue:
+    """preferences.prune_fold over the reference prune and normalize."""
+    if v.children is None:
+        return v
+    key = (v, mover)
+    got = memo.get(key)
+    if got is None:
+        after = mover % players + 1
+        options = {
+            reference_prune_fold(c, after, mode, profile, players, memo)
+            for c in v.children
+        }
+        got = reference_normalize(
+            choice(reference_prune(options, mover, mode, players)), profile, players
+        )
+        memo[key] = got
+    return got
+
+
+def reference_prudent_simplify(
+    v: GameValue,
+    mover: int,
+    memo: Optional[dict[tuple[GameValue, int], SimpleValue]] = None,
+) -> SimpleValue:
+    """preferences.prudent_simplify through ChainCoordinate sort keys and
+    merge_incomparable_simples."""
+    if not 1 <= mover <= 3:
+        raise ValueError(f"mover {mover} out of range for three players")
+    if not v.outcomes <= {1, 2, 3}:
+        raise ValueError("prudent simplification is defined for three players")
+    if v.children is None:
+        return SimpleValue(v.winner, 0)
+    if memo is None:
+        memo = {}
+    key = (v, mover)
+    got = memo.get(key)
+    if got is None:
+        after = mover % 3 + 1
+        if len(v.children) == 1:
+            got = reference_prudent_simplify(v.children[0], after, memo)
+        else:
+            options = {reference_prudent_simplify(c, after, memo) for c in v.children}
+            best = max(chain_coordinate(s, mover).sort_key for s in options)
+            kept = {s for s in options if chain_coordinate(s, mover).sort_key == best}
+            got = merge_incomparable_simples(kept, mover)
+        memo[key] = got
+    return got
+
+
+def _reference_live_runs(pieces: Iterable[bytes]) -> tuple[bytes, ...]:
+    return tuple(sorted(max(r, r[::-1]) for r in pieces if r.strip(r[:1])))
+
+
+def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
+    """game_core.run_moves, canonicalizing each split through sorted()."""
+    found: set[tuple[bytes, ...]] = set()
+    for i in range(len(run) - 1):
+        a, b = run[i], run[i + 1]
+        if a == player != b:
+            found.add(_reference_live_runs((run[:i], bytes((a,)) + run[i + 2 :])))
+        elif b == player != a:
+            found.add(_reference_live_runs((run[:i] + bytes((b,)), run[i + 2 :])))
+    return tuple(sorted(found))

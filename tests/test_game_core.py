@@ -5,7 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import isolation_violations, movable_board_strategy, next_active_player
+from helpers import (
+    isolation_violations,
+    movable_board_strategy,
+    next_active_player,
+    reference_run_moves,
+)
 from nclobber.game_core import (
     BoardError,
     Move,
@@ -95,6 +100,20 @@ def test_run_moves_split_the_run_where_a_cell_empties():
     assert run_moves(run, 4) == ()
     # In 2121 player 1 leaves 1|21, 2|11 or 211|: nothing live, 21 or 211.
     assert run_moves(bytes([2, 1, 2, 1]), 1) == ((), (bytes([2, 1]),), (bytes([2, 1, 1]),))
+
+
+@pytest.mark.parametrize("players, longest", [(3, 9), (2, 12)])
+def test_run_moves_equal_the_reference_on_every_canonical_run(players, longest):
+    bad = []
+    for m in range(2, longest + 1):
+        for cells in itertools.product(range(1, players + 1), repeat=m):
+            run = bytes(cells)
+            if run < run[::-1] or not run.strip(run[:1]):
+                continue
+            for player in range(1, players + 1):
+                if run_moves(run, player) != reference_run_moves(run, player):
+                    bad.append((run, player))
+    assert not bad, bad[:5]
 
 
 # ---------------------------------------------------------------------------

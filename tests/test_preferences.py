@@ -7,10 +7,15 @@ from helpers import (
     base_ordering_violations,
     closed_form_disagreements,
     indifferent_collapse_disagreements,
+    reference_normalize,
+    reference_prudent_simplify,
+    reference_prune,
+    reference_prune_fold,
     successor_incomparability_violations,
     value_trees,
 )
 from nclobber import preferences
+from nclobber.enumeration import raw_values, run_keys
 from nclobber.preferences import (
     ChainCoordinate,
     ChainError,
@@ -23,9 +28,17 @@ from nclobber.preferences import (
     prudent_compare,
     prudent_simplify,
     prune,
+    prune_fold,
     simple_compare,
 )
-from nclobber.values import SimpleValue, expand_simple, leaf, parse_value
+from nclobber.values import (
+    NormalizationProfile,
+    SimpleValue,
+    expand_simple,
+    leaf,
+    normalize,
+    parse_value,
+)
 
 S = SimpleValue
 
@@ -209,6 +222,62 @@ def test_prune_survivors_are_a_nonempty_subset(options, p):
     for mode in ("selfish", "indifferent"):
         kept = prune(options, p, mode)
         assert kept and kept <= options
+
+
+# Leaves put guaranteed wins and losses beside the mostly mixed trees.
+OPTION_SETS = st.sets(
+    st.one_of(value_trees(max_leaves=12), st.integers(1, 3).map(leaf)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(OPTION_SETS, st.integers(1, 3), st.sampled_from(("selfish", "indifferent")))
+def test_prune_equals_the_pairwise_reference(options, p, mode):
+    # prune drops options below the top class uncompared; the reference
+    # compares every pair.
+    assert prune(options, p, mode) == reference_prune(options, p, mode)
+
+
+# ---------------------------------------------------------------------------
+# the folds against their reference versions, on every census root
+
+
+FOLD_ROOTS = sorted(
+    raw_values(key for n in range(1, 9) for key in run_keys(n)), key=lambda v: v.text
+)
+PROFILES = tuple(NormalizationProfile)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=[p.name for p in PROFILES])
+def test_syntactic_fold_equals_the_reference_on_every_root(profile):
+    bad = [v for v in FOLD_ROOTS if normalize(v, profile) is not reference_normalize(v, profile)]
+    assert not bad, [v.text for v in bad[:5]]
+
+
+@pytest.mark.parametrize("mode", ("selfish", "indifferent"))
+@pytest.mark.parametrize("profile", PROFILES, ids=[p.name for p in PROFILES])
+def test_prune_fold_equals_the_reference_on_every_root(mode, profile):
+    bad = []
+    for mover in (1, 2, 3):
+        memo, reference_memo = {}, {}
+        for v in FOLD_ROOTS:
+            got = prune_fold(v, mover, mode, profile, 3, memo)
+            want = reference_prune_fold(v, mover, mode, profile, 3, reference_memo)
+            if got is not want:
+                bad.append((mover, v.text))
+    assert not bad, bad[:5]
+
+
+def test_prudent_fold_equals_the_reference_on_every_root():
+    bad = []
+    for mover in (1, 2, 3):
+        memo, reference_memo = {}, {}
+        for v in FOLD_ROOTS:
+            got = prudent_simplify(v, mover, memo)
+            if got != reference_prudent_simplify(v, mover, reference_memo):
+                bad.append((mover, v.text))
+    assert not bad, bad[:5]
 
 
 # ---------------------------------------------------------------------------

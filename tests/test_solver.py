@@ -14,7 +14,7 @@ from helpers import (
     next_active_player,
     reference_evaluate,
 )
-from nclobber.enumeration import generate_boards
+from nclobber.enumeration import generate_boards, run_keys
 from nclobber.game_core import (
     Position,
     line_graph,
@@ -31,6 +31,7 @@ from nclobber.solver import (
     Simple,
     evaluate,
     evaluate_all_starts,
+    evaluate_runs,
     evaluate_text,
 )
 from nclobber.values import (
@@ -372,6 +373,13 @@ def test_boards_with_the_same_live_runs_share_one_memo_entry(boards):
     for board in boards[1:]:
         assert evaluate_text(board, cache=cache).value is first, board
         assert len(cache.entries) == size, board
+
+
+def test_the_n9_census_sweep_holds_one_memo_entry_per_resolved_run_key():
+    cache = EvalCache()
+    for key in run_keys(9):
+        evaluate_runs(key, 1, cache)
+    assert len(cache.entries) == 27_191
 
 
 def test_one_cache_shares_line_positions_across_lengths():
