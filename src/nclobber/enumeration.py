@@ -26,18 +26,14 @@ Censuses parallelize over keys: the sorted keys are cut into one slice
 per process, each process collects the distinct raw values of its
 slice, folds them itself and returns the rendered value strings, which
 merge by set union, so reports are identical for any worker count.
+The process pool is imported only when a census runs more than one worker.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .solver import EvalCache, Folds, evaluate_runs, fold_raw, render_result
 from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
@@ -192,8 +188,7 @@ def count_boards(n: int, players: int = 3, movable: bool = True) -> int:
 # value censuses
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Census of distinct values over the filtered boards of one length."""
 
     board_length: int
@@ -266,6 +261,7 @@ def enumerate_values(
     if len(payloads) <= 1:
         partials = [_census_chunk(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             partials = list(pool.map(_census_chunk, payloads))
     merged: dict[str, set[str]] = {m: set() for m in modes}
@@ -287,6 +283,9 @@ def render_reports(
     modes: Optional[Sequence[str]] = None,
 ) -> str:
     """Serialize censuses; csv columns are n,games,<one per regime>."""
+    import csv
+    import io
+    import json
     if modes is None:
         modes = tuple(reports[0].unique_values) if reports else REGIMES
     if fmt == "csv":

@@ -13,7 +13,6 @@ player never moves again.  The last player to make a move wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
@@ -24,7 +23,6 @@ class BoardError(ValueError):
     """Raised for malformed board text or illegal moves."""
 
 
-@dataclass(frozen=True, eq=False)
 class BoardGraph:
     """An undirected graph with sorted adjacency lists.
 
@@ -33,9 +31,14 @@ class BoardGraph:
     per shape.
     """
 
+    __slots__ = ("vertex_count", "edges", "neighbors")
+
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
+
+    def __init__(self, vertex_count, edges, neighbors):
+        self.vertex_count, self.edges, self.neighbors = vertex_count, edges, neighbors
 
 
 class Move(NamedTuple):
@@ -43,8 +46,7 @@ class Move(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     """A board state with the player whose turn it nominally is."""
 
     graph: BoardGraph

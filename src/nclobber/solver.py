@@ -46,8 +46,7 @@ Positions are memoized under one of two keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .game_core import (
     BoardGraph,
@@ -91,24 +90,21 @@ class NoMoveError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Raw:
+class Raw(NamedTuple):
     value: GameValue
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Simple:
+class Simple(NamedTuple):
     value: SimpleValue
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Class:
+class Class(NamedTuple):
     """A loss-blind equality class, relative to the starting mover.
 
     mine=True is the guaranteed win.  Other classes are named by the
@@ -131,7 +127,6 @@ EvalResult = Union[Raw, Simple, Class]
 Folds = dict[tuple[str, NormalizationProfile], dict]
 
 
-@dataclass
 class EvalCache:
     """Raw values of resolved positions, and the fold memos over them,
     for one player count.
@@ -144,10 +139,13 @@ class EvalCache:
     cache; reusing it with another player count is an error.
     """
 
-    players: int = 3
-    entries: dict[tuple, GameValue] = field(default_factory=dict)
-    runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = field(default_factory=dict)
-    folds: Folds = field(default_factory=dict)
+    __slots__ = ("players", "entries", "runs", "folds")
+
+    def __init__(self, players: int = 3) -> None:
+        self.players = players
+        self.entries: dict[tuple, GameValue] = {}
+        self.runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
+        self.folds: Folds = {}
 
 
 def evaluate(

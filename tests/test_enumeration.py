@@ -1,5 +1,6 @@
 """Board generation, closed-form counting, censuses, and calibration."""
 
+import concurrent.futures
 import itertools
 import json
 import os
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from calibrate_profile import calibrate_normalization, conservative_splice
-from nclobber import enumeration
 from nclobber.enumeration import (
     REGIMES,
     board_passes,
@@ -200,7 +200,8 @@ def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    # enumerate_values imports the pool only when it runs more than one worker.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     report = enumerate_values(4, workers=64)
     assert sizes == [2] and mapped == [2]
     assert report == enumerate_values(4, workers=1)

@@ -14,9 +14,11 @@ from helpers import (
     next_active_player,
     reference_evaluate,
 )
-from nclobber.enumeration import generate_boards, run_keys
+from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
 from nclobber.game_core import (
+    BoardGraph,
     Position,
+    grid_graph,
     line_graph,
     movers_mask,
     parse_board,
@@ -128,6 +130,49 @@ def test_indifferent_mode_returns_classes():
     # ties between indistinguishable losses break to the text-least
     # representative, so this board reports the optimistic class
     assert evaluate_text("12223", mode="indifferent") == Class(True, 0)
+
+
+def test_results_graphs_and_caches_keep_their_contract():
+    def results():
+        value = parse_value("[1,[2,3]]")
+        return [Raw(value), Simple(SimpleValue(1, 2)), Class(False, 2), Class(True, 0)]
+
+    first, again = results(), results()
+    assert [str(r) for r in first] == ["[1,[2,3]]", "1_2", "other_2", "win"]
+    assert [repr(r) for r in first] == [
+        "Raw(value=[1,[2,3]])",
+        "Simple(value=SimpleValue(base=1, exponent=2))",
+        "Class(mine=False, exponent=2)",
+        "Class(mine=True, exponent=0)",
+    ]
+    # Censuses put results in sets.
+    for a, b in zip(first, again):
+        assert a == b and hash(a) == hash(b)
+    assert len(set(first + again)) == 4
+    assert Raw(leaf(1)) != Simple(SimpleValue(1, 0))
+
+    frozen = [
+        (first[0], "value"),
+        (first[1], "value"),
+        (first[2], "mine"),
+        (Position(line_graph(2), b"\1\2"), "mover"),
+        (EnumerationReport(2, 3, {}), "games_analysed"),
+    ]
+    for obj, attr in frozen:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 1)
+
+    # Memos key on graphs by identity: a graph equals only itself.
+    graph = line_graph(5)
+    twin = BoardGraph(graph.vertex_count, graph.edges, graph.neighbors)
+    assert graph == graph and graph is line_graph(5)
+    assert twin != graph and graph != grid_graph(1, 5)
+    assert {graph: 1}.get(twin) is None
+
+    one, two = EvalCache(), EvalCache()
+    assert one.players == two.players == 3 and EvalCache(2).players == 2
+    for name in ("entries", "runs", "folds"):
+        assert getattr(one, name) == {} and getattr(one, name) is not getattr(two, name)
 
 
 def test_prudent_solver_matches_collapsing_the_raw_tree():

@@ -1,5 +1,6 @@
 """The benchmark's worker and tracer still find what they use of the
-package, committed benchmark records are correct, the installed command
+package, committed benchmark records are correct, importing the package
+loads no standard-library module it does not use, the installed command
 resolves, and the scripts run as scripts."""
 
 import ast
@@ -69,6 +70,39 @@ def test_committed_bench_records_are_correct():
 def test_eval_cache_entries_is_a_dict():
     # The tracer's solver.positions counter sums len(cache.entries).
     assert isinstance(nclobber.solver.EvalCache().entries, dict)
+
+
+def _modules_after(statement):
+    """The names in sys.modules after running statement in a fresh
+    interpreter with only src on the path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = f"{statement}\nimport sys\nprint(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+# Standard-library modules that nothing uses at import time; each costs
+# a one-shot CLI call milliseconds of start-up.  The CLI writes json.
+UNUSED_AT_IMPORT = {
+    "dataclasses",
+    "inspect",
+    "concurrent.futures",
+    "multiprocessing",
+    "logging",
+    "csv",
+}
+
+
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [("nclobber", UNUSED_AT_IMPORT | {"json"}), ("nclobber.cli", UNUSED_AT_IMPORT)],
+)
+def test_importing_loads_no_unused_standard_library_module(module, unwanted):
+    loaded = _modules_after(f"import {module}") - _modules_after("pass")
+    assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
 def test_the_installed_command_resolves_to_a_callable():
