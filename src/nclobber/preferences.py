@@ -29,10 +29,17 @@ e = j + 1 for q_j: odd e is asc((e-1)/2), even e is desc(e/2) and e = 0
 the top, so options tie exactly when their e is equal, and a tie merges
 to p_e.
 
-A class gap settles both the selfish and the indifferent relation, and
-rewriting keeps outcome sets, so prune drops every option below the top
-class for the player before it rewrites or compares anything; it
-compares only the options left in the top class.
+A class gap settles all three relations: the value of the lower class
+is below.  For the prudent order that is a lemma, by induction on the
+pair.  If class(x) < class(y), the strict selfish clause holds.  If
+class(x) > class(y), it fails, and each clause that pairs options has
+a pairing (a, b) with a above b by class, so that by induction a < b
+fails and b < a holds: when y is a loss, so are its options, and x and
+some option of x hold p; when y is mixed, x and its options are wins,
+and some option of y lacks p.  Each relation settles a class gap and a
+pair of leaves before it builds a memo key, and its loops probe the
+memo before they recurse.  Rewriting keeps outcome sets, so prune drops
+every option below the top class for the player uncompared.
 
 An indifferent player does not care which opponent wins.  That collapses
 every losing leaf into one symbol; comparisons run over the collapsed
@@ -43,7 +50,8 @@ which turns each coordinate group into an equality class of one chain.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, NamedTuple, Optional
+from itertools import product
+from typing import Iterable, NamedTuple, Optional
 
 from .values import (
     GameValue,
@@ -91,22 +99,48 @@ _LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
 def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     if x is y:
         return True
-    cx = _class_rank(x, p)
-    cy = _class_rank(y, p)
+    ox, oy = x.outcomes, y.outcomes
+    cx = (2 if len(ox) == 1 else 1) if p in ox else 0  # _class_rank, inline
+    cy = (2 if len(oy) == 1 else 1) if p in oy else 0
     if cx != cy:
         # Any derivable <= respects loss < mixed < win, so a class gap
         # settles the question in either direction.
         return cx < cy
-    if x.children is None:
+    xs, ys = x.children, y.children
+    if xs is None:
         return False
+    memo = _LEQ_CACHE
     key = (x, y, p)
-    got = _LEQ_CACHE.get(key)
+    got = memo.get(key)
     if got is not None:
         return got
-    result = all(_leq(xi, y, p) for xi in x.children)
-    if not result and y.children is not None:
-        result = all(_leq(xi, yj, p) for xi in x.children for yj in y.children)
-    _LEQ_CACHE[key] = result
+    for a in xs:  # every option of x below y
+        oa = a.outcomes
+        ca = (2 if len(oa) == 1 else 1) if p in oa else 0
+        if ca == cy:
+            got = memo.get((a, y, p))
+            if not (_leq(a, y, p) if got is None else got):
+                break
+        elif ca > cy:
+            break
+    else:
+        memo[key] = True
+        return True
+    result = ys is not None
+    if result:  # every option of x below every option of y
+        for a, b in product(xs, ys):
+            oa, ob = a.outcomes, b.outcomes
+            ca = (2 if len(oa) == 1 else 1) if p in oa else 0
+            cb = (2 if len(ob) == 1 else 1) if p in ob else 0
+            if ca == cb:
+                got = memo.get((a, b, p))
+                if not (_leq(a, b, p) if got is None else got):
+                    result = False
+                    break
+            elif ca > cb:
+                result = False
+                break
+    memo[key] = result
     return result
 
 
@@ -125,8 +159,14 @@ def compare(
     x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3
 ) -> Comparison:
     """Full comparison under the given base relation."""
-    fwd = leq(x, y, p, base, players)
-    bwd = leq(y, x, p, base, players)
+    x, y = _prepare(x, players), _prepare(y, players)
+    if base == "selfish":
+        fwd, bwd = _leq(x, y, p), _leq(y, x, p)
+    elif base == "indifferent":
+        x, y = _quotient(x, p), _quotient(y, p)
+        fwd, bwd = _ext_leq(x, y), _ext_leq(y, x)
+    else:
+        raise ValueError(f"unknown comparison base {base!r}")
     if fwd and bwd:
         return Comparison.EQUAL
     if fwd:
@@ -134,10 +174,6 @@ def compare(
     if bwd:
         return Comparison.GREATER
     return Comparison.INCOMPARABLE
-
-
-def _strict_less(x: GameValue, y: GameValue, p: int) -> bool:
-    return _leq(x, y, p) and not _leq(y, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +186,51 @@ _PLESS_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
 def _pless(x: GameValue, y: GameValue, p: int) -> bool:
     if x is y:
         return False
+    ox, oy = x.outcomes, y.outcomes
+    cx = (2 if len(ox) == 1 else 1) if p in ox else 0
+    cy = (2 if len(oy) == 1 else 1) if p in oy else 0
+    if cx != cy:
+        return cx < cy  # the class-gap lemma of the module docstring
+    xs, ys = x.children, y.children
+    if xs is None and ys is None:
+        return False  # distinct leaves of one class
+    memo = _PLESS_CACHE
     key = (x, y, p)
-    got = _PLESS_CACHE.get(key)
+    got = memo.get(key)
     if got is not None:
         return got
-    result = _strict_less(x, y, p)
-    if not result and x.children is not None:
-        result = _pless_options(x.children, (y,), p)
-    if not result and y.children is not None:
-        result = _pless_options((x,), y.children, p)
-    if not result and x.children is not None and y.children is not None:
-        result = _pless_options(x.children, y.children, p)
-    _PLESS_CACHE[key] = result
+    result = _leq(x, y, p) and not _leq(y, x, p)  # _strict_less, inline
+    if not result and xs is not None:
+        result = _pless_options(xs, (y,), p, memo)
+    if not result and ys is not None:
+        result = _pless_options((x,), ys, p, memo)
+    if not result and xs is not None and ys is not None:
+        result = _pless_options(xs, ys, p, memo)
+    memo[key] = result
     return result
 
 
-def _pless_options(xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int) -> bool:
+def _pless_options(
+    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, memo: dict
+) -> bool:
     # Every pairing weaker or incomparable, at least one strictly weaker.
     witness = False
-    for xi in xs:
-        for yj in ys:
-            if _pless(xi, yj, p):
+    for a, b in product(xs, ys):
+        oa, ob = a.outcomes, b.outcomes
+        ca = (2 if len(oa) == 1 else 1) if p in oa else 0
+        cb = (2 if len(ob) == 1 else 1) if p in ob else 0
+        if ca == cb:
+            got = memo.get((a, b, p))
+            if _pless(a, b, p) if got is None else got:
                 witness = True
-            elif _pless(yj, xi, p):
+                continue
+            got = memo.get((b, a, p))
+            if _pless(b, a, p) if got is None else got:
                 return False
+        elif ca > cb:  # b < a and not a < b, by the class-gap lemma
+            return False
+        else:
+            witness = True
     return witness
 
 
@@ -397,37 +454,43 @@ def _ext_leq(x: GameValue, y: GameValue) -> bool:
     # an indifferent player is supposed to see.
     if x is y:
         return True
-    cx = _class_rank(x, _WIN)
-    cy = _class_rank(y, _WIN)
+    ox, oy = x.outcomes, y.outcomes
+    cx = (2 if len(ox) == 1 else 1) if _WIN in ox else 0
+    cy = (2 if len(oy) == 1 else 1) if _WIN in oy else 0
     if cx != cy:
         return cx < cy
-    if x.children is None and y.children is None:
+    xs, ys = x.children, y.children
+    if xs is None and ys is None:
         return False
+    memo = _EXT_CACHE
     key = (x, y)
-    got = _EXT_CACHE.get(key)
+    got = memo.get(key)
     if got is not None:
         return got
     result = False
-    if x.children is not None:
-        result = all(_ext_leq(xi, y) for xi in x.children)
-    if not result and y.children is not None:
-        result = all(_ext_leq(x, yj) for yj in y.children)
-    if not result and x.children is not None and y.children is not None:
-        result = all(_ext_leq(xi, yj) for xi in x.children for yj in y.children)
-    _EXT_CACHE[key] = result
+    if xs is not None:  # every option of x below y
+        for a in xs:
+            got = memo.get((a, y))
+            if not (_ext_leq(a, y) if got is None else got):
+                break
+        else:
+            result = True
+    if not result and ys is not None:  # x below every option of y
+        for b in ys:
+            got = memo.get((x, b))
+            if not (_ext_leq(x, b) if got is None else got):
+                break
+        else:
+            result = True
+    if not result and xs is not None and ys is not None:
+        for a, b in product(xs, ys):
+            got = memo.get((a, b))
+            if not (_ext_leq(a, b) if got is None else got):
+                break
+        else:
+            result = True
+    memo[key] = result
     return result
-
-
-def _indifferent_strict(x: GameValue, y: GameValue, p: int) -> bool:
-    qx = _quotient(x, p)
-    qy = _quotient(y, p)
-    return _ext_leq(qx, qy) and not _ext_leq(qy, qx)
-
-
-def _indifferent_equal(x: GameValue, y: GameValue, p: int) -> bool:
-    qx = _quotient(x, p)
-    qy = _quotient(y, p)
-    return _ext_leq(qx, qy) and _ext_leq(qy, qx)
 
 
 def indifferent_class(
@@ -472,36 +535,44 @@ def prune(
     opts = set(options)
     if not opts:
         raise ValueError("cannot prune an empty set of options")
-    if mode == "selfish":
-        strict: Callable[[GameValue, GameValue], bool] = lambda a, b: _strict_less(a, b, p)
-    elif mode == "indifferent":
-        strict = lambda a, b: _indifferent_strict(a, b, p)
-    else:
+    if mode not in ("selfish", "indifferent"):
         raise ValueError(f"unknown preference mode {mode!r}")
-    # Every option below the top class for p is strictly below each
-    # top-class one (see the module docstring): it drops uncompared.
+    selfish = mode == "selfish"
+
+    def proxies(vs: Iterable[GameValue]) -> dict[GameValue, GameValue]:
+        # Fully rewritten values, loss-collapsed for an indifferent player;
+        # the options themselves stay as given, for the caller owns them.
+        if selfish:
+            return {v: _prepare(v, players) for v in vs}
+        return {v: _quotient(_prepare(v, players), p) for v in vs}
+    # Options below the top class for p drop uncompared (module docstring).
     rank = {v: _class_rank(v, p) for v in opts}
     top = max(rank.values())
     best = [v for v in opts if rank[v] == top]
     if len(best) == 1:
         return set(best)
-    # Compare through fully rewritten proxies, but keep the options as
-    # given: the caller owns their presentation.
-    proxy = {v: _prepare(v, players) for v in best}
+    proxy = proxies(best)
     survivors = {
         v
-        for v in best
-        if not any(strict(proxy[v], proxy[w]) for w in best if proxy[w] is not proxy[v])
+        for v, a in proxy.items()
+        if not any(
+            (_leq(a, b, p) and not _leq(b, a, p))
+            if selfish
+            else (_ext_leq(a, b) and not _ext_leq(b, a))
+            for b in proxy.values()
+            if b is not a
+        )
     }
     if not survivors:
         # A dominance cycle; the relations are not proven acyclic, so
         # refuse to invent a choice and keep everything.
         survivors = opts
-        proxy = {v: _prepare(v, players) for v in opts}
-    if mode == "indifferent" and len(survivors) > 1:
+        proxy = proxies(opts)
+    if not selfish and len(survivors) > 1:
         merged: list[GameValue] = []
         for v in sorted(survivors, key=lambda v: v.text):
-            if not any(_indifferent_equal(proxy[v], proxy[rep], p) for rep in merged):
+            a = proxy[v]
+            if not any(_ext_leq(a, proxy[r]) and _ext_leq(proxy[r], a) for r in merged):
                 merged.append(v)
         survivors = set(merged)
     return survivors

@@ -25,9 +25,9 @@ from nclobber.game_core import (
 )
 from nclobber.preferences import (
     ChainError,
-    _indifferent_equal,
-    _indifferent_strict,
-    _strict_less,
+    _WIN,
+    _class_rank,
+    _quotient,
     Comparison,
     chain_coordinate,
     compare,
@@ -376,6 +376,149 @@ def _reference_prudent(
 
 
 # ---------------------------------------------------------------------------
+# reference relations: the recursive kernels as they stood before the
+# library's loops, each with its own memo
+
+
+_REFERENCE_LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
+_REFERENCE_PLESS_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
+_REFERENCE_EXT_CACHE: dict[tuple[GameValue, GameValue], bool] = {}
+
+
+def reference_selfish_leq(x: GameValue, y: GameValue, p: int) -> bool:
+    """preferences._leq, through all() over generators."""
+    if x is y:
+        return True
+    cx = _class_rank(x, p)
+    cy = _class_rank(y, p)
+    if cx != cy:
+        return cx < cy
+    if x.children is None:
+        return False
+    key = (x, y, p)
+    got = _REFERENCE_LEQ_CACHE.get(key)
+    if got is not None:
+        return got
+    result = all(reference_selfish_leq(xi, y, p) for xi in x.children)
+    if not result and y.children is not None:
+        result = all(
+            reference_selfish_leq(xi, yj, p) for xi in x.children for yj in y.children
+        )
+    _REFERENCE_LEQ_CACHE[key] = result
+    return result
+
+
+def _reference_strict_less(x: GameValue, y: GameValue, p: int) -> bool:
+    return reference_selfish_leq(x, y, p) and not reference_selfish_leq(y, x, p)
+
+
+def reference_pless(x: GameValue, y: GameValue, p: int) -> bool:
+    """preferences._pless, recursing on every pair whatever its classes."""
+    if x is y:
+        return False
+    key = (x, y, p)
+    got = _REFERENCE_PLESS_CACHE.get(key)
+    if got is not None:
+        return got
+    result = _reference_strict_less(x, y, p)
+    if not result and x.children is not None:
+        result = _reference_pless_options(x.children, (y,), p)
+    if not result and y.children is not None:
+        result = _reference_pless_options((x,), y.children, p)
+    if not result and x.children is not None and y.children is not None:
+        result = _reference_pless_options(x.children, y.children, p)
+    _REFERENCE_PLESS_CACHE[key] = result
+    return result
+
+
+def _reference_pless_options(
+    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int
+) -> bool:
+    witness = False
+    for xi in xs:
+        for yj in ys:
+            if reference_pless(xi, yj, p):
+                witness = True
+            elif reference_pless(yj, xi, p):
+                return False
+    return witness
+
+
+def reference_ext_leq(x: GameValue, y: GameValue) -> bool:
+    """preferences._ext_leq, through all() over generators."""
+    if x is y:
+        return True
+    cx = _class_rank(x, _WIN)
+    cy = _class_rank(y, _WIN)
+    if cx != cy:
+        return cx < cy
+    if x.children is None and y.children is None:
+        return False
+    key = (x, y)
+    got = _REFERENCE_EXT_CACHE.get(key)
+    if got is not None:
+        return got
+    result = False
+    if x.children is not None:
+        result = all(reference_ext_leq(xi, y) for xi in x.children)
+    if not result and y.children is not None:
+        result = all(reference_ext_leq(x, yj) for yj in y.children)
+    if not result and x.children is not None and y.children is not None:
+        result = all(reference_ext_leq(xi, yj) for xi in x.children for yj in y.children)
+    _REFERENCE_EXT_CACHE[key] = result
+    return result
+
+
+def _reference_indifferent_strict(x: GameValue, y: GameValue, p: int) -> bool:
+    qx = _quotient(x, p)
+    qy = _quotient(y, p)
+    return reference_ext_leq(qx, qy) and not reference_ext_leq(qy, qx)
+
+
+def _reference_indifferent_equal(x: GameValue, y: GameValue, p: int) -> bool:
+    qx = _quotient(x, p)
+    qy = _quotient(y, p)
+    return reference_ext_leq(qx, qy) and reference_ext_leq(qy, qx)
+
+
+def reference_leq(x: GameValue, y: GameValue, p: int, base: str = "selfish") -> bool:
+    """preferences.leq over the reference kernels and rewriting."""
+    x = _reference_prepare(x)
+    y = _reference_prepare(y)
+    if base == "selfish":
+        return reference_selfish_leq(x, y, p)
+    return reference_ext_leq(_quotient(x, p), _quotient(y, p))
+
+
+def reference_compare(x: GameValue, y: GameValue, p: int, base: str = "selfish") -> Comparison:
+    """preferences.compare as two reference_leq calls."""
+    fwd = reference_leq(x, y, p, base)
+    bwd = reference_leq(y, x, p, base)
+    if fwd and bwd:
+        return Comparison.EQUAL
+    if fwd:
+        return Comparison.LESS
+    if bwd:
+        return Comparison.GREATER
+    return Comparison.INCOMPARABLE
+
+
+def reference_prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
+    """preferences.prudent_compare over reference_pless."""
+    x = _reference_prepare(x)
+    y = _reference_prepare(y)
+    if x is y:
+        return Comparison.EQUAL
+    fwd = reference_pless(x, y, p)
+    bwd = reference_pless(y, x, p)
+    if fwd and not bwd:
+        return Comparison.LESS
+    if bwd and not fwd:
+        return Comparison.GREATER
+    return Comparison.INCOMPARABLE
+
+
+# ---------------------------------------------------------------------------
 # reference folds and run moves: the straightforward versions the library's
 # fast paths replaced, kept to check those board for board
 
@@ -451,9 +594,11 @@ def reference_prune(
     if not opts:
         raise ValueError("cannot prune an empty set of options")
     if mode == "selfish":
-        strict: Callable[[GameValue, GameValue], bool] = lambda a, b: _strict_less(a, b, p)
+        strict: Callable[[GameValue, GameValue], bool] = lambda a, b: _reference_strict_less(
+            a, b, p
+        )
     elif mode == "indifferent":
-        strict = lambda a, b: _indifferent_strict(a, b, p)
+        strict = lambda a, b: _reference_indifferent_strict(a, b, p)
     else:
         raise ValueError(f"unknown preference mode {mode!r}")
     proxy = {v: _reference_prepare(v, players) for v in opts}
@@ -467,7 +612,7 @@ def reference_prune(
     if mode == "indifferent" and len(survivors) > 1:
         merged: list[GameValue] = []
         for v in sorted(survivors, key=lambda v: v.text):
-            if not any(_indifferent_equal(proxy[v], proxy[rep], p) for rep in merged):
+            if not any(_reference_indifferent_equal(proxy[v], proxy[rep], p) for rep in merged):
                 merged.append(v)
         survivors = set(merged)
     return survivors

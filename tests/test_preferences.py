@@ -7,10 +7,16 @@ from helpers import (
     base_ordering_violations,
     closed_form_disagreements,
     indifferent_collapse_disagreements,
+    reference_compare,
+    reference_ext_leq,
+    reference_leq,
     reference_normalize,
+    reference_pless,
+    reference_prudent_compare,
     reference_prudent_simplify,
     reference_prune,
     reference_prune_fold,
+    reference_selfish_leq,
     successor_incomparability_violations,
     value_trees,
 )
@@ -277,6 +283,92 @@ def test_prudent_fold_equals_the_reference_on_every_root():
             got = prudent_simplify(v, mover, memo)
             if got != reference_prudent_simplify(v, mover, reference_memo):
                 bad.append((mover, v.text))
+    assert not bad, bad[:5]
+
+
+# ---------------------------------------------------------------------------
+# the relation kernels against their reference versions
+
+
+def _prepared_subterms(roots):
+    seen, stack = set(), [preferences._prepare(v) for v in roots]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(v.children or ())
+    return sorted(seen, key=lambda v: v.text)
+
+
+RELATION_POOL = _prepared_subterms(raw_values(key for n in range(1, 7) for key in run_keys(n)))
+RELATION_TRIPLES = [(x, y, p) for x in RELATION_POOL for y in RELATION_POOL for p in (1, 2, 3)]
+RELATION_MEMOS = ("_LEQ_CACHE", "_PLESS_CACHE", "_EXT_CACHE", "_QUOT_CACHE")
+
+
+def _library_relations(triples):
+    q = preferences._quotient
+    return [
+        (
+            leq(x, y, p),
+            leq(x, y, p, "indifferent"),
+            compare(x, y, p),
+            compare(x, y, p, "indifferent"),
+            prudent_compare(x, y, p),
+            preferences._leq(x, y, p),
+            preferences._pless(x, y, p),
+            preferences._ext_leq(q(x, p), q(y, p)),
+        )
+        for x, y, p in triples
+    ]
+
+
+def _reference_relations(triples):
+    q = preferences._quotient
+    return [
+        (
+            reference_leq(x, y, p),
+            reference_leq(x, y, p, "indifferent"),
+            reference_compare(x, y, p),
+            reference_compare(x, y, p, "indifferent"),
+            reference_prudent_compare(x, y, p),
+            reference_selfish_leq(x, y, p),
+            reference_pless(x, y, p),
+            reference_ext_leq(q(x, p), q(y, p)),
+        )
+        for x, y, p in triples
+    ]
+
+
+def test_relations_equal_their_reference_on_every_pool_pair():
+    assert len(RELATION_POOL) == 57
+    want = _reference_relations(RELATION_TRIPLES)
+    # From empty memos, forwards and then backwards: a memo entry written
+    # before its answer was complete would show in one order or the other.
+    for order in (1, -1):
+        for name in RELATION_MEMOS:
+            getattr(preferences, name).clear()
+        got = _library_relations(RELATION_TRIPLES[::order])[::order]
+        bad = [t for t, g, w in zip(RELATION_TRIPLES, got, want) if g != w]
+        assert not bad, [(x.text, y.text, p) for x, y, p in bad[:5]]
+
+
+@given(value_trees(), value_trees(), st.integers(1, 3))
+def test_relations_equal_their_reference_on_random_pairs(x, y, p):
+    assert _library_relations([(x, y, p)]) == _reference_relations([(x, y, p)])
+
+
+def test_a_class_gap_settles_the_reference_prudent_order():
+    # The lemma behind _pless's class-gap exit, checked on the recursion
+    # that does not take the exit.
+    gaps = {True: 0, False: 0}
+    bad = []
+    for x, y, p in RELATION_TRIPLES:
+        cx, cy = preferences._class_rank(x, p), preferences._class_rank(y, p)
+        if cx != cy:
+            gaps[cx < cy] += 1
+            if reference_pless(x, y, p) is not (cx < cy):
+                bad.append((x.text, y.text, p))
+    assert gaps[True] and gaps[False]
     assert not bad, bad[:5]
 
 
