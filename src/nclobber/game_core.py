@@ -14,7 +14,7 @@ player never moves again.  The last player to make a move wins.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .values import quote
 
@@ -26,19 +26,23 @@ class BoardError(ValueError):
 class BoardGraph:
     """An undirected graph with sorted adjacency lists.
 
-    Graphs compare and hash by identity, so keying a memo on one costs
-    no walk over its edges; line_graph and grid_graph return one object
-    per shape.
+    shape is (rows, cols) for the boards line_graph and grid_graph
+    build, vertices row-major (a line is one row), and None for a graph
+    built by hand.  Graphs compare and hash by identity, so keying a
+    memo on one costs no walk over its edges; line_graph and grid_graph
+    return one object per shape.
     """
 
-    __slots__ = ("vertex_count", "edges", "neighbors")
+    __slots__ = ("vertex_count", "edges", "neighbors", "shape")
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
+    shape: Optional[tuple[int, int]]
 
-    def __init__(self, vertex_count, edges, neighbors):
+    def __init__(self, vertex_count, edges, neighbors, shape=None):
         self.vertex_count, self.edges, self.neighbors = vertex_count, edges, neighbors
+        self.shape = shape
 
 
 class Move(NamedTuple):
@@ -54,13 +58,15 @@ class Position(NamedTuple):
     mover: int = 1
 
 
-def _build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int]]) -> BoardGraph:
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edge_list))
+def _build_grid(rows: int, cols: int) -> BoardGraph:
+    n = rows * cols
+    right = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    edges = sorted(right + [(v, v + cols) for v in range(n - cols)])
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return BoardGraph(vertex_count, edges, tuple(tuple(sorted(a)) for a in adj))
+    return BoardGraph(n, tuple(edges), tuple(tuple(sorted(a)) for a in adj), (rows, cols))
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +74,7 @@ def line_graph(n: int) -> BoardGraph:
     """A path of n vertices, the 1xn board."""
     if n < 1:
         raise BoardError("a line board needs at least one vertex")
-    return _build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _build_grid(1, n)
 
 
 @lru_cache(maxsize=None)
@@ -76,15 +82,7 @@ def grid_graph(rows: int, cols: int) -> BoardGraph:
     """A rows x cols grid, vertices row-major, orthogonally adjacent."""
     if rows < 1 or cols < 1:
         raise BoardError("a grid board needs positive dimensions")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return _build_graph(rows * cols, edges)
+    return _build_grid(rows, cols)
 
 
 Shape = Union[str, tuple[int, int]]
@@ -163,6 +161,30 @@ def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
             if b and b != a:
                 mask |= (1 << a) | (1 << b)
     return mask
+
+
+# ---------------------------------------------------------------------------
+# grid bitboards: one int per player, cell (r, c) at bit r * (cols + 1) + c.
+# Column cols is an empty guard, so shifts by 1 and by the stride cols + 1
+# reach the four neighbours with no wraparound.  The solver walks on them.
+
+
+def grid_masks(graph: BoardGraph, occupancy: bytes, players: int) -> tuple[int, ...]:
+    """The live bitboards of a line or grid occupancy: entry p - 1 holds
+    player p's tokens that have an occupied neighbour.  The others can
+    never move or be clobbered, since empty cells stay empty."""
+    cols = graph.shape[1]
+    masks = [0] * players
+    for v, p in enumerate(occupancy):
+        if p:
+            masks[p - 1] |= 1 << (v + v // cols)
+    live = adjacent(sum(masks), cols + 1)  # the masks are disjoint
+    return tuple(m & live for m in masks)
+
+
+def adjacent(mask: int, stride: int) -> int:
+    """The cells next to some cell of mask, guard cells included."""
+    return (mask << 1) | (mask >> 1) | (mask << stride) | (mask >> stride)
 
 
 # ---------------------------------------------------------------------------

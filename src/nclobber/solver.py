@@ -41,7 +41,13 @@ Positions are memoized under one of two keys:
                interact; reversing a run is a graph automorphism; and a
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
-  other graphs (graph, occupancy, mover), walked edge by edge.
+  grid boards  (graph, live bitboards, mover): one int per player over
+               the grid's cells (game_core.grid_masks), with every token
+               that has no occupied neighbour cleared.  The key is exact:
+               a move needs two adjacent tokens, and empty cells stay
+               empty, so an isolated token can never move or be
+               clobbered; the game plays as if its cell were empty.  A
+               move is three bit flips on the masks.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ from .game_core import (
     BoardGraph,
     Position,
     Shape,
-    apply_move,
-    legal_moves,
+    adjacent,
+    grid_masks,
     line_graph,
     line_runs,
     movers_mask,
@@ -131,9 +137,9 @@ class EvalCache:
     """Raw values of resolved positions, and the fold memos over them,
     for one player count.
 
-    entries keys a line position on (mover, live runs) and any other
-    position on (graph, occupancy, mover); see the module docstring for
-    why the line key is exact.  runs holds, per live run and player, the
+    entries keys a line position on (mover, live runs) and a grid
+    position on (graph, live bitboards, mover); see the module docstring
+    for why both keys are exact.  runs holds, per live run and player, the
     runs that player's moves there leave (game_core.run_moves), each
     computed once.  Every board graph, mode and profile may share a
     cache; reusing it with another player count is an error.
@@ -162,6 +168,9 @@ def evaluate(
         raise ValueError(f"mover {position.mover} out of range for {players} players")
     if mode == "prudent" and players != 3:
         raise ValueError("prudent evaluation is defined for exactly three players")
+    top = max(position.occupancy)
+    if top > players:
+        raise ValueError(f"token {top} exceeds player count {players}")
     graph = position.graph
     if cache is None:
         cache = EvalCache(players)
@@ -170,8 +179,12 @@ def evaluate(
     if movers_mask(graph, position.occupancy) == 0:
         digits = "".join(map(str, position.occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
-    raw = _eval_raw(graph, position.occupancy, position.mover, cache)
-    return fold_raw(raw, position.mover, mode, profile, players, cache.folds)
+    try:
+        raw = _eval_raw(graph, position.occupancy, position.mover, cache)
+        return fold_raw(raw, position.mover, mode, profile, players, cache.folds)
+    except RecursionError:  # the walk and the folds recurse once per move
+        size = graph.vertex_count
+        raise ValueError(f"the game tree of a {size}-cell board is too deep to evaluate") from None
 
 
 def fold_raw(
@@ -223,7 +236,9 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
 def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
     if graph is line_graph(graph.vertex_count):
         return evaluate_runs(line_runs(occupancy), mover, cache)
-    return _eval_graph(graph, occupancy, mover, cache)
+    if graph.shape is None:
+        raise ValueError("only line and grid boards can be evaluated")
+    return _eval_grid(graph, grid_masks(graph, occupancy, cache.players), mover, cache)
 
 
 def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:
@@ -264,26 +279,47 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
     return value
 
 
-def _eval_graph(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
-    key = (graph, occupancy, mover)
-    got = cache.entries.get(key)
+def _eval_grid(graph: BoardGraph, masks: tuple, mover: int, cache: EvalCache) -> GameValue:
+    """Raw value of the grid position masks (game_core.grid_masks), mover
+    to move; game_core.adjacent is inlined where it runs per move."""
+    key = (graph, masks, mover)
+    entries = cache.entries
+    got = entries.get(key)
     if got is not None:
         return got
     players = cache.players
-    mask = movers_mask(graph, occupancy)
-    if not mask:
-        # The game is over: the player before the mover moved last.
-        return leaf((mover - 2) % players + 1)
+    stride = graph.shape[1] + 1
+    i = mover - 1
+    mine = masks[i]
+    occ = sum(masks)  # the masks are disjoint
+    others = occ ^ mine
     after = mover % players + 1
     options = set()
-    if mask & (1 << mover):
-        for move in legal_moves(graph, occupancy, mover):
-            options.add(_eval_graph(graph, apply_move(occupancy, move), after, cache))
-    else:
+    sources = mine & ((others << 1) | (others >> 1) | (others << stride) | (others >> stride))
+    if not sources:
+        if not any(m & adjacent(occ ^ m, stride) for m in masks):
+            # The game is over: the player before the mover moved last.
+            return leaf((mover - 2) % players + 1)
         # The mover passes: a forced continuation, one list level.
-        options.add(_eval_graph(graph, occupancy, after, cache))
+        options.add(_eval_grid(graph, masks, after, cache))
+    # Each move empties src, recolours dst and drops the tokens it isolates.
+    while sources:
+        src = sources & -sources
+        sources ^= src
+        left = occ ^ src
+        live = (left << 1) | (left >> 1) | (left << stride) | (left >> stride)
+        targets = others & ((src << 1) | (src >> 1) | (src << stride) | (src >> stride))
+        while targets:
+            dst = targets & -targets
+            targets ^= dst
+            keep = live & ~dst
+            child = [m & keep for m in masks]
+            child[i] = (mine ^ src | dst) & live
+            child = tuple(child)
+            got = entries.get((graph, child, after))
+            options.add(got if got is not None else _eval_grid(graph, child, after, cache))
     value = choice(options)
-    cache.entries[key] = value
+    entries[key] = value
     return value
 
 

@@ -688,3 +688,29 @@ def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...
         elif b == player != a:
             found.add(_reference_live_runs((run[:i] + bytes((b,)), run[i + 2 :])))
     return tuple(sorted(found))
+
+
+def reference_eval_graph(graph: BoardGraph, occupancy: bytes, mover: int, cache) -> GameValue:
+    """The edge-by-edge position walk that grid bitboards replaced:
+    raw value of (occupancy, mover) on any graph, memoized in
+    cache.entries on (graph, occupancy, mover)."""
+    key = (graph, occupancy, mover)
+    got = cache.entries.get(key)
+    if got is not None:
+        return got
+    players = cache.players
+    mask = movers_mask(graph, occupancy)
+    if not mask:
+        # The game is over: the player before the mover moved last.
+        return leaf((mover - 2) % players + 1)
+    after = mover % players + 1
+    options = set()
+    if mask & (1 << mover):
+        for move in legal_moves(graph, occupancy, mover):
+            options.add(reference_eval_graph(graph, apply_move(occupancy, move), after, cache))
+    else:
+        # The mover passes: a forced continuation, one list level.
+        options.add(reference_eval_graph(graph, occupancy, after, cache))
+    value = choice(options)
+    cache.entries[key] = value
+    return value

@@ -75,6 +75,14 @@ def test_solve_counts_grid_digits_before_building_the_grid(capsys):
     assert err == "error: grid 100000x100000 needs 10000000000 digits, got 2\n"
 
 
+@pytest.mark.parametrize("shape", [[], ["--grid", "40x40"]], ids=["line", "grid"])
+def test_solve_refuses_a_game_deeper_than_the_stack(capsys, shape):
+    # Each move is one level of the walk: 1600 tokens outrun the stack.
+    code, out, err = run(capsys, "solve", "12" * 800, *shape)
+    assert (code, out) == (3, "")
+    assert err == "error: the game tree of a 1600-cell board is too deep to evaluate\n"
+
+
 def test_solve_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "12", "--start", "9"])

@@ -16,6 +16,7 @@ from nclobber.game_core import (
     Move,
     apply_move,
     grid_graph,
+    grid_masks,
     legal_moves,
     line_graph,
     line_runs,
@@ -41,6 +42,17 @@ def test_grid_graph_edges():
     g = grid_graph(2, 3)
     assert g.vertex_count == 6
     assert set(g.edges) == {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
+    assert g.neighbors[4] == (1, 3, 5) and g.shape == (2, 3)
+
+
+def test_grid_masks_skip_a_guard_column_and_drop_isolated_tokens():
+    # Stride 4: row 1 starts at bit 4, and bit 3 is the guard after (0, 2).
+    graph, occ = parse_board("120023", shape=(2, 3))
+    assert grid_masks(graph, occ, 3) == (0b1, 0b100010, 0b1000000)
+    graph, occ = parse_board("120003", shape=(2, 3))  # the 3 touches nothing
+    assert grid_masks(graph, occ, 3) == (0b1, 0b10, 0)
+    graph, occ = parse_board("0120", shape=(2, 2))  # (0, 1) and (1, 0) never touch
+    assert grid_masks(graph, occ, 3) == (0, 0, 0)
 
 
 def test_graphs_are_cached():

@@ -12,6 +12,7 @@ from helpers import (
     VALUE_213,
     VALUE_1232132321,
     next_active_player,
+    reference_eval_graph,
     reference_evaluate,
 )
 from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
@@ -168,6 +169,10 @@ def test_results_graphs_and_caches_keep_their_contract():
     assert graph == graph and graph is line_graph(5)
     assert twin != graph and graph != grid_graph(1, 5)
     assert {graph: 1}.get(twin) is None
+    # A graph built by hand has no shape to walk on.
+    assert twin.shape is None and graph.shape == (1, 5)
+    with pytest.raises(ValueError, match="only line and grid boards"):
+        evaluate(Position(twin, b"\1\2\0\0\0"))
 
     one, two = EvalCache(), EvalCache()
     assert one.players == two.players == 3 and EvalCache(2).players == 2
@@ -211,6 +216,10 @@ def test_modes_are_validated():
         evaluate_text("12", mode="bogus")
     with pytest.raises(ValueError):
         evaluate_text("1212", mode="prudent", players=4)
+    # A position built by hand may hold a token of no player.
+    for graph in (line_graph(3), grid_graph(1, 3)):
+        with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
+            evaluate(Position(graph, b"\5\1\2"))
 
 
 def test_syntactic_mode_equals_normalizing_the_raw_tree():
@@ -340,14 +349,73 @@ def test_folds_match_the_reference_for_other_player_counts(players):
 def test_folds_match_the_reference_on_random_grids():
     rng = random.Random(20261018)
     cases = 0
-    for rows, cols in [(2, 3), (2, 4), (2, 5)]:
+    for rows, cols, count in [(2, 3, 34), (2, 4, 34), (2, 5, 34), (3, 3, 34), (3, 4, 10)]:
         boards = [
-            "".join(rng.choice("0123") for _ in range(rows * cols)) for _ in range(34)
+            "".join(rng.choice("0123") for _ in range(rows * cols)) for _ in range(count)
         ]
         got, bad = _mismatches(boards, MODES, (L1,), shape=(rows, cols))
         assert not bad, bad[:10]
         cases += got
-    assert cases > 1000
+    assert cases > 1500
+
+
+# ---------------------------------------------------------------------------
+# grid positions walked on bitboards
+
+
+@pytest.mark.parametrize(
+    "players, shapes",
+    [
+        (3, [(3, 3), (3, 4), (1, 6), (4, 1), (4, 2)]),  # solve-stream shapes, thin ones
+        (2, [(2, 4), (3, 3), (3, 4)]),
+        (4, [(2, 3), (2, 4), (3, 3)]),
+    ],
+    ids=["three", "two", "four"],
+)
+def test_grid_walk_returns_the_edge_walks_values(players, shapes):
+    """Every start of random grids gets the very object the edge-by-edge
+    walk (tests/helpers.py) interns."""
+    rng = random.Random(f"grid-walk:{players}")
+    tokens, cases = "123456789"[:players], 0
+    for shape in shapes:
+        reference, cache = EvalCache(players), EvalCache(players)
+        for _ in range(12):
+            board = "".join(
+                "0" if rng.random() < 0.15 else rng.choice(tokens)
+                for _ in range(shape[0] * shape[1])
+            )
+            graph, occ = parse_board(board, shape=shape, players=players)
+            if not movers_mask(graph, occ):
+                continue
+            for start in range(1, players + 1):
+                want = reference_eval_graph(graph, occ, start, reference)
+                got = evaluate(Position(graph, occ, start), cache=cache, players=players)
+                assert got.value is want, (board, shape, start)
+                cases += 1
+    assert cases > 30 * players
+
+
+@pytest.mark.parametrize(
+    "shape, boards",
+    [
+        ((3, 3), ("123000000", "123000001", "123000302")),  # isolated corners
+        ((3, 4), ("120000000000", "120000300001")),  # isolated in the middle too
+    ],
+)
+def test_grids_that_differ_in_isolated_tokens_share_one_memo_entry(shape, boards):
+    cache = EvalCache()
+    first = evaluate_text(boards[0], shape=shape, cache=cache).value
+    size = len(cache.entries)
+    for board in boards[1:]:
+        assert evaluate_text(board, shape=shape, cache=cache).value is first, board
+        assert len(cache.entries) == size, board
+
+
+def test_the_slowest_solve_stream_grid_holds_8704_memo_entries():
+    cache = EvalCache()
+    evaluate_text("122132133121", shape=(3, 4), cache=cache)
+    # 16,945 when positions were keyed on their full occupancy.
+    assert len(cache.entries) == 8_704
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +424,9 @@ def test_folds_match_the_reference_on_random_grids():
 
 def _line_vs_grid(boards, players=3, modes=MODES):
     """Evaluate every board on its line (keyed on live runs) and as a
-    1xn grid (keyed on its bytes), every start and mode; return (cases,
-    mismatch descriptions).  Each path keeps one cache for all boards."""
+    1xn grid (keyed on its live bitboards), every start and mode; return
+    (cases, mismatch descriptions).  Each path keeps one cache for all
+    boards."""
     line_cache, grid_cache, bad, cases = EvalCache(players), EvalCache(players), [], 0
     for board in boards:
         for start in range(1, players + 1):
