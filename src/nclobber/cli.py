@@ -4,7 +4,7 @@ and run the 1xn censuses, with text, csv, and json output.
 Exit codes: 0 on success (also when the reader of stdout stops early),
 2 on usage errors (bad flags or arguments), 3 on domain errors
 (unparseable board or value, no opening move, an --out file or stdout
-that cannot be written).
+that cannot be written, a request that runs out of memory).
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(args.handler(args), args.out)
     except (ValueError, ChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,20 +1,24 @@
-"""Boards and moves for N-player Clobber on an undirected graph.
+"""Boards and moves for N-player Clobber on a rows x cols board.
 
-A board is a graph plus an occupancy: one byte per vertex, 0 for empty
-and 1..N for a token of that player.  A move picks up the mover's token
-and clobbers an adjacent token of a different player; the source vertex
-becomes empty.  Tokens never move onto empty vertices, so every move
-removes exactly one token and empty vertices stay empty forever.
+A board is a shape plus an occupancy: one byte per cell, row-major, 0
+for empty and 1..N for a token of that player.  Cells are adjacent when
+they share a side.  A move picks up the mover's token and clobbers an
+adjacent token of a different player; the source cell becomes empty.
+Tokens never move onto empty cells, so every move removes exactly one
+token and empty cells stay empty forever.
 
 Turn order rotates 1, 2, ..., N, 1, ...  A player with no legal move is
 skipped, and since the mover's options only ever shrink, a skipped
 player never moves again.  The last player to make a move wins.
+
+Move, legal_moves, apply_move and movers_mask are the move-level
+reference API; the solver walks live runs and bitboards instead.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Union
 
 from .values import quote
 
@@ -24,25 +28,17 @@ class BoardError(ValueError):
 
 
 class BoardGraph:
-    """An undirected graph with sorted adjacency lists.
+    """A rows x cols board, cells row-major (a line is one row); its shape
+    alone sets adjacency.  Graphs compare and hash by identity, so keying
+    a memo on one costs nothing; grid_graph makes one per shape."""
 
-    shape is (rows, cols) for the boards line_graph and grid_graph
-    build, vertices row-major (a line is one row), and None for a graph
-    built by hand.  Graphs compare and hash by identity, so keying a
-    memo on one costs no walk over its edges; line_graph and grid_graph
-    return one object per shape.
-    """
-
-    __slots__ = ("vertex_count", "edges", "neighbors", "shape")
+    __slots__ = ("vertex_count", "shape")
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    shape: Optional[tuple[int, int]]
+    shape: tuple[int, int]
 
-    def __init__(self, vertex_count, edges, neighbors, shape=None):
-        self.vertex_count, self.edges, self.neighbors = vertex_count, edges, neighbors
-        self.shape = shape
+    def __init__(self, rows: int, cols: int) -> None:
+        self.vertex_count, self.shape = rows * cols, (rows, cols)
 
 
 class Move(NamedTuple):
@@ -58,31 +54,19 @@ class Position(NamedTuple):
     mover: int = 1
 
 
-def _build_grid(rows: int, cols: int) -> BoardGraph:
-    n = rows * cols
-    right = [(v, v + 1) for v in range(n) if (v + 1) % cols]
-    edges = sorted(right + [(v, v + cols) for v in range(n - cols)])
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return BoardGraph(n, tuple(edges), tuple(tuple(sorted(a)) for a in adj), (rows, cols))
-
-
-@lru_cache(maxsize=None)
-def line_graph(n: int) -> BoardGraph:
-    """A path of n vertices, the 1xn board."""
-    if n < 1:
-        raise BoardError("a line board needs at least one vertex")
-    return _build_grid(1, n)
-
-
 @lru_cache(maxsize=None)
 def grid_graph(rows: int, cols: int) -> BoardGraph:
     """A rows x cols grid, vertices row-major, orthogonally adjacent."""
     if rows < 1 or cols < 1:
         raise BoardError("a grid board needs positive dimensions")
-    return _build_grid(rows, cols)
+    return BoardGraph(rows, cols)
+
+
+def line_graph(n: int) -> BoardGraph:
+    """A path of n vertices, the 1xn board: grid_graph(1, n)."""
+    if n < 1:
+        raise BoardError("a line board needs at least one vertex")
+    return grid_graph(1, n)
 
 
 Shape = Union[str, tuple[int, int]]
@@ -109,25 +93,32 @@ def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[Boa
     if shape == "line":
         return line_graph(len(cells)), cells
     rows, cols = shape
-    # Check the digit count first: the graph of an oversized grid alone
-    # would not fit in memory.
+    # The digits fill the grid row by row, so there must be rows * cols.
     if rows * cols != len(cells):
         raise BoardError(f"grid {rows}x{cols} needs {rows * cols} digits, got {len(cells)}")
     return grid_graph(rows, cols), cells
 
 
+def _edges(shape: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """Each pair of cells that share a side, once, as (u, v) with u < v:
+    the board's one adjacency rule, read from row and column arithmetic."""
+    rows, cols = shape
+    n = rows * cols
+    for v in range(n):
+        if (v + 1) % cols:
+            yield v, v + 1
+        if v + cols < n:
+            yield v, v + cols
+
+
 def legal_moves(graph: BoardGraph, occupancy: bytes, player: int) -> list[Move]:
     """All clobbering moves for player, ascending by (src, dst)."""
     out = []
-    neighbors = graph.neighbors
-    for src in range(graph.vertex_count):
-        if occupancy[src] != player:
-            continue
-        for dst in neighbors[src]:
-            got = occupancy[dst]
-            if got != 0 and got != player:
-                out.append(Move(src, dst))
-    return out
+    for u, v in _edges(graph.shape):
+        a, b = occupancy[u], occupancy[v]
+        if a and b and a != b and player in (a, b):
+            out.append(Move(u, v) if a == player else Move(v, u))
+    return sorted(out)
 
 
 def apply_move(occupancy: bytes, move: Move) -> bytes:
@@ -154,12 +145,10 @@ def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
     so one scan over the edges finds every player that can move.
     """
     mask = 0
-    for u, v in graph.edges:
-        a = occupancy[u]
-        if a:
-            b = occupancy[v]
-            if b and b != a:
-                mask |= (1 << a) | (1 << b)
+    for u, v in _edges(graph.shape):
+        a, b = occupancy[u], occupancy[v]
+        if a and b and a != b:
+            mask |= (1 << a) | (1 << b)
     return mask
 
 

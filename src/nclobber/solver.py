@@ -60,9 +60,7 @@ from .game_core import (
     Shape,
     adjacent,
     grid_masks,
-    line_graph,
     line_runs,
-    movers_mask,
     parse_board,
     run_moves,
 )
@@ -162,26 +160,40 @@ def evaluate(
     players: int = 3,
 ) -> EvalResult:
     """Value of a position for the mover given in it (skips resolve first)."""
+    graph, occupancy, mover = position
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not 1 <= position.mover <= players:
-        raise ValueError(f"mover {position.mover} out of range for {players} players")
+    if not 1 <= mover <= players:
+        raise ValueError(f"mover {mover} out of range for {players} players")
     if mode == "prudent" and players != 3:
         raise ValueError("prudent evaluation is defined for exactly three players")
-    top = max(position.occupancy)
+    top = max(occupancy)
     if top > players:
         raise ValueError(f"token {top} exceeds player count {players}")
-    graph = position.graph
     if cache is None:
         cache = EvalCache(players)
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
-    if movers_mask(graph, position.occupancy) == 0:
-        digits = "".join(map(str, position.occupancy))
+    # A line walks on its live runs, a grid on its live bitboards.  Nobody
+    # can move on a line with no live run, nor on a grid where no token
+    # touches another colour (a live token may touch only its own).
+    rows, cols = graph.shape
+    if rows == 1:
+        key = line_runs(occupancy)
+    else:
+        key = grid_masks(graph, occupancy, players)
+        occ = sum(key)  # the masks are disjoint
+        if not any(m & adjacent(occ ^ m, cols + 1) for m in key):
+            key = ()
+    if not key:
+        digits = "".join(map(str, occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
     try:
-        raw = _eval_raw(graph, position.occupancy, position.mover, cache)
-        return fold_raw(raw, position.mover, mode, profile, players, cache.folds)
+        if rows == 1:
+            raw = evaluate_runs(key, mover, cache)
+        else:
+            raw = _eval_grid(graph, key, mover, cache)
+        return fold_raw(raw, mover, mode, profile, players, cache.folds)
     except RecursionError:  # the walk and the folds recurse once per move
         size = graph.vertex_count
         raise ValueError(f"the game tree of a {size}-cell board is too deep to evaluate") from None
@@ -231,14 +243,6 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
             return expand_simple(result.value).text
         return str(result.value)
     return render_value(result.value, style or "brackets")
-
-
-def _eval_raw(graph: BoardGraph, occupancy: bytes, mover: int, cache: EvalCache) -> GameValue:
-    if graph is line_graph(graph.vertex_count):
-        return evaluate_runs(line_runs(occupancy), mover, cache)
-    if graph.shape is None:
-        raise ValueError("only line and grid boards can be evaluated")
-    return _eval_grid(graph, grid_masks(graph, occupancy, cache.players), mover, cache)
 
 
 def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:

@@ -691,9 +691,9 @@ def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...
 
 
 def reference_eval_graph(graph: BoardGraph, occupancy: bytes, mover: int, cache) -> GameValue:
-    """The edge-by-edge position walk that grid bitboards replaced:
-    raw value of (occupancy, mover) on any graph, memoized in
-    cache.entries on (graph, occupancy, mover)."""
+    """The move-by-move position walk that grid bitboards replaced:
+    raw value of (occupancy, mover) on any board, through the move-level
+    API, memoized in cache.entries on (graph, occupancy, mover)."""
     key = (graph, occupancy, mover)
     got = cache.entries.get(key)
     if got is not None:

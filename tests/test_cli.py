@@ -1,6 +1,8 @@
 """End-to-end command-line behavior through main(argv)."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import value_trees
+from nclobber import cli
 from nclobber.cli import main
-from nclobber.solver import evaluate_text
+from nclobber.solver import MODES, evaluate_text
 from nclobber.values import MAX_DEPTH, MAX_EXPONENT, parse_value, render_value
 
 
@@ -231,6 +236,94 @@ def test_compare_json(capsys):
     )
     payload = json.loads(out)
     assert (code, payload["result"], payload["perspective"]) == (0, "greater", 1)
+
+
+# ---------------------------------------------------------------------------
+# the exit contract: 0, 2 or 3, never a traceback, one line for a refusal
+
+
+def test_running_out_of_memory_is_a_domain_error(capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate_text", exhaust)
+    code, out, err = run(capsys, "solve", "1231231231231231231231", "--mode", "prudent")
+    assert (code, out, err) == (3, "", "error: out of memory running solve\n")
+
+
+def _request(command, operands, good, bad):
+    """argv for command: the operands, up to two good flag groups, and
+    half the time one bad one."""
+    return st.builds(
+        lambda ops, flags, noise: [command, *ops, *sum(flags, []), *noise],
+        operands,
+        st.lists(st.sampled_from(good), max_size=2),
+        st.just([]) | st.sampled_from(bad),
+    )
+
+
+_BAD = (["--players", "0"], ["--players", "x"], ["--format", "xml"], ["--bogus"], ["--out"])
+_PLAYERS = (["--players", "2"], ["--players", "4"], ["--players", "1"], ["--format", "json"])
+_BOARD = (
+    st.text("0123", max_size=10) | st.text("0123456", max_size=10) | st.text("0123x ", max_size=4)
+)
+_GRID = st.builds(lambda r, c: f"{r}x{c}", st.integers(0, 3), st.integers(0, 4)) | st.sampled_from(
+    ["3x", "x4", "2x3x4", "-1x2", "2*3", "2x\u00b2", "40x40", "100000x100000"]
+)
+_GRID_BOARD = st.builds(
+    lambda rows, cols, digits: [digits[: rows * cols], "--grid", f"{rows}x{cols}"],
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.text("0123", min_size=12, max_size=12) | st.text("01234", min_size=12, max_size=12),
+)
+_SOLVE = _request(
+    "solve",
+    st.tuples(_BOARD) | _GRID_BOARD | st.builds(lambda b, g: [b, "--grid", g], _BOARD, _GRID),
+    [*_PLAYERS, *(["--mode", m] for m in MODES), ["--start", "2"], ["--render", "bar"],
+     ["--profile", "L0"]],
+    [*_BAD, ["--mode", "bogus"], ["--start", "0"], ["--start", "5"], ["--profile", "L9"]],
+)
+_VALUE = (
+    value_trees(max_leaves=12).map(str)
+    | st.text("[],0123_ x", max_size=16)
+    | st.integers(100, 200).map(lambda depth: "[" * depth + "1,2" + "]" * depth)
+    | st.builds(
+        lambda k, tail: "[" * k + tail, st.integers(1, 5), st.sampled_from(["1", "1,2]", "1_2"])
+    )
+    | st.sampled_from(["1_", "_1", "1__2", "0", "4", "1_-1", "[]", "[,]", "[1,,2]", "1]", ""])
+)
+_SIMPLIFY = _request(
+    "simplify",
+    st.tuples(_VALUE),
+    [*_PLAYERS, ["--perspective", "1"], ["--perspective", "3"], ["--render", "bar"],
+     ["--profile", "L2"],
+     *(["--mode", m, "--perspective", "2"] for m in ("selfish", "indifferent", "prudent"))],
+    [*_BAD, ["--perspective", "0"], ["--perspective", "x"], ["--mode", "bogus"],
+     ["--mode", "selfish"]],
+)
+_COMPARE = _request(
+    "compare",
+    st.tuples(_VALUE, _VALUE, st.sampled_from(["-p", "--perspective"]), st.sampled_from("1232")),
+    [*_PLAYERS, *(["--relation", r] for r in ("base", "prudent", "indifferent"))],
+    [*_BAD, ["-p", "5"], ["-p", "x"], ["--relation", "bogus"], ["--profile", "L1"]],
+)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(_SOLVE | _SIMPLIFY | _COMPARE)
+@example(["solve", "1" * 1600, "--grid", "40x40"])
+@example(["simplify", "[" * (MAX_DEPTH + 1) + "1,2" + "]" * (MAX_DEPTH + 1)])
+def test_every_request_exits_0_2_or_3_with_one_line_for_a_refusal(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 # ---------------------------------------------------------------------------

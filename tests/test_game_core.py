@@ -1,6 +1,7 @@
 """Board parsing, move generation, and board-level invariants."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,19 +31,61 @@ from nclobber.game_core import (
 # graphs and parsing
 
 
+def _checkerboard_edges(graph):
+    """The graph's edges and neighbour lists, read off the moves of a
+    two-colour checkerboard, where every pair of neighbours can clobber."""
+    rows, cols = graph.shape
+    occ = bytes(1 + (r + c) % 2 for r in range(rows) for c in range(cols))
+    moves = legal_moves(graph, occ, 1) + legal_moves(graph, occ, 2)
+    edges = sorted({(min(m), max(m)) for m in moves})
+    neighbors = [tuple(sorted(m.dst for m in moves if m.src == v)) for v in range(len(occ))]
+    return edges, neighbors
+
+
 def test_line_graph_path_edges():
     g = line_graph(4)
     assert g.vertex_count == 4
-    assert g.edges == ((0, 1), (1, 2), (2, 3))
-    assert g.neighbors[0] == (1,)
-    assert g.neighbors[1] == (0, 2)
+    edges, neighbors = _checkerboard_edges(g)
+    assert edges == [(0, 1), (1, 2), (2, 3)]
+    assert neighbors[0] == (1,)
+    assert neighbors[1] == (0, 2)
 
 
 def test_grid_graph_edges():
     g = grid_graph(2, 3)
     assert g.vertex_count == 6
-    assert set(g.edges) == {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
-    assert g.neighbors[4] == (1, 3, 5) and g.shape == (2, 3)
+    edges, neighbors = _checkerboard_edges(g)
+    assert set(edges) == {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
+    assert neighbors[4] == (1, 3, 5) and g.shape == (2, 3)
+
+
+def _side_sharing_moves(shape, occ, player):
+    """Every clobber of player's, by brute force: cells (r, c) and
+    (r2, c2) are adjacent when |r - r2| + |c - c2| = 1."""
+    cells = [(v, divmod(v, shape[1])) for v in range(len(occ))]
+    return [
+        (src, dst)
+        for src, (r, c) in cells
+        for dst, (r2, c2) in cells
+        if abs(r - r2) + abs(c - c2) == 1
+        and occ[src] == player
+        and occ[dst] not in (0, player)
+    ]
+
+
+def test_moves_follow_the_side_sharing_rule_on_every_shape_up_to_4x4():
+    rng = random.Random("side-sharing")
+    for rows, cols in itertools.product(range(1, 5), repeat=2):
+        graph = grid_graph(rows, cols)
+        assert (graph.vertex_count, graph.shape) == (rows * cols, (rows, cols))
+        for _ in range(25):
+            occ = bytes(rng.choice((0, 1, 2, 3, 4)) for _ in range(rows * cols))
+            mask = 0
+            for player in (1, 2, 3, 4):
+                want = _side_sharing_moves((rows, cols), occ, player)
+                assert legal_moves(graph, occ, player) == want, (rows, cols, occ, player)
+                mask |= bool(want) << player
+            assert movers_mask(graph, occ) == mask, (rows, cols, occ)
 
 
 def test_grid_masks_skip_a_guard_column_and_drop_isolated_tokens():
@@ -56,8 +99,9 @@ def test_grid_masks_skip_a_guard_column_and_drop_isolated_tokens():
 
 
 def test_graphs_are_cached():
-    assert line_graph(5) is line_graph(5)
+    assert line_graph(5) is line_graph(5) is grid_graph(1, 5)
     assert grid_graph(2, 2) is grid_graph(2, 2)
+    assert grid_graph(5, 1) is not line_graph(5)
 
 
 def test_parse_board_line_and_render_round_trip():

@@ -1,6 +1,8 @@
 """Board evaluation in all four modes, pass handling, and caching."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -15,11 +17,14 @@ from helpers import (
     reference_eval_graph,
     reference_evaluate,
 )
+import nclobber
+from nclobber import solver
 from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
 from nclobber.game_core import (
     BoardGraph,
     Position,
     grid_graph,
+    grid_masks,
     line_graph,
     movers_mask,
     parse_board,
@@ -36,6 +41,7 @@ from nclobber.solver import (
     evaluate_all_starts,
     evaluate_runs,
     evaluate_text,
+    fold_raw,
 )
 from nclobber.values import (
     NormalizationProfile,
@@ -102,6 +108,36 @@ def test_no_move_at_all_raises():
         evaluate_text("102")
 
 
+def test_no_library_path_uses_the_move_level_api(monkeypatch):
+    # evaluate walks live runs and bitboards: with the move-level API
+    # raising wherever the package binds it, every result and every
+    # refusal stays the same.
+    boards = [("1232132321", "line"), ("123213", (1, 6)), ("120312301231", (3, 4))]
+    want = {
+        (board, shape, mode): evaluate_text(board, mode=mode, shape=shape)
+        for board, shape in boards
+        for mode in MODES
+    }
+    names = ("Move", "legal_moves", "apply_move", "movers_mask")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library path used the move-level API")
+
+    bound = []
+    for info in pkgutil.iter_modules(nclobber.__path__, "nclobber."):
+        module = importlib.import_module(info.name)
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+                bound.append(f"{info.name}.{name}")
+    assert bound == [f"nclobber.game_core.{name}" for name in names]
+    for (board, shape, mode), result in want.items():
+        assert evaluate_text(board, mode=mode, shape=shape) == result, (board, shape, mode)
+    for board, shape in [("11", "line"), ("1020", "line"), ("1102211022", (2, 5))]:
+        with pytest.raises(NoMoveError, match=f"^no initial move on board '{board}'$"):
+            evaluate_text(board, shape=shape)
+
+
 # ---------------------------------------------------------------------------
 # simplifying modes
 
@@ -163,16 +199,15 @@ def test_results_graphs_and_caches_keep_their_contract():
         with pytest.raises(AttributeError):
             setattr(obj, attr, 1)
 
-    # Memos key on graphs by identity: a graph equals only itself.
+    # Memos key on graphs by identity: a graph equals only itself, and
+    # each shape has one cached graph.
     graph = line_graph(5)
-    twin = BoardGraph(graph.vertex_count, graph.edges, graph.neighbors)
-    assert graph == graph and graph is line_graph(5)
-    assert twin != graph and graph != grid_graph(1, 5)
+    twin = BoardGraph(1, 5)
+    assert graph == graph and graph is line_graph(5) is grid_graph(1, 5)
+    assert twin != graph and graph != grid_graph(5, 1)
     assert {graph: 1}.get(twin) is None
-    # A graph built by hand has no shape to walk on.
-    assert twin.shape is None and graph.shape == (1, 5)
-    with pytest.raises(ValueError, match="only line and grid boards"):
-        evaluate(Position(twin, b"\1\2\0\0\0"))
+    assert twin.shape == graph.shape == (1, 5)
+    assert evaluate(Position(twin, b"\1\2\3\0\0")) == evaluate(Position(graph, b"\1\2\3\0\0"))
 
     one, two = EvalCache(), EvalCache()
     assert one.players == two.players == 3 and EvalCache(2).players == 2
@@ -373,7 +408,7 @@ def test_folds_match_the_reference_on_random_grids():
     ids=["three", "two", "four"],
 )
 def test_grid_walk_returns_the_edge_walks_values(players, shapes):
-    """Every start of random grids gets the very object the edge-by-edge
+    """Every start of random grids gets the very object the move-by-move
     walk (tests/helpers.py) interns."""
     rng = random.Random(f"grid-walk:{players}")
     tokens, cases = "123456789"[:players], 0
@@ -423,18 +458,19 @@ def test_the_slowest_solve_stream_grid_holds_8704_memo_entries():
 
 
 def _line_vs_grid(boards, players=3, modes=MODES):
-    """Evaluate every board on its line (keyed on live runs) and as a
-    1xn grid (keyed on its live bitboards), every start and mode; return
-    (cases, mismatch descriptions).  Each path keeps one cache for all
-    boards."""
+    """Evaluate every board on its line (keyed on live runs) and walk it
+    as a 1xn grid (keyed on its live bitboards), every start and mode;
+    return (cases, mismatch descriptions).  Each path keeps one cache for
+    all boards."""
     line_cache, grid_cache, bad, cases = EvalCache(players), EvalCache(players), [], 0
     for board in boards:
+        graph, occ = parse_board(board, shape=(1, len(board)), players=players)
+        masks = grid_masks(graph, occ, players)
         for start in range(1, players + 1):
+            raw = solver._eval_grid(graph, masks, start, grid_cache)
             for mode in modes:
                 a = evaluate_text(board, start, mode, players=players, cache=line_cache)
-                b = evaluate_text(
-                    board, start, mode, players=players, shape=(1, len(board)), cache=grid_cache
-                )
+                b = fold_raw(raw, start, mode, L1, players, grid_cache.folds)
                 cases += 1
                 same = a.value is b.value if isinstance(a, Raw) else a == b
                 if type(a) is not type(b) or not same:

@@ -1,7 +1,8 @@
 """The benchmark's worker and tracer still find what they use of the
 package, committed benchmark records are correct, importing the package
 loads no standard-library module it does not use, the installed command
-resolves, and the scripts run as scripts."""
+resolves, the scripts run as scripts, and the table script agrees with
+the table command."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import pytest
 
 import nclobber
 import nclobber.cli  # the package does not import its CLI module
+import reproduce_table
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -122,3 +124,11 @@ def test_every_script_runs_with_only_src_on_the_path(script):
         [sys.executable, str(script), "--help"], env=env, capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_the_table_script_and_the_table_command_write_the_same_csv(tmp_path, capsys):
+    script, command = tmp_path / "script.csv", tmp_path / "command.csv"
+    assert reproduce_table.main(["--max-n", "5", "--out", str(script)]) == 0
+    assert nclobber.cli.main(["table", "5", "--format", "csv", "--out", str(command)]) == 0
+    capsys.readouterr()
+    assert script.read_text() == command.read_text()
