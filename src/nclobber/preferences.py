@@ -41,6 +41,42 @@ pair of leaves before it builds a memo key, and its loops probe the
 memo before they recurse.  Rewriting keeps outcome sets, so prune drops
 every option below the top class for the player uncompared.
 
+The prudent order is the OR of four clauses, each a pure function of
+(x, y, p): option against whole, whole against option, option against
+option, and the strict selfish clause, x <= y and not y <= x.  The
+order in which they run changes no result, so the option clauses run
+first and the strict clause last: its two selfish walks are the costly
+part of a memo miss, and once the option clauses fail it almost never
+holds.  It runs only when x = [y], whose one option is y; there [y] <= y
+holds by the option-against-whole rule, so the clause is not y <= x.
+Two lemmas, each by induction on the pair, show that nothing is lost.
+
+Antisymmetry: x <= y and y <= x only when x is y.  Let m(v) be 0 when
+v has no option of its own class, else 1 + the largest m of such an
+option.  Distinct x <= y of one class have m(x) >= m(y), and m(x) > m(y)
+when every option of x is <= y.  Either every option of x is <= y, or
+m(y) > 0 and every option of x is <= an option b of y's class with
+m(y) = 1 + m(b) (when m(y) = 0 there is nothing to show).  Then x has an
+option a of its class: a win or a loss has only such options, and a
+mixed x has no winning option, each being <= a mixed value, while one
+holds p.  So m(x) >= 1 + m(a), where a is y or m(a) >= m(y) in the
+first case, and a is b or m(a) >= m(b) in the second.  A leaf is <=
+only itself within its class.  So if distinct x and y were each <= the
+other, neither side could hold by the option-against-whole rule, every
+option of x would be <= and >= every option of y, all of them would be
+one value c, and x = [c] = y, since values are interned.
+
+The option lemma: if the strict clause holds and no option clause does,
+then x = [y].  A leaf is <= only itself within its class, so x has
+options.  Pairing a value with itself gives neither a < b nor b < a,
+and a pairing a <= b of distinct values is, by antisymmetry, strict and
+so a prudent witness.  If every option of x is <= every option of y,
+no pairing defeats option against option and it fails only if every
+pairing is of one value with itself, which makes x = y.  Otherwise
+every option of x is <= y, every option other than y is a witness for
+option against whole, and that clause fails only when y is x's one
+option.
+
 An indifferent player does not care which opponent wins.  That collapses
 every losing leaf into one symbol; comparisons run over the collapsed
 trees with a symmetric structural clause (whole against every option),
@@ -199,13 +235,15 @@ def _pless(x: GameValue, y: GameValue, p: int) -> bool:
     got = memo.get(key)
     if got is not None:
         return got
-    result = _leq(x, y, p) and not _leq(y, x, p)  # _strict_less, inline
-    if not result and xs is not None:
-        result = _pless_options(xs, (y,), p, memo)
+    # The option clauses first, the strict selfish clause last, and that
+    # only for x = [y] (the option lemma of the module docstring).
+    result = xs is not None and _pless_options(xs, (y,), p, memo)
     if not result and ys is not None:
         result = _pless_options((x,), ys, p, memo)
     if not result and xs is not None and ys is not None:
         result = _pless_options(xs, ys, p, memo)
+    if not result and xs == (y,):
+        result = not _leq(y, x, p)  # [y] <= y always holds
     memo[key] = result
     return result
 
@@ -240,6 +278,12 @@ def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
 
 
 def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
+    """Full comparison of x and y under player p's prudent order.
+
+    Both values are fully rewritten first.  LESS means p discards x when
+    y is available, GREATER the reverse, EQUAL that they rewrite to one
+    value, and INCOMPARABLE anything else.
+    """
     x = _prepare(x)
     y = _prepare(y)
     if x is y:

@@ -444,6 +444,24 @@ def _reference_pless_options(
     return witness
 
 
+def strict_clause_decides(x: GameValue, y: GameValue, p: int) -> bool:
+    """Whether x < y for prudent p holds by the strict selfish clause
+    alone: distinct values of one class, not both leaves, that no option
+    clause orders."""
+    if x is y or _class_rank(x, p) != _class_rank(y, p):
+        return False
+    xs, ys = x.children, y.children
+    if xs is None and ys is None:
+        return False
+    if xs is not None and _reference_pless_options(xs, (y,), p):
+        return False
+    if ys is not None and _reference_pless_options((x,), ys, p):
+        return False
+    if xs is not None and ys is not None and _reference_pless_options(xs, ys, p):
+        return False
+    return _reference_strict_less(x, y, p)
+
+
 def reference_ext_leq(x: GameValue, y: GameValue) -> bool:
     """preferences._ext_leq, through all() over generators."""
     if x is y:

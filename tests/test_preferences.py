@@ -1,5 +1,7 @@
 """Preference relations: selfish, prudent, indifferent, and the chain."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from helpers import (
     reference_prune,
     reference_prune_fold,
     reference_selfish_leq,
+    strict_clause_decides,
     successor_incomparability_violations,
     value_trees,
 )
@@ -40,6 +43,7 @@ from nclobber.preferences import (
 from nclobber.values import (
     NormalizationProfile,
     SimpleValue,
+    choice,
     expand_simple,
     leaf,
     normalize,
@@ -355,6 +359,82 @@ def test_relations_equal_their_reference_on_every_pool_pair():
 @given(value_trees(), value_trees(), st.integers(1, 3))
 def test_relations_equal_their_reference_on_random_pairs(x, y, p):
     assert _library_relations([(x, y, p)]) == _reference_relations([(x, y, p)])
+
+
+def _clear_relation_memos():
+    for name in RELATION_MEMOS:
+        getattr(preferences, name).clear()
+
+
+def test_prudent_compare_walks_the_selfish_order_only_for_wrappers():
+    # _pless runs its strict selfish clause only for x = [y], so a prudent
+    # pass over the pool fills few selfish memo entries.
+    _clear_relation_memos()
+    for x, y, p in RELATION_TRIPLES:
+        prudent_compare(x, y, p)
+    assert len(preferences._LEQ_CACHE) == 38
+
+
+@pytest.mark.parametrize("x, y", [("[[1,2,3]]", "[1,2,3]"), ("[[1,[1,2]]]", "[1,[1,2]]")])
+def test_only_the_strict_clause_puts_these_wrappers_below_their_option(x, y):
+    # No option clause holds for these pairs, so a pre-test that drops or
+    # narrows the strict selfish clause must still keep them.
+    x, y = parse_value(x), parse_value(y)
+    for p in (1, 2, 3):
+        assert prudent_compare(x, y, p) is Comparison.LESS
+        assert strict_clause_decides(preferences._prepare(x), preferences._prepare(y), p)
+
+
+N7_POOL = sorted({preferences._prepare(v) for v in raw_values(run_keys(7))}, key=lambda v: v.text)
+
+
+def test_prudent_compare_equals_the_reference_on_a_sample_of_n7_pairs():
+    assert len(N7_POOL) == 371
+    rng = random.Random(7)
+    members = set(N7_POOL)
+    # Uniform pairs, and pairs of a value with one of its options, which
+    # hold the wrappers that only the strict clause orders.
+    related = [(x, c) for x in N7_POOL for c in x.children or () if c in members]
+    pairs = [(rng.choice(N7_POOL), rng.choice(N7_POOL)) for _ in range(600)]
+    pairs += [rng.choice(related)[:: rng.choice((1, -1))] for _ in range(400)]
+    triples = [(x, y, p) for x, y in pairs for p in (1, 2, 3)]
+    assert any(strict_clause_decides(x, y, p) for x, y, p in triples)
+    _clear_relation_memos()
+    bad = [
+        (x, y, p)
+        for x, y, p in triples
+        if prudent_compare(x, y, p) is not reference_prudent_compare(x, y, p)
+    ]
+    assert not bad, [(x.text, y.text, p) for x, y, p in bad[:5]]
+
+
+# A random pair, or a value y beside a choice that holds y among its
+# options; with no other option that choice is the wrapper [y].
+RELATED_PAIRS = st.one_of(
+    st.tuples(value_trees(), value_trees()),
+    st.builds(
+        lambda y, more: (choice([y, *more]), y),
+        value_trees(),
+        st.lists(value_trees(max_leaves=8), max_size=2),
+    ),
+)
+
+
+@given(RELATED_PAIRS, st.integers(1, 3))
+def test_the_selfish_order_is_antisymmetric(pair, p):
+    x, y = pair
+    if x is not y:
+        assert not (reference_selfish_leq(x, y, p) and reference_selfish_leq(y, x, p))
+
+
+@given(RELATED_PAIRS, st.integers(1, 3))
+def test_the_strict_clause_decides_alone_only_for_a_wrapper(pair, p):
+    # The option lemma behind _pless's last clause, checked against the
+    # reference recursion, which runs the full strict clause first.
+    for x, y in (pair, pair[::-1]):
+        if strict_clause_decides(x, y, p):
+            assert x.children == (y,)
+        assert preferences._pless(x, y, p) is reference_pless(x, y, p)
 
 
 def test_a_class_gap_settles_the_reference_prudent_order():

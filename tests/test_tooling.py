@@ -60,11 +60,13 @@ def test_every_worker_import_resolves_on_the_package():
 
 def test_committed_bench_records_are_correct():
     # Each is the output of `bench/run.py --workload all --out BENCH_<label>.json`.
+    # Each holds exactly the workloads that BENCHMARK.json declares.
     records = sorted(ROOT.glob("BENCH_*.json"))
-    assert records
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert records and declared
     for path in records:
         runs = json.loads(path.read_text())
-        assert runs, path.name
+        assert sorted(run["workload"] for run in runs) == sorted(declared), path.name
         for run in runs:
             assert run["correct"] is True and run["failed"] == 0, (path.name, run["workload"])
 
