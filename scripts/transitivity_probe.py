@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Probe order-like laws of the preference relations on real values.
 
-The pruning code guards against dominance cycles because the strict
-relations are not proven transitive or acyclic.  This script collects
-every distinct raw value of the 1xn boards up to a length, then checks
-on all pairs/triples (or a random sample when that is too many):
+The selfish <= is proven a partial order in the preferences docstring,
+so its strict order here is a regression check.  The open question is
+the prudent strict order, which is not asymmetric: at --max-n 6 this
+script finds [1,[[1,[1,3]]]] and [3,[1,3],[[1,[1,3]]]] each below the
+other for player 2, and exits 1.  The script collects every distinct raw
+value of the 1xn boards up to a length, then checks on all pairs/triples
+(or a random sample when that is too many):
 
   irreflexivity   not (x < x)
   asymmetry       not (x < y and y < x)
   transitivity    x < y and y < z  implies  x < z
 
 for the selfish strict order and the prudent strict order, from each
-perspective.  Violations print with their witnesses.
+perspective.  Violations print with their witnesses, and any violation
+makes the exit status 1.
 
 Usage:
     python3 scripts/transitivity_probe.py --max-n 6 --sample 200000

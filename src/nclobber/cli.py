@@ -121,7 +121,7 @@ def _cmd_simplify(args: argparse.Namespace) -> str:
         result = Simple(prudent_simplify(value, p))
     else:
         if args.mode != "raw" and value.children is not None:
-            kept = prune(set(value.children), p, args.mode, args.players)
+            kept = prune(value.children, p, args.mode, args.players)
             value = normalize(choice(kept), args.profile, args.players)
         result = Raw(value)
     rendered = render_result(result, args.render)

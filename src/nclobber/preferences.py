@@ -1,19 +1,48 @@
 """Preference orders between game values, from one player's perspective.
 
 A value is a guaranteed win for player p when p wins every leaf, a
-guaranteed loss when p wins no leaf, and mixed otherwise.  A selfish
+guaranteed loss when p wins no leaf, and mixed otherwise; that class is
+v.ranks[p] (values module), 0 for a loss, 1 mixed and 2 a win.  A selfish
 player orders values by a recursive relation: X <= Y holds when the
 values are identical, when X's class is below Y's in loss < mixed <
 win, or structurally, when every option of X is <= Y, or every option
 of X is <= every option of Y.  Leaves carry no options, so they only
 relate through identity and the class rules.
 
+The selfish <= is a partial order, which prune relies on.
+(M) x <= y implies class(x) <= class(y), because the structural clauses
+apply only to values of one class.  Transitivity, x <= y <= z implies
+x <= z, goes by induction on the sum of the three heights.  Identity is
+trivial and a class gap is settled by (M), so let all three share a
+class and both steps hold structurally.  If every option a of x is <= y,
+then a <= y <= z gives a <= z.  If every option of x is <= every option
+of y, pick an option b of y: either every b is <= z, and a <= b <= z
+gives a <= z, or every b is <= every option c of z, and a <= b <= c
+gives a <= c.  Antisymmetry, x <= y and y <= x only when x is y: let
+m(v) be 0 when v has no option of its own class, else 1 + the largest m
+of such an option.  Distinct x <= y of one class have m(x) >= m(y), and
+m(x) > m(y) when every option of x is <= y.  Either every option of x
+is <= y, or m(y) > 0 and every option of x is <= an option b of y's
+class with m(y) = 1 + m(b) (when m(y) = 0 there is nothing to show).
+Then x has an option a of its class: a win or a loss has only such
+options, and a mixed x has no winning option, each being <= a mixed
+value, while one holds p.  So m(x) >= 1 + m(a), where a is y or m(a) >=
+m(y) in the first case, and a is b or m(a) >= m(b) in the second.  A
+leaf is <= only itself within its class.  So if distinct x and y were
+each <= the other, neither side could hold by the option-against-whole
+rule, every option of x would be <= and >= every option of y, all of
+them would be one value c, and x = [c] = y, since values are interned.
+So for distinct values x < y is x <= y alone, and a finite set of
+options always keeps one that nothing is strictly above.
+
 A prudent player refines this with a strict order that also discards an
 option when every comparison between the two option sets is weaker-or-
 incomparable with at least one strictly weaker witness.  The recursion
 compares option against option, option against whole, and whole against
 option; all three shapes are needed to reproduce the ladder of simple
-values that prudent play collapses to.
+values that prudent play collapses to.  It is not an order: for p = 2,
+[1,[[1,[1,3]]]] and [3,[1,3],[[1,[1,3]]]] are each below the other, so
+prudent_compare calls such a pair incomparable.
 
 For simple values the prudent order has a closed form.  Writing p_j for
 the mover's own base and q_j for another player's, the coordinates
@@ -30,7 +59,8 @@ the top, so options tie exactly when their e is equal, and a tie merges
 to p_e.
 
 A class gap settles all three relations: the value of the lower class
-is below.  For the prudent order that is a lemma, by induction on the
+is below.  For the selfish and indifferent relations that is (M).  For
+the prudent order it is a lemma, by induction on the
 pair.  If class(x) < class(y), the strict selfish clause holds.  If
 class(x) > class(y), it fails, and each clause that pairs options has
 a pairing (a, b) with a above b by class, so that by induction a < b
@@ -45,42 +75,31 @@ The prudent order is the OR of four clauses, each a pure function of
 (x, y, p): option against whole, whole against option, option against
 option, and the strict selfish clause, x <= y and not y <= x.  The
 order in which they run changes no result, so the option clauses run
-first and the strict clause last: its two selfish walks are the costly
+first and the strict clause last: its selfish walk is the costly
 part of a memo miss, and once the option clauses fail it almost never
 holds.  It runs only when x = [y], whose one option is y; there [y] <= y
 holds by the option-against-whole rule, so the clause is not y <= x.
-Two lemmas, each by induction on the pair, show that nothing is lost.
-
-Antisymmetry: x <= y and y <= x only when x is y.  Let m(v) be 0 when
-v has no option of its own class, else 1 + the largest m of such an
-option.  Distinct x <= y of one class have m(x) >= m(y), and m(x) > m(y)
-when every option of x is <= y.  Either every option of x is <= y, or
-m(y) > 0 and every option of x is <= an option b of y's class with
-m(y) = 1 + m(b) (when m(y) = 0 there is nothing to show).  Then x has an
-option a of its class: a win or a loss has only such options, and a
-mixed x has no winning option, each being <= a mixed value, while one
-holds p.  So m(x) >= 1 + m(a), where a is y or m(a) >= m(y) in the
-first case, and a is b or m(a) >= m(b) in the second.  A leaf is <=
-only itself within its class.  So if distinct x and y were each <= the
-other, neither side could hold by the option-against-whole rule, every
-option of x would be <= and >= every option of y, all of them would be
-one value c, and x = [c] = y, since values are interned.
-
-The option lemma: if the strict clause holds and no option clause does,
-then x = [y].  A leaf is <= only itself within its class, so x has
-options.  Pairing a value with itself gives neither a < b nor b < a,
-and a pairing a <= b of distinct values is, by antisymmetry, strict and
-so a prudent witness.  If every option of x is <= every option of y,
-no pairing defeats option against option and it fails only if every
-pairing is of one value with itself, which makes x = y.  Otherwise
-every option of x is <= y, every option other than y is a witness for
-option against whole, and that clause fails only when y is x's one
-option.
+The option lemma shows that nothing is lost: if the strict clause holds
+and no option clause does, then x = [y].  A leaf is <= only itself
+within its class, so x has options.  Pairing a value with itself gives
+neither a < b nor b < a, and a pairing a <= b of distinct values is, by
+antisymmetry, strict and so a prudent witness.  If every option of x is
+<= every option of y, no pairing defeats option against option and it
+fails only if every pairing is of one value with itself, which makes
+x = y.  Otherwise every option of x is <= y, every option other than y
+is a witness for option against whole, and that clause fails only when
+y is x's one option.
 
 An indifferent player does not care which opponent wins.  That collapses
 every losing leaf into one symbol; comparisons run over the collapsed
 trees with a symmetric structural clause (whole against every option),
 which turns each coordinate group into an equality class of one chain.
+That relation is a preorder: (M) holds as before, and transitivity goes
+by the same induction, where the extra clause (x <= every option b of y)
+gives x <= b <= z when every b is <= z, and x <= y <= c for each option c
+of z otherwise.  It is not antisymmetric, so a strict comparison still
+walks both ways; with no dominance cycles, prune keeps an option here
+too.
 """
 
 from __future__ import annotations
@@ -110,12 +129,11 @@ class ChainError(RuntimeError):
     """A set of simples straddled chain coordinates; an internal bug."""
 
 
-def _class_rank(v: GameValue, p: int) -> int:
-    # 0 loss, 1 mixed, 2 win for player p.
-    outs = v.outcomes
-    if p in outs:
-        return 2 if len(outs) == 1 else 1
-    return 0
+def _check_perspective(p: int) -> None:
+    # ranks[0] reads every value as a loss and ranks stops at 9, so any
+    # other p would read a wrong class or raise IndexError.
+    if not isinstance(p, int) or not 1 <= p <= 9:
+        raise ValueError(f"perspective must be a player id 1..9, got {p!r}")
 
 
 def _prepare(v: GameValue, players: int = 3) -> GameValue:
@@ -135,13 +153,9 @@ _LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
 def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     if x is y:
         return True
-    ox, oy = x.outcomes, y.outcomes
-    cx = (2 if len(ox) == 1 else 1) if p in ox else 0  # _class_rank, inline
-    cy = (2 if len(oy) == 1 else 1) if p in oy else 0
+    cx, cy = x.ranks[p], y.ranks[p]
     if cx != cy:
-        # Any derivable <= respects loss < mixed < win, so a class gap
-        # settles the question in either direction.
-        return cx < cy
+        return cx < cy  # (M) of the module docstring
     xs, ys = x.children, y.children
     if xs is None:
         return False
@@ -151,8 +165,7 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     if got is not None:
         return got
     for a in xs:  # every option of x below y
-        oa = a.outcomes
-        ca = (2 if len(oa) == 1 else 1) if p in oa else 0
+        ca = a.ranks[p]
         if ca == cy:
             got = memo.get((a, y, p))
             if not (_leq(a, y, p) if got is None else got):
@@ -165,9 +178,7 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     result = ys is not None
     if result:  # every option of x below every option of y
         for a, b in product(xs, ys):
-            oa, ob = a.outcomes, b.outcomes
-            ca = (2 if len(oa) == 1 else 1) if p in oa else 0
-            cb = (2 if len(ob) == 1 else 1) if p in ob else 0
+            ca, cb = a.ranks[p], b.ranks[p]
             if ca == cb:
                 got = memo.get((a, b, p))
                 if not (_leq(a, b, p) if got is None else got):
@@ -182,6 +193,7 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
 
 def leq(x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3) -> bool:
     """Whether x <= y for player p under the selfish or indifferent base."""
+    _check_perspective(p)
     if base == "selfish":
         return _leq(_prepare(x, players), _prepare(y, players), p)
     if base == "indifferent":
@@ -195,14 +207,19 @@ def compare(
     x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3
 ) -> Comparison:
     """Full comparison under the given base relation."""
+    _check_perspective(p)
     x, y = _prepare(x, players), _prepare(y, players)
     if base == "selfish":
-        fwd, bwd = _leq(x, y, p), _leq(y, x, p)
-    elif base == "indifferent":
-        x, y = _quotient(x, p), _quotient(y, p)
-        fwd, bwd = _ext_leq(x, y), _ext_leq(y, x)
-    else:
+        # Antisymmetry (module docstring): only identical values are equal.
+        if x is y:
+            return Comparison.EQUAL
+        if _leq(x, y, p):
+            return Comparison.LESS
+        return Comparison.GREATER if _leq(y, x, p) else Comparison.INCOMPARABLE
+    if base != "indifferent":
         raise ValueError(f"unknown comparison base {base!r}")
+    x, y = _quotient(x, p), _quotient(y, p)
+    fwd, bwd = _ext_leq(x, y), _ext_leq(y, x)
     if fwd and bwd:
         return Comparison.EQUAL
     if fwd:
@@ -222,9 +239,7 @@ _PLESS_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
 def _pless(x: GameValue, y: GameValue, p: int) -> bool:
     if x is y:
         return False
-    ox, oy = x.outcomes, y.outcomes
-    cx = (2 if len(ox) == 1 else 1) if p in ox else 0
-    cy = (2 if len(oy) == 1 else 1) if p in oy else 0
+    cx, cy = x.ranks[p], y.ranks[p]
     if cx != cy:
         return cx < cy  # the class-gap lemma of the module docstring
     xs, ys = x.children, y.children
@@ -254,9 +269,7 @@ def _pless_options(
     # Every pairing weaker or incomparable, at least one strictly weaker.
     witness = False
     for a, b in product(xs, ys):
-        oa, ob = a.outcomes, b.outcomes
-        ca = (2 if len(oa) == 1 else 1) if p in oa else 0
-        cb = (2 if len(ob) == 1 else 1) if p in ob else 0
+        ca, cb = a.ranks[p], b.ranks[p]
         if ca == cb:
             got = memo.get((a, b, p))
             if _pless(a, b, p) if got is None else got:
@@ -274,6 +287,7 @@ def _pless_options(
 
 def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
     """Whether a prudent player p discards x when y is available."""
+    _check_perspective(p)
     return _pless(_prepare(x), _prepare(y), p)
 
 
@@ -282,8 +296,10 @@ def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
 
     Both values are fully rewritten first.  LESS means p discards x when
     y is available, GREATER the reverse, EQUAL that they rewrite to one
-    value, and INCOMPARABLE anything else.
+    value, and INCOMPARABLE anything else: the order is not asymmetric
+    (module docstring), so a pair below each other is incomparable.
     """
+    _check_perspective(p)
     x = _prepare(x)
     y = _prepare(y)
     if x is y:
@@ -452,12 +468,12 @@ def prune_fold(
     got = memo.get(key)
     if got is None:
         after = mover % players + 1
-        options = set()
+        options = []
         for c in v.children:
             folded = c if c.children is None else memo.get((c, after))
             if folded is None:
                 folded = prune_fold(c, after, mode, profile, players, memo)
-            options.add(folded)
+            options.append(folded)
         got = normalize(choice(prune(options, mover, mode, players)), profile, players)
         memo[key] = got
     return got
@@ -498,9 +514,7 @@ def _ext_leq(x: GameValue, y: GameValue) -> bool:
     # an indifferent player is supposed to see.
     if x is y:
         return True
-    ox, oy = x.outcomes, y.outcomes
-    cx = (2 if len(ox) == 1 else 1) if _WIN in ox else 0
-    cy = (2 if len(oy) == 1 else 1) if _WIN in oy else 0
+    cx, cy = x.ranks[_WIN], y.ranks[_WIN]
     if cx != cy:
         return cx < cy
     xs, ys = x.children, y.children
@@ -549,6 +563,7 @@ def indifferent_class(
     Returns None if no tier up to max_exponent matches, which evaluation
     of a three-player game can never produce.
     """
+    _check_perspective(p)
     q = _quotient(_prepare(v), p)
     win = leaf(_WIN)
     if _ext_leq(q, win) and _ext_leq(win, q):
@@ -572,51 +587,43 @@ def prune(
 ) -> set[GameValue]:
     """Drop options a selfish or indifferent player would never pick.
 
-    Keeps every option not strictly below another; never returns an
-    empty set.  In indifferent mode, options the player cannot tell
-    apart additionally collapse to one representative.
+    Keeps every option not strictly below another.  Options below the
+    top class for p drop uncompared, and the rest are compared in the
+    order given, as their fully rewritten forms (loss-collapsed for an
+    indifferent player); the options themselves stay as given, for the
+    caller owns them.  Both orders are transitive (module docstring), so
+    some option always survives.  In indifferent mode, options the
+    player cannot tell apart additionally collapse to the text-least.
     """
-    opts = set(options)
+    opts = list(dict.fromkeys(options))
     if not opts:
         raise ValueError("cannot prune an empty set of options")
     if mode not in ("selfish", "indifferent"):
         raise ValueError(f"unknown preference mode {mode!r}")
-    selfish = mode == "selfish"
-
-    def proxies(vs: Iterable[GameValue]) -> dict[GameValue, GameValue]:
-        # Fully rewritten values, loss-collapsed for an indifferent player;
-        # the options themselves stay as given, for the caller owns them.
-        if selfish:
-            return {v: _prepare(v, players) for v in vs}
-        return {v: _quotient(_prepare(v, players), p) for v in vs}
-    # Options below the top class for p drop uncompared (module docstring).
-    rank = {v: _class_rank(v, p) for v in opts}
-    top = max(rank.values())
-    best = [v for v in opts if rank[v] == top]
+    _check_perspective(p)
+    top = max(v.ranks[p] for v in opts)
+    best = [v for v in opts if v.ranks[p] == top]
     if len(best) == 1:
         return set(best)
-    proxy = proxies(best)
-    survivors = {
+    if mode == "selfish":
+        # Antisymmetry: for distinct rewritten values, < is <= alone.
+        proxy = {v: _prepare(v, players) for v in best}
+        return {
+            v
+            for v, a in proxy.items()
+            if not any(b is not a and _leq(a, b, p) for b in proxy.values())
+        }
+    proxy = {v: _quotient(_prepare(v, players), p) for v in best}
+    survivors = [
         v
         for v, a in proxy.items()
         if not any(
-            (_leq(a, b, p) and not _leq(b, a, p))
-            if selfish
-            else (_ext_leq(a, b) and not _ext_leq(b, a))
-            for b in proxy.values()
-            if b is not a
+            b is not a and _ext_leq(a, b) and not _ext_leq(b, a) for b in proxy.values()
         )
-    }
-    if not survivors:
-        # A dominance cycle; the relations are not proven acyclic, so
-        # refuse to invent a choice and keep everything.
-        survivors = opts
-        proxy = proxies(opts)
-    if not selfish and len(survivors) > 1:
-        merged: list[GameValue] = []
-        for v in sorted(survivors, key=lambda v: v.text):
-            a = proxy[v]
-            if not any(_ext_leq(a, proxy[r]) and _ext_leq(proxy[r], a) for r in merged):
-                merged.append(v)
-        survivors = set(merged)
-    return survivors
+    ]
+    merged: list[GameValue] = []
+    for v in sorted(survivors, key=lambda v: v.text):
+        a = proxy[v]
+        if not any(_ext_leq(a, proxy[r]) and _ext_leq(proxy[r], a) for r in merged):
+            merged.append(v)
+    return set(merged)

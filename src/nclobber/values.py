@@ -14,7 +14,11 @@ equality is identity and sets and cache keys stay cheap.  Construction
 always canonicalizes (sorts children, drops duplicates, collapses leaf
 singletons).  Children sort in the lexicographic order of their printed
 forms, so rendering a canonical value reproduces reference printouts
-byte for byte; the printed form is cached on the node as `text`.
+byte for byte; the printed form is cached on the node as `text`.  Each
+node also carries its outcome set, the players who win some leaf, and
+`ranks`, indexed by player 0..9: ranks[p] is p's outcome class, 0 for a
+loss (p wins no leaf), 1 for mixed and 2 for a win (p wins every leaf).
+Both are shared by every value with the same outcome set.
 
 On top of the raw trees live three rewrite rules that preserve outcome
 structure for an N-player game; normalize applies them to a fixed point:
@@ -73,17 +77,23 @@ DEFAULT_PROFILE = NormalizationProfile.L1
 class GameValue:
     """An interned game value tree.  Use leaf() and choice() to build."""
 
-    __slots__ = ("winner", "children", "outcomes", "text", "_simple", "_bar")
+    __slots__ = ("winner", "children", "outcomes", "ranks", "text", "_simple", "_bar")
 
     winner: Optional[int]
     children: Optional[tuple["GameValue", ...]]
     outcomes: frozenset[int]
+    ranks: tuple[int, ...]
     text: str
 
     def __init__(self, winner, children, outcomes, text):
         self.winner = winner
         self.children = children
-        self.outcomes = outcomes
+        got = _OUTCOMES.get(outcomes)
+        if got is None:  # the first value with this outcome set
+            top = 2 if len(outcomes) == 1 else 1
+            got = (outcomes, tuple(top if p in outcomes else 0 for p in range(10)))
+            _OUTCOMES[outcomes] = got
+        self.outcomes, self.ranks = got
         self.text = text
         self._simple = _UNRESOLVED
         self._bar = None
@@ -101,8 +111,8 @@ class GameValue:
 _UNRESOLVED = object()
 _LEAVES: dict[int, GameValue] = {}
 _CHOICES: dict[tuple[GameValue, ...], GameValue] = {}
-# One frozenset per distinct outcome set, shared by every choice node.
-_OUTCOMES: dict[frozenset[int], frozenset[int]] = {}
+# One (outcomes, ranks) pair per distinct outcome set, shared by every value.
+_OUTCOMES: dict[frozenset[int], tuple[frozenset[int], tuple[int, ...]]] = {}
 
 
 def _rebuild_value(text: str) -> GameValue:
@@ -114,8 +124,8 @@ def leaf(winner: int) -> GameValue:
     got = _LEAVES.get(winner)
     if got is not None:
         return got
-    if not isinstance(winner, int) or winner < 1:
-        raise ValueError(f"leaf winner must be a positive player id, got {winner!r}")
+    if not isinstance(winner, int) or not 1 <= winner <= 9:
+        raise ValueError(f"leaf winner must be a player id 1..9, got {winner!r}")
     v = GameValue(winner, None, frozenset((winner,)), str(winner))
     _LEAVES[winner] = v
     return v
@@ -138,7 +148,6 @@ def choice(options: Iterable[GameValue]) -> GameValue:
     if got is not None:
         return got
     outcomes = frozenset().union(*(c.outcomes for c in kids))
-    outcomes = _OUTCOMES.setdefault(outcomes, outcomes)
     text = "[" + ",".join(c.text for c in kids) + "]"
     v = GameValue(None, kids, outcomes, text)
     _CHOICES[kids] = v

@@ -26,7 +26,6 @@ from nclobber.game_core import (
 from nclobber.preferences import (
     ChainError,
     _WIN,
-    _class_rank,
     _quotient,
     Comparison,
     chain_coordinate,
@@ -378,6 +377,14 @@ def _reference_prudent(
 # ---------------------------------------------------------------------------
 # reference relations: the recursive kernels as they stood before the
 # library's loops, each with its own memo
+
+
+def _class_rank(v: GameValue, p: int) -> int:
+    # 0 loss, 1 mixed, 2 win for player p.
+    outs = v.outcomes
+    if p in outs:
+        return 2 if len(outs) == 1 else 1
+    return 0
 
 
 _REFERENCE_LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}

@@ -1,11 +1,16 @@
 """Preference relations: selfish, prudent, indifferent, and the chain."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    _class_rank,
     base_ordering_violations,
     closed_form_disagreements,
     indifferent_collapse_disagreements,
@@ -59,10 +64,44 @@ S = SimpleValue
 
 def test_outcome_class_goldens():
     loss, mixed, win = 0, 1, 2
-    assert preferences._class_rank(leaf(1), 1) == win
-    assert preferences._class_rank(leaf(2), 1) == loss
-    assert preferences._class_rank(parse_value("[1,2]"), 1) == mixed
-    assert preferences._class_rank(parse_value("[2,3]"), 1) == loss
+    assert leaf(1).ranks[1] == win
+    assert leaf(2).ranks[1] == loss
+    assert parse_value("[1,2]").ranks[1] == mixed
+    assert parse_value("[2,3]").ranks[1] == loss
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: leq(leaf(1), leaf(2), p),
+        lambda p: leq(leaf(1), leaf(2), p, "indifferent"),
+        lambda p: compare(leaf(1), leaf(2), p),
+        lambda p: compare(leaf(1), leaf(2), p, "indifferent"),
+        lambda p: preferences.prudent_less(leaf(1), leaf(2), p),
+        lambda p: prudent_compare(leaf(1), leaf(2), p),
+        lambda p: prune({leaf(1), leaf(2)}, p),
+        lambda p: prune({leaf(1), leaf(2)}, p, "indifferent"),
+        lambda p: indifferent_class(leaf(1), p, 4),
+    ],
+    ids=[
+        "leq",
+        "leq-indifferent",
+        "compare",
+        "compare-indifferent",
+        "prudent_less",
+        "prudent_compare",
+        "prune",
+        "prune-indifferent",
+        "indifferent_class",
+    ],
+)
+def test_entry_points_refuse_a_perspective_outside_the_players(call):
+    # ranks has an entry per player id 1..9; before the check, p = 0 read
+    # every value as a loss and p = 10 raised IndexError.
+    call(9)
+    for p in (0, 10, -1, 1.0):
+        with pytest.raises(ValueError):
+            call(p)
 
 
 def test_base_relation_on_leaves():
@@ -443,13 +482,144 @@ def test_a_class_gap_settles_the_reference_prudent_order():
     gaps = {True: 0, False: 0}
     bad = []
     for x, y, p in RELATION_TRIPLES:
-        cx, cy = preferences._class_rank(x, p), preferences._class_rank(y, p)
+        cx, cy = _class_rank(x, p), _class_rank(y, p)
         if cx != cy:
             gaps[cx < cy] += 1
             if reference_pless(x, y, p) is not (cx < cy):
                 bad.append((x.text, y.text, p))
     assert gaps[True] and gaps[False]
     assert not bad, bad[:5]
+
+
+def test_ranks_are_the_outcome_class_of_every_player():
+    values = [*RELATION_POOL, *(leaf(w) for w in range(1, 10)), parse_value("[4,[5,9]]", 9)]
+    bad = [
+        (v.text, p) for v in values for p in range(1, 10) if v.ranks[p] != _class_rank(v, p)
+    ]
+    assert not bad, bad[:5]
+
+
+def _transitivity_violations(values, leq_of):
+    """(premises, violations) of x <= y <= z implies x <= z, over every
+    triple of values with x, y and z pairwise distinct."""
+    above = {x: [y for y in values if y is not x and leq_of(x, y)] for x in values}
+    premises, bad = 0, []
+    for x in values:
+        for y in above[x]:
+            for z in above[y]:
+                if z is not x:
+                    premises += 1
+                    if not leq_of(x, z):
+                        bad.append((x.text, y.text, z.text))
+    return premises, bad
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_the_selfish_order_is_transitive_on_the_pool(p):
+    premises, bad = _transitivity_violations(
+        RELATION_POOL, lambda x, y: reference_selfish_leq(x, y, p)
+    )
+    assert premises and not bad, bad[:5]
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_the_indifferent_order_is_transitive_on_the_pool(p):
+    quotients = list(dict.fromkeys(preferences._quotient(v, p) for v in RELATION_POOL))
+    premises, bad = _transitivity_violations(quotients, reference_ext_leq)
+    assert premises and not bad, bad[:5]
+
+
+def _nested(z, more_y, more_x):
+    y = choice([z, *more_y])
+    return choice([y, *more_x]), y, z
+
+
+# z, a choice y holding z among its options and a choice x holding y,
+# where x <= y <= z holds most often, or three random values.
+RELATED_TRIPLES = st.one_of(
+    st.builds(
+        _nested,
+        value_trees(max_leaves=12),
+        st.lists(value_trees(max_leaves=8), max_size=2),
+        st.lists(value_trees(max_leaves=8), max_size=2),
+    ),
+    st.tuples(value_trees(), value_trees(), value_trees()),
+)
+
+
+@given(RELATED_TRIPLES, st.integers(1, 3), st.permutations(range(3)))
+def test_the_orders_are_transitive_on_related_triples(triple, p, order):
+    x, y, z = (triple[i] for i in order)
+    if reference_selfish_leq(x, y, p) and reference_selfish_leq(y, z, p):
+        assert reference_selfish_leq(x, z, p)
+    q = preferences._quotient
+    qx, qy, qz = q(x, p), q(y, p), q(z, p)
+    if reference_ext_leq(qx, qy) and reference_ext_leq(qy, qz):
+        assert reference_ext_leq(qx, qz)
+
+
+def test_the_prudent_order_is_not_asymmetric():
+    # A diagnosis, not a wish: each of these is prudently below the other
+    # for player 2, so prudent_compare must keep its two-way guard and
+    # call them incomparable (scripts/transitivity_probe.py finds them).
+    x = parse_value("[1,[[1,[1,3]]]]")
+    y = parse_value("[3,[1,3],[[1,[1,3]]]]")
+    assert preferences._prepare(x) is x and preferences._prepare(y) is y
+    assert reference_pless(x, y, 2) and reference_pless(y, x, 2)
+    assert preferences.prudent_less(x, y, 2) and preferences.prudent_less(y, x, 2)
+    assert prudent_compare(x, y, 2) is Comparison.INCOMPARABLE
+
+
+# Runs in a fresh interpreter: allocate argv[1] throwaway objects, which
+# moves every later value to other addresses, then simplify and fold a
+# fixed input set, and print the sizes of the four relation memos.
+MEMO_SIZE_PROBE = """
+import contextlib, io, random, sys
+padding = [object() for _ in range(int(sys.argv[1]))]
+from nclobber import preferences
+from nclobber.cli import main
+from nclobber.enumeration import raw_values, run_keys
+from nclobber.values import NormalizationProfile
+
+def text(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice("123")
+    width = rng.choice((1, 2, 2, 3))
+    return "[" + ",".join(text(rng, depth - 1) for _ in range(width)) + "]"
+
+rng = random.Random(0)
+with contextlib.redirect_stdout(io.StringIO()):
+    for i in range(600):
+        mode = ("selfish", "indifferent")[i % 2]
+        p = str(rng.randint(1, 3))
+        main(["simplify", text(rng, rng.randint(3, 7)), "--mode", mode, "--perspective", p])
+for mode in ("selfish", "indifferent"):
+    memo = {}
+    for v in raw_values(run_keys(7)):
+        preferences.prune_fold(v, 1, mode, NormalizationProfile.L1, 3, memo)
+names = ("_LEQ_CACHE", "_PLESS_CACHE", "_EXT_CACHE", "_QUOT_CACHE")
+print(*(len(getattr(preferences, name)) for name in names))
+"""
+
+
+def test_relation_memo_sizes_do_not_depend_on_memory_layout():
+    # prune compares options in the order given and stops at the first
+    # that dominates, so the memos fill the same way only if that order
+    # is fixed: a set of values iterates by address.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    sizes = set()
+    for padding in (0, 1, 100, 1001):
+        proc = subprocess.run(
+            [sys.executable, "-c", MEMO_SIZE_PROBE, str(padding)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sizes.add(proc.stdout)
+    assert len(sizes) == 1, sizes
 
 
 # ---------------------------------------------------------------------------

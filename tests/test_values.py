@@ -37,6 +37,14 @@ def test_leaves_are_interned_and_render_as_digits():
         leaf(0)
 
 
+def test_leaf_winners_are_player_ids_1_to_9():
+    # Every value carries one outcome class per player id 1..9.
+    assert leaf(9).ranks[9] == 2 and leaf(9).ranks[1] == 0
+    for winner in (0, 10, -1, "1"):
+        with pytest.raises(ValueError):
+            leaf(winner)
+
+
 def test_choice_orders_children_lexicographically_and_dedups():
     v = choice([leaf(3), leaf(1), leaf(3)])
     assert v.text == "[1,3]"
