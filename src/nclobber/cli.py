@@ -166,7 +166,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
         args.modes,
         args.profile,
         workers=args.jobs,
-        collect_inventory=True if args.inventory else None,
+        collect_inventory=args.inventory,
         players=args.players,
     )
     if args.format != "text":
@@ -174,7 +174,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
     fields = [f"n={report.board_length}", f"games={report.games_analysed}"]
     fields += [f"{m}={report.unique_values[m]}" for m in args.modes]
     lines = [" ".join(fields)]
-    if args.inventory and report.value_inventory is not None:
+    if args.inventory:
         for m in args.modes:
             lines.append(f"{m}: " + " ".join(report.value_inventory[m]))
     return "\n".join(lines)
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum_parser = sub.add_parser("enumerate", help="census of one board length")
     enum_parser.add_argument("n", type=int, help="board length")
-    enum_parser.add_argument("--modes", type=_modes_arg, default=REGIMES)
+    enum_parser.add_argument("--modes", type=_modes_arg, default=None)
     enum_parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     enum_parser.add_argument(
         "--inventory", action="store_true", help="also list the distinct values"
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="censuses for lengths 2..MAX_N")
     table.add_argument("max_n", type=int, help="largest board length")
-    table.add_argument("--modes", type=_modes_arg, default=REGIMES)
+    table.add_argument("--modes", type=_modes_arg, default=None)
     table.add_argument("--jobs", type=int, default=1, help="worker processes")
     _add_common(table, formats=("csv", "json"))
     table.set_defaults(handler=_cmd_table)
@@ -296,6 +296,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         length = args.n if args.command == "enumerate" else args.max_n
         if not 2 <= length <= 13:
             parser.error(f"board length must be 2..13, got {length}")
+        if args.modes is None:  # prudent play is defined for three players only
+            args.modes = tuple(m for m in REGIMES if m != "prudent" or players == 3)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,4 +1,4 @@
-"""1xn board enumeration: the novelty filter, exact counts, value censuses.
+"""1xn board enumeration: board generation, exact counts, value censuses.
 
 The experiment sweeps every novel 1xn line board with player 1 to move
 and counts the distinct values under four regimes:
@@ -12,8 +12,9 @@ A board is novel when it has no blank end cell, no two adjacent blanks,
 is at least as large as its mirror image, and has at least one legal
 opening move for somebody.  The number of novel boards has a closed
 form — a transfer-matrix pass over (last cell, movable-pair-seen)
-states, with palindromes counted explicitly to undo the mirror halving
-— so census sizes are checkable without generating a single board.
+states, run on the board length and on its halves, whose counts give
+the palindromes that undo the mirror halving (count_boards) — so
+census sizes are checkable without generating a single board.
 
 A census builds no board either.  A line position's value depends only
 on its live-run key (game_core.line_runs), and many boards share one,
@@ -49,24 +50,6 @@ def _alphabet(players: int) -> str:
 
 def _has_move(board: str) -> bool:
     return any(a != "0" != b and a != b for a, b in zip(board, board[1:]))
-
-
-def board_passes(board: str, players: int = 3, movable: bool = True) -> bool:
-    """Independent re-check that a board string is novel.
-
-    movable=False drops the at-least-one-move condition and keeps the
-    other three.
-    """
-    alphabet = _alphabet(players)
-    if not board or any(ch not in alphabet for ch in board):
-        return False
-    if board[0] == "0" or board[-1] == "0" or "00" in board:
-        return False
-    if board < board[::-1]:
-        return False
-    if movable and not _has_move(board):
-        return False
-    return True
 
 
 def generate_boards(n: int, players: int = 3) -> Iterator[str]:
@@ -136,8 +119,8 @@ def run_keys(n: int, players: int = 3) -> list[tuple[bytes, ...]]:
 
 
 def _count_linear(n: int, players: int, movable: bool) -> int:
-    # One pass over (last cell, movable-pair-seen) states, before the
-    # mirror halving.
+    # L(n) of count_boards: one pass over (last cell, movable-pair-seen)
+    # states, before the mirror halving.
     symbols = range(players + 1)
     state: dict[tuple[int, bool], int] = {(c, False): 1 for c in symbols if c != 0}
     for _ in range(n - 1):
@@ -159,29 +142,29 @@ def _count_linear(n: int, players: int, movable: bool) -> int:
     return total
 
 
-def _count_palindromes(n: int, players: int, movable: bool) -> int:
-    # Palindromes are cheap to list outright: one free half-string.  A
-    # palindrome is its own mirror, so the mirror condition passes it.
-    half = (n + 1) // 2
-    total = 0
-    for head in itertools.product(_alphabet(players), repeat=half):
-        s = "".join(head) + "".join(reversed(head[: n // 2]))
-        if board_passes(s, players, movable):
-            total += 1
-    return total
-
-
 def count_boards(n: int, players: int = 3, movable: bool = True) -> int:
     """How many boards generate_boards(n, players) yields, without
     generating them; movable=False also counts the boards without a move.
 
-    The mirror condition keeps one board per reflection pair, so the
-    unhalved total T and palindrome count P combine to (T + P) / 2.
+    With L(m) the strings of length m that have occupied ends, no two
+    adjacent blanks and, if movable, a movable pair, the mirror
+    condition keeps one board per reflection pair, so L(n) and the
+    palindrome count P(n) combine to (L(n) + P(n)) / 2.  A palindrome is
+    fixed by its first ceil(n/2) cells, and every other pair mirrors a
+    pair among them, except at the middle.  For n = 2k the middle pair
+    is a cell beside its own copy: occupied, and never a move, so
+    P = L(k).  For n = 2k + 1 the middle cell is a token, which ends a
+    half of k + 1 cells, or a blank between two equal tokens, after a
+    half of k cells: P = L(k + 1) + L(k) for k >= 1, and P(1) = L(1).
     """
     if n < 1:
         raise ValueError("board length must be positive")
-    total = _count_linear(n, players, movable)
-    return (total + _count_palindromes(n, players, movable)) // 2
+    _alphabet(players)
+    half = n // 2
+    palindromes = _count_linear(n - half, players, movable)
+    if n % 2 and half:
+        palindromes += _count_linear(half, players, movable)
+    return (_count_linear(n, players, movable) + palindromes) // 2
 
 
 # ---------------------------------------------------------------------------

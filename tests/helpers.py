@@ -9,12 +9,13 @@ the list is empty and still print exactly what broke.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Callable, Iterable, Optional
 
 from hypothesis import strategies as st
 
-from nclobber.enumeration import generate_boards
+from nclobber.enumeration import _alphabet, _has_move, generate_boards
 from nclobber.game_core import (
     BoardGraph,
     Position,
@@ -234,6 +235,40 @@ def indifferent_collapse_disagreements(max_exponent: int = 8) -> list[str]:
                         f"got {got.value}"
                     )
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the novelty filter and the palindrome count, by brute force
+
+
+def board_passes(board: str, players: int = 3, movable: bool = True) -> bool:
+    """Independent re-check that a board string is novel.
+
+    movable=False drops the at-least-one-move condition and keeps the
+    other three.
+    """
+    alphabet = _alphabet(players)
+    if not board or any(ch not in alphabet for ch in board):
+        return False
+    if board[0] == "0" or board[-1] == "0" or "00" in board:
+        return False
+    if board < board[::-1]:
+        return False
+    if movable and not _has_move(board):
+        return False
+    return True
+
+
+def _count_palindromes(n: int, players: int, movable: bool) -> int:
+    # Palindromes are cheap to list outright: one free half-string.  A
+    # palindrome is its own mirror, so the mirror condition passes it.
+    half = (n + 1) // 2
+    total = 0
+    for head in itertools.product(_alphabet(players), repeat=half):
+        s = "".join(head) + "".join(reversed(head[: n // 2]))
+        if board_passes(s, players, movable):
+            total += 1
+    return total
 
 
 # ---------------------------------------------------------------------------

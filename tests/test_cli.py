@@ -364,6 +364,37 @@ def test_enumerate_json(capsys):
         parse_value(text)
 
 
+def test_enumerate_json_lists_the_inventory_only_with_the_flag(capsys):
+    for argv, listed in ((["--inventory"], True), ([], False)):
+        code, out, _ = run(capsys, "enumerate", "4", "--format", "json", *argv)
+        assert code == 0
+        assert ("inventory" in json.loads(out)[0]) == listed, argv
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["enumerate", "5", "--players", "4", "--format", "csv"],
+         "n,games,unsimplified,syntactic,selfish"),
+        (["table", "6", "--players", "2"], "n,games,unsimplified,syntactic,selfish"),
+        (["enumerate", "2", "--format", "csv"],
+         "n,games,unsimplified,syntactic,selfish,prudent"),
+    ],
+    ids=["enumerate-4-players", "table-2-players", "enumerate-3-players"],
+)
+def test_default_regimes_are_those_the_player_count_defines(capsys, argv, header):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("command", [["enumerate", "5"], ["table", "6"]])
+def test_an_explicit_prudent_regime_still_needs_three_players(capsys, command):
+    code, out, err = run(capsys, *command, "--players", "4", "--modes", "prudent")
+    assert (code, out) == (3, "")
+    assert err == "error: the prudent regime is defined for exactly three players\n"
+
+
 def test_table_csv(capsys):
     code, out, _ = run(
         capsys, "table", "4", "--modes", "selfish,prudent", "--format", "csv"

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from calibrate_profile import calibrate_normalization, conservative_splice
+from helpers import _count_palindromes, board_passes
 from nclobber.enumeration import (
     REGIMES,
-    board_passes,
+    _count_linear,
     count_boards,
     enumerate_values,
     generate_boards,
@@ -86,6 +87,26 @@ def test_count_boards_matches_the_generator():
         assert count_boards(n, players=2) == sum(1 for _ in generate_boards(n, 2))
     for n in range(2, 9):
         assert count_boards(n, movable=False) == len(_brute(n, movable=False))
+
+
+def test_palindromes_follow_the_half_board_counts():
+    # count_boards halves L(n) + P(n); its P(n) must match the brute force.
+    for n in range(1, 14):
+        for players in range(1, 6):
+            for movable in (True, False):
+                unhalved = 2 * count_boards(n, players, movable)
+                palindromes = unhalved - _count_linear(n, players, movable)
+                assert palindromes == _count_palindromes(n, players, movable), (
+                    n, players, movable,
+                )
+
+
+@pytest.mark.parametrize(
+    "n, players", [(0, 3), (5, 0), (5, 10)], ids=["length-0", "players-0", "players-10"]
+)
+def test_count_boards_refuses_bad_sizes(n, players):
+    with pytest.raises(ValueError):
+        count_boards(n, players)
 
 
 def test_count_boards_matches_the_reference_through_n12():
