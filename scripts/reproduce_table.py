@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Reproduce the 1xn census table, with per-length timing.
 
-Lengths up to 10 run in seconds (5.1 s for n = 10); n = 11 takes about
-21 s, and the run up to 11 peaks at about 380 MB in one process (2-vCPU
-Xeon VM with 8 GB, Python 3.11.7).  12 and 13 are long-running (the
-census at 13 traverses about 1.7 million run keys, for eleven million
-boards), so the default stops at 10.  The games column is closed-form
-and printed for the full 2..13 range regardless.
+Lengths up to 10 run in seconds (3.0-4.5 s for n = 10); n = 11 takes
+17-19 s, and the whole run up to 11 takes 23-26 s and peaks at 378 MB
+in one process (three runs on a 2-vCPU Xeon VM with 8 GB, Python
+3.11.7).  12 and 13 are long-running (the census at 13 traverses about
+1.7 million run keys, for eleven million boards), so the default stops
+at 10.  The games column is closed-form and printed for the full 2..13
+range regardless.
 
 Usage:
     python3 scripts/reproduce_table.py --max-n 10 --jobs 1 --out table.csv

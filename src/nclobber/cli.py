@@ -181,14 +181,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
+    # Longest first, so that a census too large to run is refused at once.
     reports = [
         enumerate_values(
             n, args.modes, args.profile, args.jobs, collect_inventory=False,
             players=args.players,
         )
-        for n in range(2, args.max_n + 1)
+        for n in range(args.max_n, 1, -1)
     ]
-    return render_reports(reports, args.format, args.modes)
+    return render_reports(reports[::-1], args.format, args.modes)
 
 
 def _add_common(

@@ -87,10 +87,19 @@ def run_keys(n: int, players: int = 3) -> list[tuple[bytes, ...]]:
     two or more when W <= n - 1 (one segment fills any such room).  A
     board and its mirror share their key, and a board has a move exactly
     when its key is non-empty.
+
+    The runs are listed over every colouring of up to n cells, so a
+    census with more colourings than the paper's largest row, 3 ** 13,
+    is refused before that walk.
     """
     if n < 1:
         raise ValueError("board length must be positive")
     _alphabet(players)
+    if players**n > 3**13:
+        raise ValueError(
+            f"a census of {n} cells for {players} players is too large: "
+            f"{players}**{n} colourings exceed 3**13"
+        )
     # Every canonical live run of length 2..n, by length, then bytes.
     runs = [
         run

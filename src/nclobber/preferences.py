@@ -92,14 +92,26 @@ y is x's one option.
 
 An indifferent player does not care which opponent wins.  That collapses
 every losing leaf into one symbol; comparisons run over the collapsed
-trees with a symmetric structural clause (whole against every option),
-which turns each coordinate group into an equality class of one chain.
-That relation is a preorder: (M) holds as before, and transitivity goes
-by the same induction, where the extra clause (x <= every option b of y)
-gives x <= b <= z when every b is <= z, and x <= y <= c for each option c
-of z otherwise.  It is not antisymmetric, so a strict comparison still
-walks both ways; with no dominance cycles, prune keeps an option here
-too.
+trees with the identity, class and option-against-whole rules of the
+selfish relation plus a mirrored clause, whole against option: x <= y
+when x is <= every option of y.  That turns each coordinate group into
+an equality class of one chain.  The selfish option-against-option
+clause would add nothing here.  Let x and y share a class, with every
+option a of x <= every option b of y.  By (M), class(a) <= class(b) for
+every b, and class(y) is at least the least class(b), since y's leaves
+are its options' leaves.  So either class(a) < class(y), or the classes
+are equal and the mirrored clause gives a <= y; either way every option
+of x is <= y, and option against whole already holds.
+
+The indifferent relation is a preorder.  (M) holds as before, since
+both structural clauses relate values of one class only.  Transitivity,
+x <= y <= z implies x <= z, goes by induction on the sum of the three
+heights, with identity and class gaps settled as for the selfish
+relation.  If every option a of x is <= y, then a <= y <= z gives
+a <= z.  Otherwise x is <= every option b of y: either every b is <= z,
+and x <= b <= z, or y is <= every option c of z, and x <= y <= c gives
+x <= c.  It is not antisymmetric, so a strict comparison still walks
+both ways; with no dominance cycles, prune keeps an option here too.
 """
 
 from __future__ import annotations
@@ -509,9 +521,10 @@ _EXT_CACHE: dict[tuple[GameValue, GameValue], bool] = {}
 
 
 def _ext_leq(x: GameValue, y: GameValue) -> bool:
-    # The selfish clauses plus the mirrored one: x below every option of
-    # y also puts x below y.  Without it, wrappers block the equalities
-    # an indifferent player is supposed to see.
+    # Option against whole and its mirror, whole against option: x below
+    # every option of y also puts x below y.  Without the mirror, wrappers
+    # block the equalities an indifferent player is supposed to see.  The
+    # selfish option-against-option clause is implied (module docstring).
     if x is y:
         return True
     cx, cy = x.ranks[_WIN], y.ranks[_WIN]
@@ -540,42 +553,8 @@ def _ext_leq(x: GameValue, y: GameValue) -> bool:
                 break
         else:
             result = True
-    if not result and xs is not None and ys is not None:
-        for a, b in product(xs, ys):
-            got = memo.get((a, b))
-            if not (_ext_leq(a, b) if got is None else got):
-                break
-        else:
-            result = True
     memo[key] = result
     return result
-
-
-def indifferent_class(
-    v: GameValue, p: int, max_exponent: int
-) -> Optional[tuple[bool, int]]:
-    """Name the equality class of v for an indifferent player p.
-
-    Returns (True, 0) for a guaranteed win.  Other classes form one
-    ladder; (False, j) means the class of an opposing simple value with
-    exponent j (which also contains p's own simple of exponent j+1,
-    since collapsing losses makes their trees literally identical).
-    Returns None if no tier up to max_exponent matches, which evaluation
-    of a three-player game can never produce.
-    """
-    _check_perspective(p)
-    q = _quotient(_prepare(v), p)
-    win = leaf(_WIN)
-    if _ext_leq(q, win) and _ext_leq(win, q):
-        return (True, 0)
-    tier = leaf(_LOSS)  # an opposing leaf: exponent 0
-    mine = win
-    for j in range(max_exponent + 1):
-        if _ext_leq(q, tier) and _ext_leq(tier, q):
-            return (False, j)
-        # Next loss tier: an option into the mover's tier and one staying put.
-        mine, tier = tier, choice((mine, tier))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ rotate the mover one player down:
   prudent     collapse to the simple value prudent play reaches
               (preferences.prudent_simplify; three players only)
 
+The indifferent fold always lands on a leaf, so its class is win or
+other_0 and nothing deeper in the ladder.  By induction: the options
+fold to leaves.  If the mover's own leaf is among them, it alone is in
+the top class, and prune keeps it.  Otherwise every option is a loss,
+every loss collapses to one leaf in the loss-blind view, and prune
+merges them to the text-least.  A choice over one leaf is that leaf,
+and rewriting leaves a leaf alone.
+
 fold_raw is the one place a raw value becomes a mode's result; evaluate,
 the census and the profile calibration all call it.  The census reaches
 the traversal through evaluate_runs, with a line position's live-run
@@ -64,12 +72,7 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import (
-    ChainError,
-    indifferent_class,
-    prudent_simplify,
-    prune_fold,
-)
+from .preferences import prudent_simplify, prune_fold
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -113,7 +116,9 @@ class Class(NamedTuple):
 
     mine=True is the guaranteed win.  Other classes are named by the
     exponent of an opposing simple value in them; the class (False, j)
-    also contains the mover's own simple of exponent j+1.
+    also contains the mover's own simple of exponent j+1.  Evaluation
+    yields win and other_0 only: the indifferent fold is a leaf, won by
+    the mover or not (module docstring).
     """
 
     mine: bool
@@ -222,12 +227,8 @@ def fold_raw(
     value = prune_fold(raw, mover, mode, profile, players, memo)
     if mode == "selfish":
         return Raw(value)
-    # Any bound above the class exponent will do: the exponent stays
-    # within the tree height, and the printed form is longer still.
-    named = indifferent_class(value, mover, len(value.text))
-    if named is None:
-        raise ChainError("evaluation produced a value outside the class ladder")
-    return Class(*named)
+    # The indifferent fold is a leaf (module docstring).
+    return Class(value.winner == mover, 0)
 
 
 def render_result(result: EvalResult, style: Optional[str] = None) -> str:

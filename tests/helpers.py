@@ -26,12 +26,15 @@ from nclobber.game_core import (
 )
 from nclobber.preferences import (
     ChainError,
+    _LOSS,
     _WIN,
+    _check_perspective,
+    _ext_leq,
+    _prepare,
     _quotient,
     Comparison,
     chain_coordinate,
     compare,
-    indifferent_class,
     merge_incomparable_simples,
     prudent_compare,
     prudent_less,
@@ -315,6 +318,37 @@ def isolation_violations(board: str, players: int = 3) -> list[str]:
                             f"{cur!r} but can move after {move} -> {nxt!r}"
                         )
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the indifferent class ladder, by search
+
+
+def indifferent_class(
+    v: GameValue, p: int, max_exponent: int
+) -> Optional[tuple[bool, int]]:
+    """Name the equality class of v for an indifferent player p.
+
+    Returns (True, 0) for a guaranteed win.  Other classes form one
+    ladder; (False, j) means the class of an opposing simple value with
+    exponent j (which also contains p's own simple of exponent j+1,
+    since collapsing losses makes their trees literally identical).
+    Returns None if no tier up to max_exponent matches, which evaluation
+    of a three-player game can never produce.
+    """
+    _check_perspective(p)
+    q = _quotient(_prepare(v), p)
+    win = leaf(_WIN)
+    if _ext_leq(q, win) and _ext_leq(win, q):
+        return (True, 0)
+    tier = leaf(_LOSS)  # an opposing leaf: exponent 0
+    mine = win
+    for j in range(max_exponent + 1):
+        if _ext_leq(q, tier) and _ext_leq(tier, q):
+            return (False, j)
+        # Next loss tier: an option into the mover's tier and one staying put.
+        mine, tier = tier, choice((mine, tier))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,23 @@ def test_an_explicit_prudent_regime_still_needs_three_players(capsys, command):
     code, out, err = run(capsys, *command, "--players", "4", "--modes", "prudent")
     assert (code, out) == (3, "")
     assert err == "error: the prudent regime is defined for exactly three players\n"
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (["enumerate", "7", "--players", "9"], "9**7 colourings"),
+        (["table", "9", "--players", "5"], "5**9 colourings"),
+    ],
+    ids=["enumerate", "table"],
+)
+def test_a_census_too_large_to_run_is_refused_at_once(capsys, command, error):
+    # The table censuses its longest row first, so no shorter row runs.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and error in err
 
 
 def test_table_csv(capsys):

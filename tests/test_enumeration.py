@@ -152,6 +152,17 @@ def test_run_keys_are_the_live_runs_of_the_generated_boards(players, max_n):
         assert set(keys) == want, n
 
 
+@pytest.mark.parametrize("n, players", [(7, 9), (9, 5), (11, 4), (14, 3), (21, 2)])
+def test_run_keys_refuse_more_colourings_than_the_papers_largest_row(n, players):
+    # players ** n > 3 ** 13: refused before the runs are listed.
+    with pytest.raises(ValueError, match="too large"):
+        run_keys(n, players)
+
+
+def test_run_keys_admit_the_largest_census_for_nine_players():
+    assert len(run_keys(6, 9)) == 284_076
+
+
 def test_raw_values_of_keys_equal_per_board_evaluation():
     # Interned values compare by identity: equal sets hold the same objects.
     cache = EvalCache()

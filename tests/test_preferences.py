@@ -13,6 +13,7 @@ from helpers import (
     _class_rank,
     base_ordering_violations,
     closed_form_disagreements,
+    indifferent_class,
     indifferent_collapse_disagreements,
     reference_compare,
     reference_ext_leq,
@@ -36,7 +37,6 @@ from nclobber.preferences import (
     Comparison,
     chain_coordinate,
     compare,
-    indifferent_class,
     leq,
     merge_incomparable_simples,
     prudent_compare,
@@ -81,7 +81,6 @@ def test_outcome_class_goldens():
         lambda p: prudent_compare(leaf(1), leaf(2), p),
         lambda p: prune({leaf(1), leaf(2)}, p),
         lambda p: prune({leaf(1), leaf(2)}, p, "indifferent"),
-        lambda p: indifferent_class(leaf(1), p, 4),
     ],
     ids=[
         "leq",
@@ -92,7 +91,6 @@ def test_outcome_class_goldens():
         "prudent_compare",
         "prune",
         "prune-indifferent",
-        "indifferent_class",
     ],
 )
 def test_entry_points_refuse_a_perspective_outside_the_players(call):
@@ -327,6 +325,35 @@ def test_prudent_fold_equals_the_reference_on_every_root():
             if got != reference_prudent_simplify(v, mover, reference_memo):
                 bad.append((mover, v.text))
     assert not bad, bad[:5]
+
+
+@st.composite
+def _indifferent_folds(draw):
+    # A value, mover and profile for 2 to 4 players; L2 is for 3 only.
+    players = draw(st.integers(2, 4))
+    profiles = [p for p in PROFILES if players == 3 or p is not NormalizationProfile.L2]
+    return (
+        draw(value_trees(players)),
+        draw(st.integers(1, players)),
+        draw(st.sampled_from(profiles)),
+        players,
+    )
+
+
+@given(_indifferent_folds())
+def test_the_indifferent_fold_is_a_leaf_the_mover_wins_when_they_can(args):
+    # The leaf lemma of the solver docstring, which fold_raw relies on.
+    v, mover, profile, players = args
+    memo = {}
+    got = prune_fold(v, mover, "indifferent", profile, players, memo)
+    assert got.children is None
+    if v.children is not None:
+        after = mover % players + 1
+        winners = {
+            prune_fold(c, after, "indifferent", profile, players, memo).winner
+            for c in v.children
+        }
+        assert got.winner == (mover if mover in winners else min(winners))
 
 
 # ---------------------------------------------------------------------------
