@@ -17,13 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .enumeration import REGIMES, enumerate_values, render_reports
-from .preferences import (
-    ChainError,
-    compare,
-    prudent_compare,
-    prudent_simplify,
-    prune,
-)
+from .preferences import compare, prudent_compare, prudent_simplify, prune
 from .solver import MODES, Raw, Simple, evaluate_text, render_result
 from .values import (
     DEFAULT_PROFILE,
@@ -307,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _validate(parser, args)
     try:
         _emit(args.handler(args), args.out)
-    except (ValueError, ChainError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

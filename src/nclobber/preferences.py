@@ -406,12 +406,13 @@ def prudent_simplify(
     The mover owns the top-level choice and the turn rotates one player
     per level down; a singleton level is a pass and is absorbed.  At
     each choice the options collapse recursively, the mover keeps the
-    ones at the best chain coordinate, and the survivors merge.  The
-    board evaluator's prudent mode is this collapse of the raw value,
-    for three players only.  Wrapper levels carry turn information here,
-    so the caller should not collapse singletons (rule 1) beforehand.
-    memo maps (value, mover) to results; the solver keeps one in its
-    EvalCache, and a call without one starts afresh.
+    ones at the best chain coordinate, and the survivors merge
+    (prudent_step).  The board evaluator's prudent mode applies the same
+    step to positions instead, and reaches the same simple (solver
+    module docstring); the census collapses raw values here.  Wrapper
+    levels carry turn information, so the caller should not collapse
+    singletons (rule 1) beforehand.  memo maps (value, mover) to
+    results; a call without one starts afresh.
     """
     if not 1 <= mover <= 3:
         raise ValueError(f"mover {mover} out of range for three players")
@@ -428,20 +429,25 @@ def prudent_simplify(
 def _prudent(
     v: GameValue, mover: int, memo: dict[tuple[GameValue, int], SimpleValue]
 ) -> SimpleValue:
-    # prudent_simplify on a validated choice node, in one pass over the
-    # options with the integer rank e of the module docstring.  Two
-    # options at the best e differ when their bases do, and then merge to
-    # p_e.  Callers probe memo first.
+    # prudent_simplify on a validated choice node; callers probe memo first.
     after = mover % 3 + 1
+    simples = [
+        memo.get((c, after)) or _prudent(c, after, memo) if c.children else SimpleValue(c.winner, 0)
+        for c in v.children
+    ]
+    got = memo[v, mover] = prudent_step(simples, mover)
+    return got
+
+
+def prudent_step(simples: Iterable[SimpleValue], mover: int) -> SimpleValue:
+    """The simple value a prudent mover reaches from options that have
+    collapsed to the given simples: one pass with the integer rank e of
+    the module docstring.  Two options at the best e differ when their
+    bases do, and then merge to p_e.
+    """
     best = -1  # below every rank
     tie = False
-    for c in v.children:
-        if c.children is None:
-            s = SimpleValue(c.winner, 0)
-        else:
-            s = memo.get((c, after))
-            if s is None:
-                s = _prudent(c, after, memo)
+    for s in simples:
         base = s[0]
         e = s[1] if base == mover else s[1] + 1  # _chain_rank, inline
         if e & 1:  # asc: above a lower asc only
@@ -452,9 +458,7 @@ def _prudent(
             best, kept, tie = e, s, False
         elif e == best and base != kept[0]:
             tie = True
-    got = SimpleValue(mover, best) if tie else kept
-    memo[v, mover] = got
-    return got
+    return SimpleValue(mover, best) if tie else kept
 
 
 def prune_fold(

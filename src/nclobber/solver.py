@@ -1,66 +1,93 @@
 """Memoized evaluation of positions into game values.
 
-Evaluation walks the game tree bottom-up once, into the raw value.  The
-tree has a node for every (occupancy, player to move) pair: a player
-with no move passes, so their node is the singleton choice over the
-same occupancy with the next player to move.  Such a wrapper is
-invisible when the value below is a bare winner (singleton-of-leaf
-identification) but real otherwise.  A position where nobody can move
-is won by the player who made the last move, the one before the
-mover: only a move ends a game, never a pass.  The node value is the
-canonical choice over the child values.
+Evaluation walks the game tree bottom-up once.  The tree has a node for
+every (occupancy, player to move) pair: a player with no move passes,
+so their node is the singleton choice over the same occupancy with the
+next player to move.  Such a wrapper is invisible when the value below
+is a bare winner (singleton-of-leaf identification) but real otherwise.
+A position where nobody can move is won by the player who made the last
+move, the one before the mover: only a move ends a game, never a pass.
 
-Every other mode is a memoized fold over the raw value, whose levels
-rotate the mover one player down:
+The walk takes a fold: a leaf map from a finished game's winner w to a
+result, a step from the mover and its options' results to the
+position's result, and whether the mover's own win, leaf(mover), among
+the options decides the step.  Three folds run on it:
+
+  raw          leaf(w), and the canonical choice over the options
+  prudent      the simple w_0, and preferences.prudent_step, the rank
+               loop of prudent play (three players only)
+  indifferent  the winner w: the mover if some option's result is the
+               mover, and otherwise the least option winner
+
+Two more modes are folds over the raw value, whose levels rotate the
+mover one player down:
 
   syntactic   rewrite with the session's normalization profile
   selfish     at every level, drop options the mover ranks strictly
               below another, then rewrite (preferences.prune_fold)
-  indifferent the same fold under loss-blind comparison, with
-              indistinguishable options merged; the root is reported as
-              the mover-relative class it lands in
-  prudent     collapse to the simple value prudent play reaches
-              (preferences.prudent_simplify; three players only)
 
-The indifferent fold always lands on a leaf, so its class is win or
-other_0 and nothing deeper in the ladder.  By induction: the options
-fold to leaves.  If the mover's own leaf is among them, it alone is in
-the top class, and prune keeps it.  Otherwise every option is a loss,
-every loss collapses to one leaf in the loss-blind view, and prune
-merges them to the text-least.  A choice over one leaf is that leaf,
-and rewriting leaves a leaf alone.
+The indifferent step is the leaf lemma: folding a raw value the way
+indifferent players play it (prune_fold) always lands on a leaf, so the
+result is a winner and the class is win or other_0.  By induction: the
+options fold to leaves.  If the mover's own leaf is among them, it alone
+is in the top class, and prune keeps it.  Otherwise every option is a
+loss, every loss collapses to one leaf in the loss-blind view, and
+prune merges them to the text-least, the least winner.  A choice over
+one leaf is that leaf, and rewriting leaves a leaf alone.
 
-fold_raw is the one place a raw value becomes a mode's result; evaluate,
-the census and the profile calibration all call it.  The census reaches
-the traversal through evaluate_runs, with a line position's live-run
-key and no board.  Results are wrapped in one of three variants: Raw
-carries a value tree, Simple a simple value, Class a loss-blind class.
-A cache holds the raw values of resolved positions and the memos of
-every fold (selfish, indifferent, prudent); it serves every board
-graph, mode and profile for one player count, and its memos are freed
-with it.
+Why the walk agrees with folding the raw value (fold_raw for prudent,
+prune_fold for indifferent): both fold the raw-value DAG with the same
+leaf map and step, and the walk folds the position DAG.  A position's
+raw value is choice over its children's raw values, and by induction
+each child's walk result is the fold of its raw value.  Choice drops
+duplicates, and neither step is affected by duplicate options.  Choice
+identifies a singleton leaf with that leaf, and both steps map a lone
+leaf option to that leaf's result.  A forced pass is one option, as it
+is in choice.  So the walk applies the same step to a DAG of which the
+raw DAG is a quotient, and gets the same result.
 
-Positions are memoized under one of two keys:
+The cutoff.  The walk returns as soon as an option's result is
+leaf(mover), the mover's own win, and visits no more options: the
+boolean form of alpha-beta's cutoff (Knuth and Moore, 1975).  This is
+sound when the step returns leaf(mover) whatever the other options are.
+Indifferent: that is the lemma's first clause.  Prudent: (mover, 0) has
+rank e = 0, and rank 0 is the unique top of the chain, so no later
+option can rank above it; and no option ties it with another base,
+because rank 0 means the base is the mover.  Raw has no cutoff: its
+value needs every option.
 
-  line boards  (mover, live runs): the sorted tuple of the position's
-               runs between empty cells that hold two or more colours,
-               each read the larger way round (game_core.line_runs).
+fold_raw turns a raw value into a raw, syntactic, selfish or prudent
+result; evaluate, the census and the profile calibration all call it.
+The census reaches the walk through evaluate_runs, with a line
+position's live-run key and no board.  Results are wrapped in one of
+three variants: Raw carries a value tree, Simple a simple value, Class
+a loss-blind class.  A cache holds every walk's memo and the memos of
+fold_raw; it serves every board graph, mode and profile for one player
+count, and its memos are freed with it.
+
+Positions are memoized under one of two keys, each led by the walk's
+name, so one cache serves every walk:
+
+  line boards  (walk, mover, live runs): the sorted tuple of the
+               position's runs between empty cells that hold two or
+               more colours, each read the larger way round
+               (game_core.line_runs).
                The key is exact: empty cells stay empty, so runs never
                interact; reversing a run is a graph automorphism; and a
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
-  grid boards  (graph, live bitboards, mover): one int per player over
-               the grid's cells (game_core.grid_masks), with every token
-               that has no occupied neighbour cleared.  The key is exact:
-               a move needs two adjacent tokens, and empty cells stay
-               empty, so an isolated token can never move or be
-               clobbered; the game plays as if its cell were empty.  A
-               move is three bit flips on the masks.
+  grid boards  (walk, graph, live bitboards, mover): one int per
+               player over the grid's cells (game_core.grid_masks), with
+               every token that has no occupied neighbour cleared.  The
+               key is exact: a move needs two adjacent tokens, and empty
+               cells stay empty, so an isolated token can never move or
+               be clobbered; the game plays as if its cell were empty.
+               A move is three bit flips on the masks.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .game_core import (
     BoardGraph,
@@ -72,7 +99,7 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import prudent_simplify, prune_fold
+from .preferences import prudent_simplify, prudent_step, prune_fold
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -112,47 +139,54 @@ class Simple(NamedTuple):
 
 
 class Class(NamedTuple):
-    """A loss-blind equality class, relative to the starting mover.
-
-    mine=True is the guaranteed win.  Other classes are named by the
-    exponent of an opposing simple value in them; the class (False, j)
-    also contains the mover's own simple of exponent j+1.  Evaluation
-    yields win and other_0 only: the indifferent fold is a leaf, won by
-    the mover or not (module docstring).
-    """
+    """A loss-blind class, relative to the starting mover: the
+    indifferent result is a winner (module docstring), so the mover
+    wins (win) or does not (other_0)."""
 
     mine: bool
-    exponent: int
 
     def __str__(self) -> str:
-        return "win" if self.mine else f"other_{self.exponent}"
+        return "win" if self.mine else "other_0"
 
 
 EvalResult = Union[Raw, Simple, Class]
+# A walk's result: a raw value, a prudent simple or an indifferent winner.
+WalkResult = Union[GameValue, SimpleValue, int]
 
 
-# Fold memos, one per (mode, profile), each mapping (value, mover) to
-# that fold's result.
+# The folds of the position walk (module docstring), by name: the leaf
+# map from a finished game's winner, the step from the options' results
+# and the mover, and whether leaf(mover) among the options decides it.
+_WALKS: dict[str, tuple[Callable[[int], WalkResult], Callable, bool]] = {
+    "raw": (leaf, lambda options, mover: choice(options), False),
+    "prudent": (lambda w: SimpleValue(w, 0), prudent_step, True),
+    "indifferent": (lambda w: w, lambda ws, mover: mover if mover in ws else min(ws), True),
+}
+
+
+# fold_raw's memos, one per (mode, profile), each mapping (value, mover)
+# to that fold's result.
 Folds = dict[tuple[str, NormalizationProfile], dict]
 
 
 class EvalCache:
-    """Raw values of resolved positions, and the fold memos over them,
-    for one player count.
+    """Every walk's results for resolved positions, and the memos of
+    fold_raw, for one player count.
 
-    entries keys a line position on (mover, live runs) and a grid
-    position on (graph, live bitboards, mover); see the module docstring
-    for why both keys are exact.  runs holds, per live run and player, the
-    runs that player's moves there leave (game_core.run_moves), each
-    computed once.  Every board graph, mode and profile may share a
-    cache; reusing it with another player count is an error.
+    entries keys a line position on (walk, mover, live runs) and a grid
+    position on (walk, graph, live bitboards, mover); see the module
+    docstring for why both keys are exact.  runs holds, per live run and
+    player, the runs that player's moves there leave
+    (game_core.run_moves), each computed once.  Every board graph, mode
+    and profile may share a cache; reusing it with another player count
+    is an error.
     """
 
     __slots__ = ("players", "entries", "runs", "folds")
 
     def __init__(self, players: int = 3) -> None:
         self.players = players
-        self.entries: dict[tuple, GameValue] = {}
+        self.entries: dict[tuple, WalkResult] = {}
         self.runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
         self.folds: Folds = {}
 
@@ -193,12 +227,15 @@ def evaluate(
     if not key:
         digits = "".join(map(str, occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
+    walk = mode if mode in _WALKS else "raw"
     try:
         if rows == 1:
-            raw = evaluate_runs(key, mover, cache)
+            got = evaluate_runs(key, mover, cache, walk)
         else:
-            raw = _eval_grid(graph, key, mover, cache)
-        return fold_raw(raw, mover, mode, profile, players, cache.folds)
+            got = _eval_grid(graph, key, mover, cache, walk)
+        if walk == "raw":
+            return fold_raw(got, mover, mode, profile, players, cache.folds)
+        return Simple(got) if walk == "prudent" else Class(got == mover)
     except RecursionError:  # the walk and the folds recurse once per move
         size = graph.vertex_count
         raise ValueError(f"the game tree of a {size}-cell board is too deep to evaluate") from None
@@ -212,7 +249,8 @@ def fold_raw(
     players: int,
     folds: Folds,
 ) -> EvalResult:
-    """The result of one mode for a raw value whose top choice is mover's.
+    """The raw, syntactic, selfish or prudent result for a raw value
+    whose top choice is mover's; indifferent results come from the walk.
 
     folds holds the fold memos; pass the same dict for many values to
     share work between them.
@@ -224,11 +262,9 @@ def fold_raw(
     memo = folds.setdefault((mode, profile), {})
     if mode == "prudent":
         return Simple(prudent_simplify(raw, mover, memo))
-    value = prune_fold(raw, mover, mode, profile, players, memo)
     if mode == "selfish":
-        return Raw(value)
-    # The indifferent fold is a leaf (module docstring).
-    return Class(value.winner == mover, 0)
+        return Raw(prune_fold(raw, mover, mode, profile, players, memo))
+    raise ValueError(f"no fold of the raw value for mode {mode!r}")
 
 
 def render_result(result: EvalResult, style: Optional[str] = None) -> str:
@@ -246,22 +282,28 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
     return render_value(result.value, style or "brackets")
 
 
-def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:
-    """Raw value of the line position whose live-run key is parts
-    (game_core.line_runs), mover to move: the census's entry point,
-    which needs no board.  An empty key is the finished game.
+def evaluate_runs(
+    parts: tuple[bytes, ...], mover: int, cache: EvalCache, walk: str = "raw"
+) -> WalkResult:
+    """Result under one walk ("raw", "prudent" or "indifferent") of the
+    line position whose live-run key is parts (game_core.line_runs),
+    mover to move: the census's entry point, which needs no board.  An
+    empty key is the finished game.
     """
-    key = (mover, parts)
-    got = cache.entries.get(key)
+    entries = cache.entries
+    key = (walk, mover, parts)
+    got = entries.get(key)
     if got is not None:
         return got
+    leaf_of, step, cutoff = _WALKS[walk]
     players = cache.players
     if not parts:
         # Nobody can move: the player before the mover moved last.
-        return leaf((mover - 2) % players + 1)
+        return leaf_of((mover - 2) % players + 1)
     after = mover % players + 1
+    win = leaf_of(mover)
     runs = cache.runs
-    children = set()
+    results = set()
     for j, run in enumerate(parts):
         if j and run == parts[j - 1]:
             continue  # the same run again: the same children
@@ -270,28 +312,32 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
             moves = runs[run, mover] = run_moves(run, mover)
         rest = parts[:j] + parts[j + 1 :]
         for replacement in moves:
-            children.add(tuple(sorted(rest + replacement)) if rest else replacement)
-    if not children:
+            child = tuple(sorted(rest + replacement)) if rest else replacement
+            # Every result is truthy: a value, a simple or a player id.
+            got = entries.get((walk, after, child)) or evaluate_runs(child, after, cache, walk)
+            if cutoff and got == win:  # the cutoff (module docstring)
+                entries[key] = got
+                return got
+            results.add(got)
+    if not results:
         # The mover passes: a forced continuation, one list level.
-        children.add(parts)
-    entries = cache.entries
-    options = set()
-    for child in children:
-        got = entries.get((after, child))
-        options.add(got if got is not None else evaluate_runs(child, after, cache))
-    value = choice(options)
-    entries[key] = value
-    return value
+        results.add(evaluate_runs(parts, after, cache, walk))
+    got = entries[key] = step(results, mover)
+    return got
 
 
-def _eval_grid(graph: BoardGraph, masks: tuple, mover: int, cache: EvalCache) -> GameValue:
-    """Raw value of the grid position masks (game_core.grid_masks), mover
-    to move; game_core.adjacent is inlined where it runs per move."""
-    key = (graph, masks, mover)
+def _eval_grid(
+    graph: BoardGraph, masks: tuple, mover: int, cache: EvalCache, walk: str = "raw"
+) -> WalkResult:
+    """Result under one walk of the grid position masks
+    (game_core.grid_masks), mover to move; game_core.adjacent is inlined
+    where it runs per move."""
     entries = cache.entries
+    key = (walk, graph, masks, mover)
     got = entries.get(key)
     if got is not None:
         return got
+    leaf_of, step, cutoff = _WALKS[walk]
     players = cache.players
     stride = graph.shape[1] + 1
     i = mover - 1
@@ -299,14 +345,15 @@ def _eval_grid(graph: BoardGraph, masks: tuple, mover: int, cache: EvalCache) ->
     occ = sum(masks)  # the masks are disjoint
     others = occ ^ mine
     after = mover % players + 1
-    options = set()
+    win = leaf_of(mover)
+    results = set()
     sources = mine & ((others << 1) | (others >> 1) | (others << stride) | (others >> stride))
     if not sources:
         if not any(m & adjacent(occ ^ m, stride) for m in masks):
             # The game is over: the player before the mover moved last.
-            return leaf((mover - 2) % players + 1)
+            return leaf_of((mover - 2) % players + 1)
         # The mover passes: a forced continuation, one list level.
-        options.add(_eval_grid(graph, masks, after, cache))
+        results.add(_eval_grid(graph, masks, after, cache, walk))
     # Each move empties src, recolours dst and drops the tokens it isolates.
     while sources:
         src = sources & -sources
@@ -321,11 +368,15 @@ def _eval_grid(graph: BoardGraph, masks: tuple, mover: int, cache: EvalCache) ->
             child = [m & keep for m in masks]
             child[i] = (mine ^ src | dst) & live
             child = tuple(child)
-            got = entries.get((graph, child, after))
-            options.add(got if got is not None else _eval_grid(graph, child, after, cache))
-    value = choice(options)
-    entries[key] = value
-    return value
+            got = entries.get((walk, graph, child, after)) or _eval_grid(
+                graph, child, after, cache, walk
+            )
+            if cutoff and got == win:  # the cutoff (module docstring)
+                entries[key] = got
+                return got
+            results.add(got)
+    got = entries[key] = step(results, mover)
+    return got
 
 
 def evaluate_all_starts(

@@ -105,7 +105,10 @@ class GameValue:
         return render_value(self)
 
     def __reduce__(self):
-        return (_rebuild_value, (render_value(self),))
+        # Rebuilding interns again, node by node, at any depth.
+        if self.children is None:
+            return (leaf, (self.winner,))
+        return (choice, (self.children,))
 
 
 _UNRESOLVED = object()
@@ -113,10 +116,6 @@ _LEAVES: dict[int, GameValue] = {}
 _CHOICES: dict[tuple[GameValue, ...], GameValue] = {}
 # One (outcomes, ranks) pair per distinct outcome set, shared by every value.
 _OUTCOMES: dict[frozenset[int], tuple[frozenset[int], tuple[int, ...]]] = {}
-
-
-def _rebuild_value(text: str) -> GameValue:
-    return parse_value(text, players=9)
 
 
 def leaf(winner: int) -> GameValue:

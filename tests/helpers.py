@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from hypothesis import strategies as st
 
@@ -324,15 +324,26 @@ def isolation_violations(board: str, players: int = 3) -> list[str]:
 # the indifferent class ladder, by search
 
 
-def indifferent_class(
-    v: GameValue, p: int, max_exponent: int
-) -> Optional[tuple[bool, int]]:
+class Ladder(NamedTuple):
+    """A loss-blind equality class on the whole ladder, relative to p.
+
+    (True, 0) is the guaranteed win.  Other classes form one ladder;
+    (False, j) means the class of an opposing simple value with exponent
+    j (which also contains p's own simple of exponent j+1, since
+    collapsing losses makes their trees literally identical).  The
+    solver's Class names only win and other_0, the classes of a leaf.
+    """
+
+    mine: bool
+    exponent: int
+
+    def __str__(self) -> str:
+        return "win" if self.mine else f"other_{self.exponent}"
+
+
+def indifferent_class(v: GameValue, p: int, max_exponent: int) -> Optional[Ladder]:
     """Name the equality class of v for an indifferent player p.
 
-    Returns (True, 0) for a guaranteed win.  Other classes form one
-    ladder; (False, j) means the class of an opposing simple value with
-    exponent j (which also contains p's own simple of exponent j+1,
-    since collapsing losses makes their trees literally identical).
     Returns None if no tier up to max_exponent matches, which evaluation
     of a three-player game can never produce.
     """
@@ -340,12 +351,12 @@ def indifferent_class(
     q = _quotient(_prepare(v), p)
     win = leaf(_WIN)
     if _ext_leq(q, win) and _ext_leq(win, q):
-        return (True, 0)
+        return Ladder(True, 0)
     tier = leaf(_LOSS)  # an opposing leaf: exponent 0
     mine = win
     for j in range(max_exponent + 1):
         if _ext_leq(q, tier) and _ext_leq(tier, q):
-            return (False, j)
+            return Ladder(False, j)
         # Next loss tier: an option into the mover's tier and one staying put.
         mine, tier = tier, choice((mine, tier))
     return None
@@ -361,7 +372,7 @@ def reference_evaluate(
     profile: NormalizationProfile,
     memo: dict,
     players: int = 3,
-) -> EvalResult:
+) -> EvalResult | Ladder:
     """Evaluate a position by walking the board once per mode.
 
     Each mode's simplification runs at every board position during the
@@ -379,7 +390,8 @@ def reference_evaluate(
         named = indifferent_class(value, mover, tokens + 1)
         if named is None:
             raise ChainError("evaluation produced a value outside the class ladder")
-        return Class(*named)
+        # A class deeper than other_0 has no Class, and mismatches evaluate.
+        return Class(named.mine) if named.exponent == 0 else named
     return Raw(value)
 
 

@@ -45,6 +45,13 @@ def test_solve_prudent_bar_and_brackets(capsys):
     assert (code, out.strip()) == (0, "[2,3]")
 
 
+def test_solve_indifferent_stops_at_the_first_win(capsys):
+    # The raw value tree of this line does not fit in memory; the
+    # indifferent walk stops at the mover's first winning option.
+    code, out, _ = run(capsys, "solve", "1231231231231231231231", "--mode", "indifferent")
+    assert (code, out.strip()) == (0, "win")
+
+
 def test_solve_start_player(capsys):
     code, out, _ = run(capsys, "solve", "12", "--start", "2")
     assert (code, out.strip()) == (0, "2")

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     MOVABLE_BOARDS,
+    Ladder,
     VALUE_123213,
     VALUE_12223,
     VALUE_213,
@@ -29,7 +30,7 @@ from nclobber.game_core import (
     movers_mask,
     parse_board,
 )
-from nclobber.preferences import prudent_simplify
+from nclobber.preferences import prudent_simplify, prune_fold
 from nclobber.solver import (
     MODES,
     Class,
@@ -160,27 +161,28 @@ def test_prudent_mode_returns_simple_values():
 
 
 def test_indifferent_mode_returns_classes():
-    assert evaluate_text("213", mode="indifferent") == Class(True, 0)
-    assert evaluate_text("23", start=1, mode="indifferent") == Class(False, 0)
-    assert str(Class(True, 0)) == "win"
-    assert str(Class(False, 2)) == "other_2"
+    assert evaluate_text("213", mode="indifferent") == Class(True)
+    assert evaluate_text("23", start=1, mode="indifferent") == Class(False)
+    assert str(Class(True)) == "win"
+    assert str(Class(False)) == "other_0"
+    assert str(Ladder(False, 2)) == "other_2"
     # ties between indistinguishable losses break to the text-least
     # representative, so this board reports the optimistic class
-    assert evaluate_text("12223", mode="indifferent") == Class(True, 0)
+    assert evaluate_text("12223", mode="indifferent") == Class(True)
 
 
 def test_results_graphs_and_caches_keep_their_contract():
     def results():
         value = parse_value("[1,[2,3]]")
-        return [Raw(value), Simple(SimpleValue(1, 2)), Class(False, 2), Class(True, 0)]
+        return [Raw(value), Simple(SimpleValue(1, 2)), Class(False), Class(True)]
 
     first, again = results(), results()
-    assert [str(r) for r in first] == ["[1,[2,3]]", "1_2", "other_2", "win"]
+    assert [str(r) for r in first] == ["[1,[2,3]]", "1_2", "other_0", "win"]
     assert [repr(r) for r in first] == [
         "Raw(value=[1,[2,3]])",
         "Simple(value=SimpleValue(base=1, exponent=2))",
-        "Class(mine=False, exponent=2)",
-        "Class(mine=True, exponent=0)",
+        "Class(mine=False)",
+        "Class(mine=True)",
     ]
     # Censuses put results in sets.
     for a, b in zip(first, again):
@@ -251,6 +253,9 @@ def test_modes_are_validated():
         evaluate_text("12", mode="bogus")
     with pytest.raises(ValueError):
         evaluate_text("1212", mode="prudent", players=4)
+    # Indifferent results come from the walk, not from a raw value.
+    with pytest.raises(ValueError, match="no fold of the raw value"):
+        fold_raw(parse_value("[1,2]"), 1, "indifferent", L1, 3, {})
     # A position built by hand may hold a token of no player.
     for graph in (line_graph(3), grid_graph(1, 3)):
         with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
@@ -312,7 +317,9 @@ def test_fold_memos_in_one_cache_do_not_leak_between_modes():
                     fresh = evaluate(position, mode, cache=EvalCache())
                     got = evaluate(position, mode, cache=cache)
                     assert got == fresh, (board, start, mode)
-        assert {mode for mode, _ in cache.folds} == {"prudent", "selfish"}
+        # Prudent walks positions; selfish folds the raw walk's values.
+        assert {key[0] for key in cache.entries} == {"prudent", "raw"}
+        assert {mode for mode, _ in cache.folds} == {"selfish"}
 
 
 def test_evaluate_all_starts_shares_one_cache_consistently():
@@ -395,6 +402,61 @@ def test_folds_match_the_reference_on_random_grids():
 
 
 # ---------------------------------------------------------------------------
+# prudent and indifferent walks against folding the raw value
+
+
+def _folded(raw, mover, walk, players, cache, memo):
+    """A walk's result got by folding the raw value instead: the prudent
+    simple (fold_raw), or the winner of the indifferent fold's leaf."""
+    if walk == "prudent":
+        return fold_raw(raw, mover, walk, L1, players, cache.folds).value
+    return prune_fold(raw, mover, walk, L1, players, memo).winner
+
+
+@pytest.mark.parametrize(
+    "players, max_n, walks",
+    [
+        (3, 10, ("prudent", "indifferent")),
+        (2, 7, ("indifferent",)),
+        (4, 7, ("indifferent",)),
+        (5, 7, ("indifferent",)),
+    ],
+    ids=["three", "two", "four", "five"],
+)
+def test_line_walks_match_folding_the_raw_value(players, max_n, walks):
+    keys = sorted({key for n in range(2, max_n + 1) for key in run_keys(n, players)})
+    cache, memo, bad = EvalCache(players), {}, []
+    for mover in range(1, min(players, 3) + 1):
+        for key in keys:
+            raw = evaluate_runs(key, mover, cache)
+            for walk in walks:
+                got = evaluate_runs(key, mover, cache, walk)
+                want = _folded(raw, mover, walk, players, cache, memo)
+                if got != want:
+                    bad.append(f"{key} mover={mover} {walk}: {got} != {want}")
+    assert not bad, bad[:10]
+
+
+def test_grid_walks_match_folding_the_raw_value():
+    rng = random.Random("walk-vs-fold")
+    cache, memo, cases = EvalCache(), {}, 0
+    for shape in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (3, 4)]:
+        for _ in range(40):
+            board = "".join(rng.choice("01233") for _ in range(shape[0] * shape[1]))
+            graph, occ = parse_board(board, shape=shape)
+            if not movers_mask(graph, occ):
+                continue
+            masks = grid_masks(graph, occ, 3)
+            for mover in (1, 2, 3):
+                raw = solver._eval_grid(graph, masks, mover, cache)
+                for walk in ("prudent", "indifferent"):
+                    got = solver._eval_grid(graph, masks, mover, cache, walk)
+                    assert got == _folded(raw, mover, walk, 3, cache, memo), (board, mover, walk)
+                    cases += 1
+    assert cases > 1000
+
+
+# ---------------------------------------------------------------------------
 # grid positions walked on bitboards
 
 
@@ -470,7 +532,13 @@ def _line_vs_grid(boards, players=3, modes=MODES):
             raw = solver._eval_grid(graph, masks, start, grid_cache)
             for mode in modes:
                 a = evaluate_text(board, start, mode, players=players, cache=line_cache)
-                b = fold_raw(raw, start, mode, L1, players, grid_cache.folds)
+                if mode == "prudent":
+                    b = Simple(solver._eval_grid(graph, masks, start, grid_cache, mode))
+                elif mode == "indifferent":
+                    winner = solver._eval_grid(graph, masks, start, grid_cache, mode)
+                    b = Class(winner == start)
+                else:
+                    b = fold_raw(raw, start, mode, L1, players, grid_cache.folds)
                 cases += 1
                 same = a.value is b.value if isinstance(a, Raw) else a == b
                 if type(a) is not type(b) or not same:

@@ -1,5 +1,7 @@
 """Value construction, canonical text, rewrite rules, and parsing."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -60,6 +62,15 @@ def test_singleton_over_choice_is_kept():
     wrapped = choice([inner])
     assert wrapped.text == "[[1,2]]"
     assert wrapped.children == (inner,)
+
+
+def test_pickling_returns_the_interned_value_at_any_depth():
+    deep = leaf(1)
+    for _ in range(200):  # deeper than the parser's bound on bracket nesting
+        deep = choice([deep, leaf(2)])
+    pair = choice([leaf(1), leaf(3)])
+    for v in (leaf(3), pair, choice([pair]), deep):
+        assert pickle.loads(pickle.dumps(v)) is v
 
 
 def test_empty_choice_is_rejected():
