@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from nclobber.enumeration import raw_values, run_keys
-from nclobber.solver import Folds, fold_raw
+from nclobber.solver import FoldMemos, fold_raw
 from nclobber.values import GameValue, NormalizationProfile, _unwrap_exact, choice
 from published_counts import PUBLISHED_COUNTS
 
@@ -128,7 +128,7 @@ def calibrate_normalization(
         },
         "selfish": {"published": {}, "L1": {}, "L2": {}},
     }
-    folds: Folds = {}
+    folds: FoldMemos = {}
     splice_memo: dict[GameValue, GameValue] = {}
     for n in ns:
         roots = raw_values(run_keys(n, players), players)

@@ -109,11 +109,12 @@ def _cmd_simplify(args: argparse.Namespace) -> str:
     if args.mode == "prudent" and args.players != 3:
         raise ValueError("prudent simplification is defined for exactly three players")
     value = parse_value(args.value, players=args.players)
-    value = normalize(value, args.profile, args.players)
     p = args.perspective
     if args.mode == "prudent":
+        # Collapsed as given: a rewrite may drop a pass (prudent_simplify).
         result = Simple(prudent_simplify(value, p))
     else:
+        value = normalize(value, args.profile, args.players)
         if args.mode != "raw" and value.children is not None:
             kept = prune(value.children, p, args.mode, args.players)
             value = normalize(choice(kept), args.profile, args.players)

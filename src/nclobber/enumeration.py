@@ -36,7 +36,7 @@ import itertools
 import os
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .solver import EvalCache, Folds, evaluate_runs, fold_raw, render_result
+from .solver import EvalCache, FoldMemos, evaluate_runs, fold_raw, render_result
 from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
@@ -216,7 +216,7 @@ def _census_chunk(args: tuple) -> dict[str, set[str]]:
     """Distinct rendered values per regime over one batch of keys."""
     keys, modes, profile, players = args
     roots = raw_values(keys, players)
-    folds: Folds = {}
+    folds: FoldMemos = {}
     out: dict[str, set[str]] = {}
     for m in modes:
         mode = "raw" if m == "unsimplified" else m

@@ -39,8 +39,14 @@ A prudent player refines this with a strict order that also discards an
 option when every comparison between the two option sets is weaker-or-
 incomparable with at least one strictly weaker witness.  The recursion
 compares option against option, option against whole, and whole against
-option; all three shapes are needed to reproduce the ladder of simple
-values that prudent play collapses to.  It is not an order: for p = 2,
+option.  Whether the first shape is needed is open.  Without it, the
+relation agrees with this one on every pair of the tests' relation
+pool, and on every pair of simples up to exponent 8, where the closed
+form below is checked against the recursion.  A random search over
+about 25 million pairs of small trees found no pair it decides: of 5.46
+million pairs where it held, whole against option also held in all but
+6, and option against whole in those 6.  It stays until a proof shows
+it may go.  The relation is not an order: for p = 2,
 [1,[[1,[1,3]]]] and [3,[1,3],[[1,[1,3]]]] are each below the other, so
 prudent_compare calls such a pair incomparable.
 
@@ -117,8 +123,9 @@ both ways; with no dominance cycles, prune keeps an option here too.
 from __future__ import annotations
 
 import enum
+import functools
 from itertools import product
-from typing import Iterable, NamedTuple, Optional
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Optional
 
 from .values import (
     GameValue,
@@ -396,46 +403,53 @@ def merge_incomparable_simples(simples: Iterable[SimpleValue], p: int) -> Simple
     return SimpleValue(p, e)
 
 
-def prudent_simplify(
-    v: GameValue,
-    mover: int,
-    memo: Optional[dict[tuple[GameValue, int], SimpleValue]] = None,
-) -> SimpleValue:
-    """Collapse a value tree to the one simple value prudent play reaches.
+# ---------------------------------------------------------------------------
+# one fold per regime
+
+
+class Fold(NamedTuple):
+    """How one regime folds a game, one node at a time.
+
+    leaf maps the winner of a finished game to its result, and step maps
+    the results of a node's options and its mover to the node's result.
+    cutoff says that leaf(mover) among the options decides the step; only
+    the position walk reads it (solver module docstring).
+    """
+
+    leaf: Callable[[int], Any]
+    step: Callable[[Collection, int], Any]
+    cutoff: bool
+
+
+def fold_value(
+    v: GameValue, mover: int, fold: Fold, players: int, memo: dict[tuple[GameValue, int], Any]
+) -> Any:
+    """Fold a value tree the way fold's regime plays it.
 
     The mover owns the top-level choice and the turn rotates one player
-    per level down; a singleton level is a pass and is absorbed.  At
-    each choice the options collapse recursively, the mover keeps the
-    ones at the best chain coordinate, and the survivors merge
-    (prudent_step).  The board evaluator's prudent mode applies the same
-    step to positions instead, and reaches the same simple (solver
-    module docstring); the census collapses raw values here.  Wrapper
-    levels carry turn information, so the caller should not collapse
-    singletons (rule 1) beforehand.  memo maps (value, mover) to
-    results; a call without one starts afresh.
+    per level down; a pass is a singleton level.  A choice applies the
+    step to its options' results, in the order of its children.  memo
+    maps (value, mover) to results for one fold and player count; pass
+    the same dict for many values to share work between them.
     """
-    if not 1 <= mover <= 3:
-        raise ValueError(f"mover {mover} out of range for three players")
-    if not v.outcomes <= {1, 2, 3}:
-        raise ValueError("prudent simplification is defined for three players")
     if v.children is None:
-        return SimpleValue(v.winner, 0)
-    if memo is None:
-        memo = {}
+        return fold.leaf(v.winner)
     got = memo.get((v, mover))
-    return got if got is not None else _prudent(v, mover, memo)
+    return got if got is not None else _fold(v, mover, fold, players, memo)
 
 
-def _prudent(
-    v: GameValue, mover: int, memo: dict[tuple[GameValue, int], SimpleValue]
-) -> SimpleValue:
-    # prudent_simplify on a validated choice node; callers probe memo first.
-    after = mover % 3 + 1
-    simples = [
-        memo.get((c, after)) or _prudent(c, after, memo) if c.children else SimpleValue(c.winner, 0)
-        for c in v.children
-    ]
-    got = memo[v, mover] = prudent_step(simples, mover)
+def _fold(v: GameValue, mover: int, fold: Fold, players: int, memo: dict) -> Any:
+    # fold_value on a choice node; callers probe memo first.  A loop, not
+    # a comprehension, which would cost a frame per node.
+    leaf_of = fold.leaf
+    after = mover % players + 1
+    options = []
+    for c in v.children:
+        if c.children is None:
+            options.append(leaf_of(c.winner))
+        else:  # every result is truthy: a value, a simple or a player id
+            options.append(memo.get((c, after)) or _fold(c, after, fold, players, memo))
+    got = memo[v, mover] = fold.step(options, mover)
     return got
 
 
@@ -461,38 +475,62 @@ def prudent_step(simples: Iterable[SimpleValue], mover: int) -> SimpleValue:
     return SimpleValue(mover, best) if tie else kept
 
 
-def prune_fold(
+# Prudent play (three players): a finished game is the simple w_0.
+PRUDENT = Fold(lambda w: SimpleValue(w, 0), prudent_step, True)
+# Indifferent play, by the leaf lemma (solver module docstring): the
+# mover's own win if an option gives it, else the least option winner.
+INDIFFERENT = Fold(lambda w: w, lambda ws, mover: mover if mover in ws else min(ws), True)
+
+
+# One record per (mode, profile, players), of which there are a few dozen:
+# the census asks for it once per root.
+@functools.cache
+def pruning_fold(mode: str, profile: NormalizationProfile, players: int) -> Fold:
+    """The fold of selfish or indifferent play over value trees: at each
+    level prune drops the options the mover discards, and the choice over
+    the survivors is rewritten with the profile.  A pass is a singleton
+    level, which prune leaves alone.
+    """
+
+    def step(options: Collection[GameValue], mover: int) -> GameValue:
+        return normalize(choice(prune(options, mover, mode, players)), profile, players)
+
+    return Fold(leaf, step, False)
+
+
+def prudent_simplify(
     v: GameValue,
     mover: int,
-    mode: str,
-    profile: NormalizationProfile,
-    players: int,
-    memo: dict[tuple[GameValue, int], GameValue],
-) -> GameValue:
-    """Fold a raw value the way selfish or indifferent players play it.
+    memo: Optional[dict[tuple[GameValue, int], SimpleValue]] = None,
+) -> SimpleValue:
+    """Collapse a value tree to the one simple value prudent play reaches.
 
-    The mover owns the top-level choice and the turn rotates one player
-    per level down.  At each level the options fold first, prune drops
-    the ones the mover discards, and the choice over the survivors is
-    rewritten with the profile.  A pass is a singleton level, which
-    prune leaves alone.  memo maps (value, mover) to results for one
-    mode, profile and player count.
+    The PRUDENT fold: the mover owns the top-level choice and the turn
+    rotates one player per level down; a singleton level is a pass and
+    is absorbed.  At each choice the options collapse recursively, the
+    mover keeps the ones at the best chain coordinate, and the survivors
+    merge (prudent_step).  The board evaluator's prudent mode applies the
+    same step to positions instead, and reaches the same simple (solver
+    module docstring); the census collapses raw values here.  memo maps
+    (value, mover) to results; a call without one starts afresh.
+
+    Wrapper levels carry turn information, so collapsing singletons
+    around simples (rule 1, profile L2) beforehand may change the
+    result: for mover 1, [[2,3]] passes to player 2, who takes 2, while
+    its rewrite [2,3] is 1_1.  Rules 2 and 3 (L1) never change it.  Rule 2
+    strips three passes, which hand the turn back to the same mover, and
+    a pass collapses to its one option.  Rule 3 gives a host list the
+    options of a list behind two passes.  That list's mover is the
+    host's mover, and prudent_step over A and B together equals
+    prudent_step over A and prudent_step(B): the best rank survives, and
+    a tie at that rank merges to p_e either way.  So an L0 or L1 rewrite
+    collapses as the value itself does.
     """
-    if v.children is None:
-        return v
-    key = (v, mover)
-    got = memo.get(key)
-    if got is None:
-        after = mover % players + 1
-        options = []
-        for c in v.children:
-            folded = c if c.children is None else memo.get((c, after))
-            if folded is None:
-                folded = prune_fold(c, after, mode, profile, players, memo)
-            options.append(folded)
-        got = normalize(choice(prune(options, mover, mode, players)), profile, players)
-        memo[key] = got
-    return got
+    if not 1 <= mover <= 3:
+        raise ValueError(f"mover {mover} out of range for three players")
+    if not v.outcomes <= {1, 2, 3}:
+        raise ValueError("prudent simplification is defined for three players")
+    return fold_value(v, mover, PRUDENT, 3, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------

@@ -8,43 +8,47 @@ is a bare winner (singleton-of-leaf identification) but real otherwise.
 A position where nobody can move is won by the player who made the last
 move, the one before the mover: only a move ends a game, never a pass.
 
-The walk takes a fold: a leaf map from a finished game's winner w to a
-result, a step from the mover and its options' results to the
-position's result, and whether the mover's own win, leaf(mover), among
-the options decides the step.  Three folds run on it:
+Every regime is a fold (preferences.Fold): a leaf map from a finished
+game's winner w to a result, a step from the mover and its options'
+results to the node's result, and whether the mover's own win,
+leaf(mover), among the options decides the step (the cutoff).  The
+raw record is _WALKS["raw"]; the others live in preferences:
 
-  raw          leaf(w), and the canonical choice over the options
-  prudent      the simple w_0, and preferences.prudent_step, the rank
-               loop of prudent play (three players only)
-  indifferent  the winner w: the mover if some option's result is the
-               mover, and otherwise the least option winner
+  raw           leaf(w), and the canonical choice over the options
+  PRUDENT       the simple w_0, and preferences.prudent_step, the rank
+                loop of prudent play (three players only); cutoff
+  INDIFFERENT   the winner w: the mover if some option's result is the
+                mover, and otherwise the least option winner; cutoff
+  pruning_fold  leaf(w); prune drops the options the mover ranks
+                strictly below another, and the choice over the
+                survivors is rewritten with the session's profile
+                (selfish play; indifferent play for the tests)
 
-Two more modes are folds over the raw value, whose levels rotate the
-mover one player down:
-
-  syntactic   rewrite with the session's normalization profile
-  selfish     at every level, drop options the mover ranks strictly
-              below another, then rewrite (preferences.prune_fold)
+The position walk runs raw, PRUDENT and INDIFFERENT.  fold_raw runs
+PRUDENT (preferences.prudent_simplify) and the selfish pruning_fold
+over the raw value, through preferences.fold_value, whose levels rotate
+the mover one player down; the syntactic result is the raw value
+rewritten with the profile.
 
 The indifferent step is the leaf lemma: folding a raw value the way
-indifferent players play it (prune_fold) always lands on a leaf, so the
-result is a winner and the class is win or other_0.  By induction: the
-options fold to leaves.  If the mover's own leaf is among them, it alone
-is in the top class, and prune keeps it.  Otherwise every option is a
-loss, every loss collapses to one leaf in the loss-blind view, and
+indifferent players play it (pruning_fold) always lands on a leaf, so
+the result is a winner and the class is win or other_0.  By induction:
+the options fold to leaves.  If the mover's own leaf is among them, it
+alone is in the top class, and prune keeps it.  Otherwise every option
+is a loss, every loss collapses to one leaf in the loss-blind view, and
 prune merges them to the text-least, the least winner.  A choice over
 one leaf is that leaf, and rewriting leaves a leaf alone.
 
-Why the walk agrees with folding the raw value (fold_raw for prudent,
-prune_fold for indifferent): both fold the raw-value DAG with the same
-leaf map and step, and the walk folds the position DAG.  A position's
-raw value is choice over its children's raw values, and by induction
-each child's walk result is the fold of its raw value.  Choice drops
-duplicates, and neither step is affected by duplicate options.  Choice
-identifies a singleton leaf with that leaf, and both steps map a lone
-leaf option to that leaf's result.  A forced pass is one option, as it
-is in choice.  So the walk applies the same step to a DAG of which the
-raw DAG is a quotient, and gets the same result.
+Why the walk agrees with folding the raw value.  Take a record whose
+step reads only the set of its options' results and maps a lone leaf
+option to that leaf's result, as raw, PRUDENT and INDIFFERENT do.  A
+position's raw value is choice over its children's raw values, and by
+induction each child's walk result is the fold of its raw value.
+Choice drops duplicates, which the step does not see.  Choice
+identifies a singleton leaf with that leaf, which the step maps alike.
+A forced pass is one option, as it is in choice.  So the walk applies
+the same step to a DAG of which the raw DAG is a quotient, and gets the
+same result as fold_value over the raw value.
 
 The cutoff.  The walk returns as soon as an option's result is
 leaf(mover), the mover's own win, and visits no more options: the
@@ -54,7 +58,7 @@ Indifferent: that is the lemma's first clause.  Prudent: (mover, 0) has
 rank e = 0, and rank 0 is the unique top of the chain, so no later
 option can rank above it; and no option ties it with another base,
 because rank 0 means the base is the mover.  Raw has no cutoff: its
-value needs every option.
+value needs every option.  fold_value applies the step to every option.
 
 fold_raw turns a raw value into a raw, syntactic, selfish or prudent
 result; evaluate, the census and the profile calibration all call it.
@@ -87,7 +91,7 @@ name, so one cache serves every walk:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .game_core import (
     BoardGraph,
@@ -99,7 +103,7 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import prudent_simplify, prudent_step, prune_fold
+from .preferences import INDIFFERENT, PRUDENT, Fold, fold_value, prudent_simplify, pruning_fold
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -154,19 +158,17 @@ EvalResult = Union[Raw, Simple, Class]
 WalkResult = Union[GameValue, SimpleValue, int]
 
 
-# The folds of the position walk (module docstring), by name: the leaf
-# map from a finished game's winner, the step from the options' results
-# and the mover, and whether leaf(mover) among the options decides it.
-_WALKS: dict[str, tuple[Callable[[int], WalkResult], Callable, bool]] = {
-    "raw": (leaf, lambda options, mover: choice(options), False),
-    "prudent": (lambda w: SimpleValue(w, 0), prudent_step, True),
-    "indifferent": (lambda w: w, lambda ws, mover: mover if mover in ws else min(ws), True),
+# The folds of the position walk (module docstring), by name.
+_WALKS: dict[str, Fold] = {
+    "raw": Fold(leaf, lambda options, mover: choice(options), False),
+    "prudent": PRUDENT,
+    "indifferent": INDIFFERENT,
 }
 
 
 # fold_raw's memos, one per (mode, profile), each mapping (value, mover)
 # to that fold's result.
-Folds = dict[tuple[str, NormalizationProfile], dict]
+FoldMemos = dict[tuple[str, NormalizationProfile], dict]
 
 
 class EvalCache:
@@ -188,7 +190,7 @@ class EvalCache:
         self.players = players
         self.entries: dict[tuple, WalkResult] = {}
         self.runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
-        self.folds: Folds = {}
+        self.folds: FoldMemos = {}
 
 
 def evaluate(
@@ -247,7 +249,7 @@ def fold_raw(
     mode: str,
     profile: NormalizationProfile,
     players: int,
-    folds: Folds,
+    folds: FoldMemos,
 ) -> EvalResult:
     """The raw, syntactic, selfish or prudent result for a raw value
     whose top choice is mover's; indifferent results come from the walk.
@@ -263,7 +265,7 @@ def fold_raw(
     if mode == "prudent":
         return Simple(prudent_simplify(raw, mover, memo))
     if mode == "selfish":
-        return Raw(prune_fold(raw, mover, mode, profile, players, memo))
+        return Raw(fold_value(raw, mover, pruning_fold(mode, profile, players), players, memo))
     raise ValueError(f"no fold of the raw value for mode {mode!r}")
 
 

@@ -469,7 +469,7 @@ def _class_rank(v: GameValue, p: int) -> int:
 
 
 _REFERENCE_LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
-_REFERENCE_PLESS_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
+_REFERENCE_PLESS_CACHE: dict[tuple[GameValue, GameValue, int, bool], bool] = {}
 _REFERENCE_EXT_CACHE: dict[tuple[GameValue, GameValue], bool] = {}
 
 
@@ -500,34 +500,48 @@ def _reference_strict_less(x: GameValue, y: GameValue, p: int) -> bool:
     return reference_selfish_leq(x, y, p) and not reference_selfish_leq(y, x, p)
 
 
-def reference_pless(x: GameValue, y: GameValue, p: int) -> bool:
-    """preferences._pless, recursing on every pair whatever its classes."""
+def reference_pless(
+    x: GameValue, y: GameValue, p: int, option_against_option: bool = True
+) -> bool:
+    """preferences._pless, recursing on every pair whatever its classes.
+
+    With option_against_option false, the relation drops that clause at
+    every level and keeps the other three.
+    """
     if x is y:
         return False
-    key = (x, y, p)
+    key = (x, y, p, option_against_option)
     got = _REFERENCE_PLESS_CACHE.get(key)
     if got is not None:
         return got
     result = _reference_strict_less(x, y, p)
     if not result and x.children is not None:
-        result = _reference_pless_options(x.children, (y,), p)
+        result = _reference_pless_options(x.children, (y,), p, option_against_option)
     if not result and y.children is not None:
-        result = _reference_pless_options((x,), y.children, p)
-    if not result and x.children is not None and y.children is not None:
+        result = _reference_pless_options((x,), y.children, p, option_against_option)
+    if (
+        not result
+        and option_against_option
+        and x.children is not None
+        and y.children is not None
+    ):
         result = _reference_pless_options(x.children, y.children, p)
     _REFERENCE_PLESS_CACHE[key] = result
     return result
 
 
 def _reference_pless_options(
-    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int
+    xs: tuple[GameValue, ...],
+    ys: tuple[GameValue, ...],
+    p: int,
+    option_against_option: bool = True,
 ) -> bool:
     witness = False
     for xi in xs:
         for yj in ys:
-            if reference_pless(xi, yj, p):
+            if reference_pless(xi, yj, p, option_against_option):
                 witness = True
-            elif reference_pless(yj, xi, p):
+            elif reference_pless(yj, xi, p, option_against_option):
                 return False
     return witness
 
@@ -732,7 +746,8 @@ def reference_prune_fold(
     players: int,
     memo: dict[tuple[GameValue, int], GameValue],
 ) -> GameValue:
-    """preferences.prune_fold over the reference prune and normalize."""
+    """fold_value over preferences.pruning_fold, through the reference
+    prune and normalize."""
     if v.children is None:
         return v
     key = (v, mover)

@@ -130,6 +130,17 @@ def test_simplify_prudent_collapses_to_a_bar_atom(capsys):
     assert (code, out.strip()) == (0, "2_1")
 
 
+def test_simplify_prudent_collapses_the_value_as_given_under_every_profile(capsys):
+    # Player 1 can only pass, and player 2 takes 2.  Rule 1 would drop
+    # that pass and leave player 1 the choice [2,3], which is 1_1.
+    for profile in ("L0", "L1", "L2"):
+        code, out, _ = run(
+            capsys, "simplify", "[[2,3]]", "--mode", "prudent",
+            "--perspective", "1", "--profile", profile,
+        )
+        assert (code, out.strip()) == (0, "2"), profile
+
+
 def test_simplify_prudent_needs_three_players(capsys):
     for players, value in (("4", "[[1,3],[2,3]]"), ("2", "[[1,2],[2]]")):
         code, out, err = run(

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     _class_rank,
+    all_simples,
     base_ordering_violations,
     closed_form_disagreements,
     indifferent_class,
@@ -40,9 +41,10 @@ from nclobber.preferences import (
     leq,
     merge_incomparable_simples,
     prudent_compare,
+    fold_value,
     prudent_simplify,
     prune,
-    prune_fold,
+    pruning_fold,
     simple_compare,
 )
 from nclobber.values import (
@@ -306,10 +308,11 @@ def test_syntactic_fold_equals_the_reference_on_every_root(profile):
 @pytest.mark.parametrize("profile", PROFILES, ids=[p.name for p in PROFILES])
 def test_prune_fold_equals_the_reference_on_every_root(mode, profile):
     bad = []
+    fold = pruning_fold(mode, profile, 3)
     for mover in (1, 2, 3):
         memo, reference_memo = {}, {}
         for v in FOLD_ROOTS:
-            got = prune_fold(v, mover, mode, profile, 3, memo)
+            got = fold_value(v, mover, fold, 3, memo)
             want = reference_prune_fold(v, mover, mode, profile, 3, reference_memo)
             if got is not want:
                 bad.append((mover, v.text))
@@ -344,15 +347,12 @@ def _indifferent_folds(draw):
 def test_the_indifferent_fold_is_a_leaf_the_mover_wins_when_they_can(args):
     # The leaf lemma of the solver docstring, which fold_raw relies on.
     v, mover, profile, players = args
-    memo = {}
-    got = prune_fold(v, mover, "indifferent", profile, players, memo)
+    fold, memo = pruning_fold("indifferent", profile, players), {}
+    got = fold_value(v, mover, fold, players, memo)
     assert got.children is None
     if v.children is not None:
         after = mover % players + 1
-        winners = {
-            prune_fold(c, after, "indifferent", profile, players, memo).winner
-            for c in v.children
-        }
+        winners = {fold_value(c, after, fold, players, memo).winner for c in v.children}
         assert got.winner == (mover if mover in winners else min(winners))
 
 
@@ -425,6 +425,22 @@ def test_relations_equal_their_reference_on_every_pool_pair():
 @given(value_trees(), value_trees(), st.integers(1, 3))
 def test_relations_equal_their_reference_on_random_pairs(x, y, p):
     assert _library_relations([(x, y, p)]) == _reference_relations([(x, y, p)])
+
+
+def test_no_known_pair_needs_the_prudent_option_against_option_clause():
+    # The evidence for ROADMAP item 8: dropping that clause from the
+    # relation changes no pool pair and no pair of simples up to exponent
+    # 8.  The library keeps the clause until a proof says it may go.
+    simples = [preferences._prepare(expand_simple(s)) for s in all_simples(8)]
+    pairs = [(x, y) for pool in (RELATION_POOL, simples) for x in pool for y in pool]
+    bad = [
+        (x.text, y.text, p)
+        for x, y in pairs
+        for p in (1, 2, 3)
+        if reference_pless(x, y, p, option_against_option=False) != preferences._pless(x, y, p)
+    ]
+    assert len(pairs) == 57**2 + 27**2
+    assert not bad, bad[:5]
 
 
 def _clear_relation_memos():
@@ -621,9 +637,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         p = str(rng.randint(1, 3))
         main(["simplify", text(rng, rng.randint(3, 7)), "--mode", mode, "--perspective", p])
 for mode in ("selfish", "indifferent"):
-    memo = {}
+    fold, memo = preferences.pruning_fold(mode, NormalizationProfile.L1, 3), {}
     for v in raw_values(run_keys(7)):
-        preferences.prune_fold(v, 1, mode, NormalizationProfile.L1, 3, memo)
+        preferences.fold_value(v, 1, fold, 3, memo)
 names = ("_LEQ_CACHE", "_PLESS_CACHE", "_EXT_CACHE", "_QUOT_CACHE")
 print(*(len(getattr(preferences, name)) for name in names))
 """
@@ -670,6 +686,14 @@ def test_prudent_simplify_rotates_the_mover_through_levels():
     v = parse_value("[[2,3]]")
     assert prudent_simplify(v, 1) == S(2, 0)  # player 2 takes their win
     assert prudent_simplify(v, 3) == S(1, 1)  # player 1 merges two losses
+
+
+@given(value_trees(3), st.integers(1, 3))
+def test_prudent_simplify_is_invariant_under_the_wrapper_rewrites(v, mover):
+    # Rules 2 and 3 (profile L1) keep the collapse (prudent_simplify).
+    assert prudent_simplify(normalize(v, NormalizationProfile.L1), mover) == prudent_simplify(
+        v, mover
+    )
 
 
 def test_prudent_simplify_validates_input():

@@ -30,7 +30,7 @@ from nclobber.game_core import (
     movers_mask,
     parse_board,
 )
-from nclobber.preferences import prudent_simplify, prune_fold
+from nclobber.preferences import fold_value, prudent_simplify, pruning_fold
 from nclobber.solver import (
     MODES,
     Class,
@@ -410,7 +410,7 @@ def _folded(raw, mover, walk, players, cache, memo):
     simple (fold_raw), or the winner of the indifferent fold's leaf."""
     if walk == "prudent":
         return fold_raw(raw, mover, walk, L1, players, cache.folds).value
-    return prune_fold(raw, mover, walk, L1, players, memo).winner
+    return fold_value(raw, mover, pruning_fold(walk, L1, players), players, memo).winner
 
 
 @pytest.mark.parametrize(
