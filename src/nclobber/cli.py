@@ -17,16 +17,9 @@ import sys
 from typing import Optional, Sequence
 
 from .enumeration import REGIMES, enumerate_values, render_reports
-from .preferences import compare, prudent_compare, prudent_simplify, prune
+from .preferences import compare, prudent_compare, prudent_simplify, pruning_fold
 from .solver import MODES, Raw, Simple, evaluate_text, render_result
-from .values import (
-    DEFAULT_PROFILE,
-    NormalizationProfile,
-    choice,
-    normalize,
-    parse_value,
-    quote,
-)
+from .values import DEFAULT_PROFILE, NormalizationProfile, normalize, parse_value, quote
 
 
 def _profile_arg(text: str) -> NormalizationProfile:
@@ -99,7 +92,8 @@ def _cmd_solve(args: argparse.Namespace) -> str:
         "shape": "line" if shape == "line" else f"{shape[0]}x{shape[1]}",
         "start": args.start,
         "mode": args.mode,
-        "profile": args.profile.name,
+        # Only the syntactic and selfish results are rewritten with it.
+        "profile": args.profile.name if args.mode in ("syntactic", "selfish") else None,
         "value": rendered,
     }
     return json.dumps(payload)
@@ -116,8 +110,7 @@ def _cmd_simplify(args: argparse.Namespace) -> str:
     else:
         value = normalize(value, args.profile, args.players)
         if args.mode != "raw" and value.children is not None:
-            kept = prune(value.children, p, args.mode, args.players)
-            value = normalize(choice(kept), args.profile, args.players)
+            value = pruning_fold(args.mode, args.profile, args.players).step(value.children, p)
         result = Raw(value)
     rendered = render_result(result, args.render)
     if args.format == "text":
@@ -125,7 +118,7 @@ def _cmd_simplify(args: argparse.Namespace) -> str:
     payload = {
         "input": args.value,
         "mode": args.mode,
-        "profile": args.profile.name,
+        "profile": None if args.mode == "prudent" else args.profile.name,
         "perspective": args.perspective,
         "value": rendered,
     }

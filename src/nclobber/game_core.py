@@ -1,11 +1,12 @@
 """Boards and moves for N-player Clobber on a rows x cols board.
 
-A board is a shape plus an occupancy: one byte per cell, row-major, 0
-for empty and 1..N for a token of that player.  Cells are adjacent when
-they share a side.  A move picks up the mover's token and clobbers an
-adjacent token of a different player; the source cell becomes empty.
-Tokens never move onto empty cells, so every move removes exactly one
-token and empty cells stay empty forever.
+A board is its shape, a (rows, cols) pair (a line is one row), plus an
+occupancy: one byte per cell, row-major, 0 for empty and 1..N for a
+token of that player.  The shape alone sets adjacency: cells are
+adjacent when they share a side.  A move picks up the mover's token and
+clobbers an adjacent token of a different player; the source cell
+becomes empty.  Tokens never move onto empty cells, so every move
+removes exactly one token and empty cells stay empty forever.
 
 Turn order rotates 1, 2, ..., N, 1, ...  A player with no legal move is
 skipped, and since the mover's options only ever shrink, a skipped
@@ -17,7 +18,6 @@ reference API; the solver walks live runs and bitboards instead.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from .values import quote
@@ -25,20 +25,6 @@ from .values import quote
 
 class BoardError(ValueError):
     """Raised for malformed board text or illegal moves."""
-
-
-class BoardGraph:
-    """A rows x cols board, cells row-major (a line is one row); its shape
-    alone sets adjacency.  Graphs compare and hash by identity, so keying
-    a memo on one costs nothing; grid_graph makes one per shape."""
-
-    __slots__ = ("vertex_count", "shape")
-
-    vertex_count: int
-    shape: tuple[int, int]
-
-    def __init__(self, rows: int, cols: int) -> None:
-        self.vertex_count, self.shape = rows * cols, (rows, cols)
 
 
 class Move(NamedTuple):
@@ -49,24 +35,9 @@ class Move(NamedTuple):
 class Position(NamedTuple):
     """A board state with the player whose turn it nominally is."""
 
-    graph: BoardGraph
+    shape: tuple[int, int]
     occupancy: bytes
     mover: int = 1
-
-
-@lru_cache(maxsize=None)
-def grid_graph(rows: int, cols: int) -> BoardGraph:
-    """A rows x cols grid, vertices row-major, orthogonally adjacent."""
-    if rows < 1 or cols < 1:
-        raise BoardError("a grid board needs positive dimensions")
-    return BoardGraph(rows, cols)
-
-
-def line_graph(n: int) -> BoardGraph:
-    """A path of n vertices, the 1xn board: grid_graph(1, n)."""
-    if n < 1:
-        raise BoardError("a line board needs at least one vertex")
-    return grid_graph(1, n)
 
 
 Shape = Union[str, tuple[int, int]]
@@ -75,12 +46,14 @@ Shape = Union[str, tuple[int, int]]
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[BoardGraph, bytes]:
-    """Turn a digit string into (graph, occupancy).
+def parse_board(
+    text: str, shape: Shape = "line", players: int = 3
+) -> tuple[tuple[int, int], bytes]:
+    """Turn a digit string into ((rows, cols), occupancy).
 
-    shape is "line" or a (rows, cols) pair read row-major.  Digits must
-    be 0..players.  Boards with no legal move parse fine; rejecting them
-    is the evaluator's job.
+    shape is "line", read as one row, or a (rows, cols) pair read
+    row-major.  Digits must be 0..players.  Boards with no legal move
+    parse fine; rejecting them is the evaluator's job.
     """
     if not 1 <= players <= 9:
         raise BoardError(f"player count must be 1..9, got {players}")
@@ -90,13 +63,13 @@ def parse_board(text: str, shape: Shape = "line", players: int = 3) -> tuple[Boa
     if max(cells) > players:
         bad = next(ch for ch in text if int(ch) > players)
         raise BoardError(f"digit {bad} exceeds player count {players}")
-    if shape == "line":
-        return line_graph(len(cells)), cells
-    rows, cols = shape
+    rows, cols = (1, len(cells)) if shape == "line" else shape
     # The digits fill the grid row by row, so there must be rows * cols.
     if rows * cols != len(cells):
         raise BoardError(f"grid {rows}x{cols} needs {rows * cols} digits, got {len(cells)}")
-    return grid_graph(rows, cols), cells
+    if rows < 1 or cols < 1:
+        raise BoardError("a grid board needs positive dimensions")
+    return (rows, cols), cells
 
 
 def _edges(shape: tuple[int, int]) -> Iterator[tuple[int, int]]:
@@ -111,10 +84,10 @@ def _edges(shape: tuple[int, int]) -> Iterator[tuple[int, int]]:
             yield v, v + cols
 
 
-def legal_moves(graph: BoardGraph, occupancy: bytes, player: int) -> list[Move]:
+def legal_moves(shape: tuple[int, int], occupancy: bytes, player: int) -> list[Move]:
     """All clobbering moves for player, ascending by (src, dst)."""
     out = []
-    for u, v in _edges(graph.shape):
+    for u, v in _edges(shape):
         a, b = occupancy[u], occupancy[v]
         if a and b and a != b and player in (a, b):
             out.append(Move(u, v) if a == player else Move(v, u))
@@ -138,14 +111,14 @@ def apply_move(occupancy: bytes, move: Move) -> bytes:
     return bytes(out)
 
 
-def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
+def movers_mask(shape: tuple[int, int], occupancy: bytes) -> int:
     """Bitmask of players with at least one legal move.
 
     Adjacent tokens of different players can always clobber each other,
     so one scan over the edges finds every player that can move.
     """
     mask = 0
-    for u, v in _edges(graph.shape):
+    for u, v in _edges(shape):
         a, b = occupancy[u], occupancy[v]
         if a and b and a != b:
             mask |= (1 << a) | (1 << b)
@@ -158,11 +131,11 @@ def movers_mask(graph: BoardGraph, occupancy: bytes) -> int:
 # reach the four neighbours with no wraparound.  The solver walks on them.
 
 
-def grid_masks(graph: BoardGraph, occupancy: bytes, players: int) -> tuple[int, ...]:
+def grid_masks(shape: tuple[int, int], occupancy: bytes, players: int) -> tuple[int, ...]:
     """The live bitboards of a line or grid occupancy: entry p - 1 holds
     player p's tokens that have an occupied neighbour.  The others can
     never move or be clobbered, since empty cells stay empty."""
-    cols = graph.shape[1]
+    cols = shape[1]
     masks = [0] * players
     for v, p in enumerate(occupancy):
         if p:

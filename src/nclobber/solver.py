@@ -24,11 +24,15 @@ raw record is _WALKS["raw"]; the others live in preferences:
                 survivors is rewritten with the session's profile
                 (selfish play; indifferent play for the tests)
 
-The position walk runs raw, PRUDENT and INDIFFERENT.  fold_raw runs
-PRUDENT (preferences.prudent_simplify) and the selfish pruning_fold
-over the raw value, through preferences.fold_value, whose levels rotate
-the mover one player down; the syntactic result is the raw value
-rewritten with the profile.
+The position walk runs raw, PRUDENT and INDIFFERENT.  It is one
+function over two board kinds, lines and grids; a kind gives it the
+child states of the mover's moves, and whether nobody can move.  The
+walk holds the memo probe, the cutoff, the forced pass and the leaf of
+a finished game once.  fold_raw runs PRUDENT
+(preferences.prudent_simplify) and the selfish pruning_fold over the
+raw value, through preferences.fold_value, whose levels rotate the
+mover one player down; the syntactic result is the raw value rewritten
+with the profile.
 
 The indifferent step is the leaf lemma: folding a raw value the way
 indifferent players play it (pruning_fold) always lands on a leaf, so
@@ -66,35 +70,42 @@ The census reaches the walk through evaluate_runs, with a line
 position's live-run key and no board.  Results are wrapped in one of
 three variants: Raw carries a value tree, Simple a simple value, Class
 a loss-blind class.  A cache holds every walk's memo and the memos of
-fold_raw; it serves every board graph, mode and profile for one player
+fold_raw; it serves every board shape, mode and profile for one player
 count, and its memos are freed with it.
 
-Positions are memoized under one of two keys, each led by the walk's
-name, so one cache serves every walk:
+Positions are memoized under (walk, mover, state), led by the walk's
+name so that one cache serves every walk.  The state depends on the
+board's kind:
 
-  line boards  (walk, mover, live runs): the sorted tuple of the
-               position's runs between empty cells that hold two or
-               more colours, each read the larger way round
-               (game_core.line_runs).
+  line boards  the live runs: the sorted tuple of the position's runs
+               between empty cells that hold two or more colours, each
+               read the larger way round (game_core.line_runs).
                The key is exact: empty cells stay empty, so runs never
                interact; reversing a run is a graph automorphism; and a
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
-  grid boards  (walk, graph, live bitboards, mover): one int per
-               player over the grid's cells (game_core.grid_masks), with
-               every token that has no occupied neighbour cleared.  The
-               key is exact: a move needs two adjacent tokens, and empty
-               cells stay empty, so an isolated token can never move or
-               be clobbered; the game plays as if its cell were empty.
-               A move is three bit flips on the masks.
+               Nobody can move when the tuple is empty.
+  grid boards  (stride, live bitboards): the stride cols + 1, then
+               one int per player over the grid's cells
+               (game_core.grid_masks), with every token that has no
+               occupied neighbour cleared.  The key is exact: a move
+               needs two adjacent tokens, and empty cells stay empty, so
+               an isolated token can never move or be clobbered; the
+               game plays as if its cell were empty.  The row count
+               plays no part, since no token lies past the last row, so
+               grids with the same column count and live tokens share
+               their entries.  Nobody can move when no token touches
+               another colour.  A move is three bit flips on the masks.
+
+Every key holds only strings, ints and bytes.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+import operator
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .game_core import (
-    BoardGraph,
     Position,
     Shape,
     adjacent,
@@ -103,7 +114,7 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import INDIFFERENT, PRUDENT, Fold, fold_value, prudent_simplify, pruning_fold
+from .preferences import INDIFFERENT, PRUDENT, fold_value, prudent_simplify, pruning_fold
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -158,12 +169,22 @@ EvalResult = Union[Raw, Simple, Class]
 WalkResult = Union[GameValue, SimpleValue, int]
 
 
-# The folds of the position walk (module docstring), by name.
-_WALKS: dict[str, Fold] = {
-    "raw": Fold(leaf, lambda options, mover: choice(options), False),
-    "prudent": PRUDENT,
-    "indifferent": INDIFFERENT,
+# The folds of the position walk (module docstring), by name, as plain
+# (leaf, step, cutoff) tuples, which the walk unpacks per memo miss
+# faster than a Fold.
+_WALKS: dict[str, tuple] = {
+    "raw": (leaf, lambda options, mover: choice(options), False),
+    "prudent": tuple(PRUDENT),
+    "indifferent": tuple(INDIFFERENT),
 }
+
+
+class _Kind(NamedTuple):
+    """A board kind, as the position walk sees it: moves gives the child
+    states of the mover's moves, and over says whether nobody can move."""
+
+    moves: Callable[[tuple, int, "EvalCache"], Iterable[tuple]]
+    over: Callable[[tuple], bool]
 
 
 # fold_raw's memos, one per (mode, profile), each mapping (value, mover)
@@ -175,11 +196,11 @@ class EvalCache:
     """Every walk's results for resolved positions, and the memos of
     fold_raw, for one player count.
 
-    entries keys a line position on (walk, mover, live runs) and a grid
-    position on (walk, graph, live bitboards, mover); see the module
-    docstring for why both keys are exact.  runs holds, per live run and
-    player, the runs that player's moves there leave
-    (game_core.run_moves), each computed once.  Every board graph, mode
+    entries keys a position on (walk, mover, state), where a line's
+    state is its live runs and a grid's is (stride, live bitboards);
+    see the module docstring for why both keys are exact.  runs holds,
+    per live run and player, the runs that player's moves there leave
+    (game_core.run_moves), each computed once.  Every board shape, mode
     and profile may share a cache; reusing it with another player count
     is an error.
     """
@@ -201,13 +222,15 @@ def evaluate(
     players: int = 3,
 ) -> EvalResult:
     """Value of a position for the mover given in it (skips resolve first)."""
-    graph, occupancy, mover = position
+    (rows, cols), occupancy, mover = position
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not 1 <= mover <= players:
         raise ValueError(f"mover {mover} out of range for {players} players")
     if mode == "prudent" and players != 3:
         raise ValueError("prudent evaluation is defined for exactly three players")
+    if rows < 1 or cols < 1 or len(occupancy) != rows * cols:
+        raise ValueError(f"{len(occupancy)} cells do not fill a {rows}x{cols} board")
     top = max(occupancy)
     if top > players:
         raise ValueError(f"token {top} exceeds player count {players}")
@@ -215,31 +238,21 @@ def evaluate(
         cache = EvalCache(players)
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
-    # A line walks on its live runs, a grid on its live bitboards.  Nobody
-    # can move on a line with no live run, nor on a grid where no token
-    # touches another colour (a live token may touch only its own).
-    rows, cols = graph.shape
     if rows == 1:
-        key = line_runs(occupancy)
+        state, kind = line_runs(occupancy), _LINE
     else:
-        key = grid_masks(graph, occupancy, players)
-        occ = sum(key)  # the masks are disjoint
-        if not any(m & adjacent(occ ^ m, cols + 1) for m in key):
-            key = ()
-    if not key:
+        state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _GRID
+    if kind.over(state):
         digits = "".join(map(str, occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
     walk = mode if mode in _WALKS else "raw"
     try:
-        if rows == 1:
-            got = evaluate_runs(key, mover, cache, walk)
-        else:
-            got = _eval_grid(graph, key, mover, cache, walk)
+        got = cache.entries.get((walk, mover, state)) or _walk(state, mover, cache, walk, kind)
         if walk == "raw":
             return fold_raw(got, mover, mode, profile, players, cache.folds)
         return Simple(got) if walk == "prudent" else Class(got == mover)
     except RecursionError:  # the walk and the folds recurse once per move
-        size = graph.vertex_count
+        size = rows * cols
         raise ValueError(f"the game tree of a {size}-cell board is too deep to evaluate") from None
 
 
@@ -292,20 +305,40 @@ def evaluate_runs(
     mover to move: the census's entry point, which needs no board.  An
     empty key is the finished game.
     """
+    return cache.entries.get((walk, mover, parts)) or _walk(parts, mover, cache, walk, _LINE)
+
+
+def _walk(state: tuple, mover: int, cache: EvalCache, walk: str, kind: _Kind) -> WalkResult:
+    """Result under one walk of the position state, mover to move, on a
+    board kind (_LINE, _GRID); callers probe the memo first.
+    """
     entries = cache.entries
-    key = (walk, mover, parts)
-    got = entries.get(key)
-    if got is not None:
-        return got
     leaf_of, step, cutoff = _WALKS[walk]
     players = cache.players
-    if not parts:
-        # Nobody can move: the player before the mover moved last.
-        return leaf_of((mover - 2) % players + 1)
     after = mover % players + 1
-    win = leaf_of(mover)
-    runs = cache.runs
+    win = leaf_of(mover) if cutoff else None
     results = set()
+    for child in kind.moves(state, mover, cache):
+        # Every result is truthy: a value, a simple or a player id.
+        got = entries.get((walk, after, child)) or _walk(child, after, cache, walk, kind)
+        if cutoff and got == win:  # the cutoff (module docstring)
+            entries[walk, mover, state] = got
+            return got
+        results.add(got)
+    if not results:
+        if kind.over(state):
+            # Nobody can move: the player before the mover moved last.
+            return leaf_of((mover - 2) % players + 1)
+        # The mover passes: a forced continuation, one list level.
+        results.add(entries.get((walk, after, state)) or _walk(state, after, cache, walk, kind))
+    got = entries[walk, mover, state] = step(results, mover)
+    return got
+
+
+def _line_moves(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> list[tuple]:
+    """The live-run keys the mover's moves leave on a line."""
+    runs = cache.runs
+    children = []
     for j, run in enumerate(parts):
         if j and run == parts[j - 1]:
             continue  # the same run again: the same children
@@ -313,49 +346,24 @@ def evaluate_runs(
         if moves is None:
             moves = runs[run, mover] = run_moves(run, mover)
         rest = parts[:j] + parts[j + 1 :]
+        if not rest:
+            children += moves
+            continue
         for replacement in moves:
-            child = tuple(sorted(rest + replacement)) if rest else replacement
-            # Every result is truthy: a value, a simple or a player id.
-            got = entries.get((walk, after, child)) or evaluate_runs(child, after, cache, walk)
-            if cutoff and got == win:  # the cutoff (module docstring)
-                entries[key] = got
-                return got
-            results.add(got)
-    if not results:
-        # The mover passes: a forced continuation, one list level.
-        results.add(evaluate_runs(parts, after, cache, walk))
-    got = entries[key] = step(results, mover)
-    return got
+            children.append(tuple(sorted(rest + replacement)))
+    return children
 
 
-def _eval_grid(
-    graph: BoardGraph, masks: tuple, mover: int, cache: EvalCache, walk: str = "raw"
-) -> WalkResult:
-    """Result under one walk of the grid position masks
-    (game_core.grid_masks), mover to move; game_core.adjacent is inlined
-    where it runs per move."""
-    entries = cache.entries
-    key = (walk, graph, masks, mover)
-    got = entries.get(key)
-    if got is not None:
-        return got
-    leaf_of, step, cutoff = _WALKS[walk]
-    players = cache.players
-    stride = graph.shape[1] + 1
-    i = mover - 1
-    mine = masks[i]
-    occ = sum(masks)  # the masks are disjoint
+def _grid_moves(state: tuple, mover: int, cache: EvalCache) -> Iterator[tuple]:
+    """The grid states the mover's moves leave, one at a time: a child
+    costs more to build here, and the cutoff may need only the first.
+    game_core.adjacent is inlined where it runs per move.
+    """
+    stride = state[0]
+    mine = state[mover]
+    occ = sum(state) - stride  # the masks are disjoint
     others = occ ^ mine
-    after = mover % players + 1
-    win = leaf_of(mover)
-    results = set()
     sources = mine & ((others << 1) | (others >> 1) | (others << stride) | (others >> stride))
-    if not sources:
-        if not any(m & adjacent(occ ^ m, stride) for m in masks):
-            # The game is over: the player before the mover moved last.
-            return leaf_of((mover - 2) % players + 1)
-        # The mover passes: a forced continuation, one list level.
-        results.add(_eval_grid(graph, masks, after, cache, walk))
     # Each move empties src, recolours dst and drops the tokens it isolates.
     while sources:
         src = sources & -sources
@@ -367,18 +375,23 @@ def _eval_grid(
             dst = targets & -targets
             targets ^= dst
             keep = live & ~dst
-            child = [m & keep for m in masks]
-            child[i] = (mine ^ src | dst) & live
-            child = tuple(child)
-            got = entries.get((walk, graph, child, after)) or _eval_grid(
-                graph, child, after, cache, walk
-            )
-            if cutoff and got == win:  # the cutoff (module docstring)
-                entries[key] = got
-                return got
-            results.add(got)
-    got = entries[key] = step(results, mover)
-    return got
+            child = [m & keep for m in state]
+            child[0] = stride
+            child[mover] = (mine ^ src | dst) & live
+            yield tuple(child)
+
+
+def _grid_over(state: tuple) -> bool:
+    """Whether nobody can move: no token touches another colour (a live
+    token may touch only its own)."""
+    stride = state[0]
+    occ = sum(state) - stride  # the masks are disjoint
+    return not any(m & adjacent(occ ^ m, stride) for m in state[1:])
+
+
+# On a line, nobody can move when the key is empty.
+_LINE = _Kind(_line_moves, operator.not_)
+_GRID = _Kind(_grid_moves, _grid_over)
 
 
 def evaluate_all_starts(
@@ -389,13 +402,13 @@ def evaluate_all_starts(
     shape: Shape = "line",
 ) -> dict[int, EvalResult]:
     """Evaluate the same board once per starting player 1..players."""
-    graph, occupancy = parse_board(board, shape=shape, players=players)
+    dims, occupancy = parse_board(board, shape=shape, players=players)
     results: dict[int, EvalResult] = {}
     # Memo keys carry the resolved mover, so one cache serves all starts.
     cache = EvalCache(players)
     for start in range(1, players + 1):
         results[start] = evaluate(
-            Position(graph, occupancy, start), mode, profile, cache, players
+            Position(dims, occupancy, start), mode, profile, cache, players
         )
     return results
 
@@ -411,5 +424,5 @@ def evaluate_text(
 ) -> EvalResult:
     """Parse a board string and evaluate it: the one path from board text
     to a result."""
-    graph, occupancy = parse_board(board, shape=shape, players=players)
-    return evaluate(Position(graph, occupancy, start), mode, profile, cache, players)
+    position = Position(*parse_board(board, shape=shape, players=players), start)
+    return evaluate(position, mode, profile, cache, players)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from nclobber.enumeration import _alphabet, _has_move, generate_boards
 from nclobber.game_core import (
-    BoardGraph,
     Position,
     apply_move,
     legal_moves,
@@ -116,14 +115,14 @@ def canonicalize(v: GameValue) -> GameValue:
 
 
 def next_active_player(
-    graph: BoardGraph, occupancy: bytes, after: int, players: int = 3
+    shape: tuple[int, int], occupancy: bytes, after: int, players: int = 3
 ) -> Optional[int]:
     """The first player in rotation strictly after `after` who can move.
 
     Tries at most `players` candidates, so it wraps all the way around
     to `after` itself; returns None when nobody can move.
     """
-    mask = movers_mask(graph, occupancy)
+    mask = movers_mask(shape, occupancy)
     for step in range(1, players + 1):
         cand = (after - 1 + step) % players + 1
         if mask & (1 << cand):
@@ -278,14 +277,14 @@ def _count_palindromes(n: int, players: int, movable: bool) -> int:
 # board walks
 
 
-def reachable_occupancies(graph: BoardGraph, occupancy: bytes, players: int = 3):
+def reachable_occupancies(shape: tuple[int, int], occupancy: bytes, players: int = 3):
     """Every occupancy reachable by any sequence of moves by any players."""
     seen = {occupancy}
     queue = deque([occupancy])
     while queue:
         cur = queue.popleft()
         for player in range(1, players + 1):
-            for move in legal_moves(graph, cur, player):
+            for move in legal_moves(shape, cur, player):
                 nxt = apply_move(cur, move)
                 if nxt not in seen:
                     seen.add(nxt)
@@ -300,19 +299,19 @@ def isolation_violations(board: str, players: int = 3) -> list[str]:
     every single further move must leave them without one.  Empty-handed
     players count as stuck, so the check covers them too.
     """
-    graph, occupancy = parse_board(board, players=players)
+    shape, occupancy = parse_board(board, players=players)
     bad = []
-    for cur in reachable_occupancies(graph, occupancy, players):
+    for cur in reachable_occupancies(shape, occupancy, players):
         stuck = [
-            p for p in range(1, players + 1) if not legal_moves(graph, cur, p)
+            p for p in range(1, players + 1) if not legal_moves(shape, cur, p)
         ]
         if not stuck:
             continue
         for player in range(1, players + 1):
-            for move in legal_moves(graph, cur, player):
+            for move in legal_moves(shape, cur, player):
                 nxt = apply_move(cur, move)
                 for q in stuck:
-                    if legal_moves(graph, nxt, q):
+                    if legal_moves(shape, nxt, q):
                         bad.append(
                             f"board {board}: player {q} had no move at "
                             f"{cur!r} but can move after {move} -> {nxt!r}"
@@ -378,13 +377,13 @@ def reference_evaluate(
     Each mode's simplification runs at every board position during the
     walk, instead of as a fold over the raw value.  memo maps resolved
     (occupancy, mover) pairs to results and must be kept per board
-    graph, mode, profile and player count.  The root is assumed to have
+    shape, mode, profile and player count.  The root is assumed to have
     a move.
     """
-    graph, occupancy, mover = position.graph, position.occupancy, position.mover
+    shape, occupancy, mover = position.shape, position.occupancy, position.mover
     if mode == "prudent":
-        return Simple(_reference_prudent(graph, occupancy, mover, memo))
-    value = _reference_tree(graph, occupancy, mover, mode, profile, memo, players)
+        return Simple(_reference_prudent(shape, occupancy, mover, memo))
+    value = _reference_tree(shape, occupancy, mover, mode, profile, memo, players)
     if mode == "indifferent":
         tokens = sum(1 for b in occupancy if b)
         named = indifferent_class(value, mover, tokens + 1)
@@ -396,7 +395,7 @@ def reference_evaluate(
 
 
 def _reference_tree(
-    graph: BoardGraph,
+    shape: tuple[int, int],
     occupancy: bytes,
     mover: int,
     mode: str,
@@ -410,19 +409,19 @@ def _reference_tree(
         return got
     after = mover % players + 1
     options = set()
-    if movers_mask(graph, occupancy) & (1 << mover):
-        for move in legal_moves(graph, occupancy, mover):
+    if movers_mask(shape, occupancy) & (1 << mover):
+        for move in legal_moves(shape, occupancy, mover):
             child = apply_move(occupancy, move)
-            if movers_mask(graph, child) == 0:
+            if movers_mask(shape, child) == 0:
                 options.add(leaf(mover))
             else:
                 options.add(
-                    _reference_tree(graph, child, after, mode, profile, memo, players)
+                    _reference_tree(shape, child, after, mode, profile, memo, players)
                 )
         if mode in ("selfish", "indifferent"):
             options = prune(options, mover, mode, players)
     else:
-        options.add(_reference_tree(graph, occupancy, after, mode, profile, memo, players))
+        options.add(_reference_tree(shape, occupancy, after, mode, profile, memo, players))
     value = choice(options)
     if mode != "raw":
         value = normalize(value, profile, players)
@@ -431,26 +430,26 @@ def _reference_tree(
 
 
 def _reference_prudent(
-    graph: BoardGraph, occupancy: bytes, mover: int, memo: dict
+    shape: tuple[int, int], occupancy: bytes, mover: int, memo: dict
 ) -> SimpleValue:
     key = (occupancy, mover)
     got = memo.get(key)
     if got is not None:
         return got
     after = mover % 3 + 1
-    if movers_mask(graph, occupancy) & (1 << mover):
+    if movers_mask(shape, occupancy) & (1 << mover):
         options: set[SimpleValue] = set()
-        for move in legal_moves(graph, occupancy, mover):
+        for move in legal_moves(shape, occupancy, mover):
             child = apply_move(occupancy, move)
-            if movers_mask(graph, child) == 0:
+            if movers_mask(shape, child) == 0:
                 options.add(SimpleValue(mover, 0))
             else:
-                options.add(_reference_prudent(graph, child, after, memo))
+                options.add(_reference_prudent(shape, child, after, memo))
         best = max(chain_coordinate(s, mover).sort_key for s in options)
         survivors = {s for s in options if chain_coordinate(s, mover).sort_key == best}
         value = merge_incomparable_simples(survivors, mover)
     else:
-        value = _reference_prudent(graph, occupancy, after, memo)
+        value = _reference_prudent(shape, occupancy, after, memo)
     memo[key] = value
     return value
 
@@ -811,27 +810,27 @@ def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...
     return tuple(sorted(found))
 
 
-def reference_eval_graph(graph: BoardGraph, occupancy: bytes, mover: int, cache) -> GameValue:
+def reference_eval_graph(shape: tuple[int, int], occupancy: bytes, mover: int, cache) -> GameValue:
     """The move-by-move position walk that grid bitboards replaced:
     raw value of (occupancy, mover) on any board, through the move-level
-    API, memoized in cache.entries on (graph, occupancy, mover)."""
-    key = (graph, occupancy, mover)
+    API, memoized in cache.entries on (shape, occupancy, mover)."""
+    key = (shape, occupancy, mover)
     got = cache.entries.get(key)
     if got is not None:
         return got
     players = cache.players
-    mask = movers_mask(graph, occupancy)
+    mask = movers_mask(shape, occupancy)
     if not mask:
         # The game is over: the player before the mover moved last.
         return leaf((mover - 2) % players + 1)
     after = mover % players + 1
     options = set()
     if mask & (1 << mover):
-        for move in legal_moves(graph, occupancy, mover):
-            options.add(reference_eval_graph(graph, apply_move(occupancy, move), after, cache))
+        for move in legal_moves(shape, occupancy, mover):
+            options.add(reference_eval_graph(shape, apply_move(occupancy, move), after, cache))
     else:
         # The mover passes: a forced continuation, one list level.
-        options.add(reference_eval_graph(graph, occupancy, after, cache))
+        options.add(reference_eval_graph(shape, occupancy, after, cache))
     value = choice(options)
     cache.entries[key] = value
     return value

@@ -67,6 +67,14 @@ def test_solve_json_payload_round_trips(capsys):
     assert parse_value(payload["value"]) is parse_value("[[1,3],[1,[1,2]],[2,3]]")
 
 
+def test_solve_json_names_a_profile_only_when_the_mode_reads_it(capsys):
+    for mode, profile in (("prudent", None), ("selfish", "L2")):
+        code, out, _ = run(
+            capsys, "solve", "123213", "--mode", mode, "--profile", "L2", "--format", "json"
+        )
+        assert (code, json.loads(out)["profile"]) == (0, profile), mode
+
+
 def test_solve_grid_board(capsys):
     code, out, _ = run(capsys, "solve", "120233", "--grid", "2x3")
     assert code == 0
@@ -139,6 +147,15 @@ def test_simplify_prudent_collapses_the_value_as_given_under_every_profile(capsy
             "--perspective", "1", "--profile", profile,
         )
         assert (code, out.strip()) == (0, "2"), profile
+
+
+def test_simplify_json_names_a_profile_only_when_the_mode_reads_it(capsys):
+    for mode, profile in (("prudent", None), ("selfish", "L2")):
+        code, out, _ = run(
+            capsys, "simplify", "[[2,3]]", "--mode", mode, "--perspective", "1",
+            "--profile", "L2", "--format", "json",
+        )
+        assert (code, json.loads(out)["profile"]) == (0, profile), mode
 
 
 def test_simplify_prudent_needs_three_players(capsys):

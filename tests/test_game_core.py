@@ -16,10 +16,8 @@ from nclobber.game_core import (
     BoardError,
     Move,
     apply_move,
-    grid_graph,
     grid_masks,
     legal_moves,
-    line_graph,
     line_runs,
     movers_mask,
     parse_board,
@@ -31,32 +29,32 @@ from nclobber.game_core import (
 # graphs and parsing
 
 
-def _checkerboard_edges(graph):
-    """The graph's edges and neighbour lists, read off the moves of a
+def _checkerboard_edges(shape):
+    """The board's edges and neighbour lists, read off the moves of a
     two-colour checkerboard, where every pair of neighbours can clobber."""
-    rows, cols = graph.shape
+    rows, cols = shape
     occ = bytes(1 + (r + c) % 2 for r in range(rows) for c in range(cols))
-    moves = legal_moves(graph, occ, 1) + legal_moves(graph, occ, 2)
+    moves = legal_moves(shape, occ, 1) + legal_moves(shape, occ, 2)
     edges = sorted({(min(m), max(m)) for m in moves})
     neighbors = [tuple(sorted(m.dst for m in moves if m.src == v)) for v in range(len(occ))]
     return edges, neighbors
 
 
 def test_line_graph_path_edges():
-    g = line_graph(4)
-    assert g.vertex_count == 4
-    edges, neighbors = _checkerboard_edges(g)
+    shape, occ = parse_board("1212")
+    assert shape == (1, 4) and len(occ) == 4
+    edges, neighbors = _checkerboard_edges(shape)
     assert edges == [(0, 1), (1, 2), (2, 3)]
     assert neighbors[0] == (1,)
     assert neighbors[1] == (0, 2)
 
 
 def test_grid_graph_edges():
-    g = grid_graph(2, 3)
-    assert g.vertex_count == 6
-    edges, neighbors = _checkerboard_edges(g)
+    shape, occ = parse_board("121212", shape=(2, 3))
+    assert shape == (2, 3) and len(occ) == 6
+    edges, neighbors = _checkerboard_edges(shape)
     assert set(edges) == {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
-    assert neighbors[4] == (1, 3, 5) and g.shape == (2, 3)
+    assert neighbors[4] == (1, 3, 5)
 
 
 def _side_sharing_moves(shape, occ, player):
@@ -76,43 +74,36 @@ def _side_sharing_moves(shape, occ, player):
 def test_moves_follow_the_side_sharing_rule_on_every_shape_up_to_4x4():
     rng = random.Random("side-sharing")
     for rows, cols in itertools.product(range(1, 5), repeat=2):
-        graph = grid_graph(rows, cols)
-        assert (graph.vertex_count, graph.shape) == (rows * cols, (rows, cols))
+        shape = (rows, cols)
         for _ in range(25):
             occ = bytes(rng.choice((0, 1, 2, 3, 4)) for _ in range(rows * cols))
             mask = 0
             for player in (1, 2, 3, 4):
-                want = _side_sharing_moves((rows, cols), occ, player)
-                assert legal_moves(graph, occ, player) == want, (rows, cols, occ, player)
+                want = _side_sharing_moves(shape, occ, player)
+                assert legal_moves(shape, occ, player) == want, (rows, cols, occ, player)
                 mask |= bool(want) << player
-            assert movers_mask(graph, occ) == mask, (rows, cols, occ)
+            assert movers_mask(shape, occ) == mask, (rows, cols, occ)
 
 
 def test_grid_masks_skip_a_guard_column_and_drop_isolated_tokens():
     # Stride 4: row 1 starts at bit 4, and bit 3 is the guard after (0, 2).
-    graph, occ = parse_board("120023", shape=(2, 3))
-    assert grid_masks(graph, occ, 3) == (0b1, 0b100010, 0b1000000)
-    graph, occ = parse_board("120003", shape=(2, 3))  # the 3 touches nothing
-    assert grid_masks(graph, occ, 3) == (0b1, 0b10, 0)
-    graph, occ = parse_board("0120", shape=(2, 2))  # (0, 1) and (1, 0) never touch
-    assert grid_masks(graph, occ, 3) == (0, 0, 0)
-
-
-def test_graphs_are_cached():
-    assert line_graph(5) is line_graph(5) is grid_graph(1, 5)
-    assert grid_graph(2, 2) is grid_graph(2, 2)
-    assert grid_graph(5, 1) is not line_graph(5)
+    shape, occ = parse_board("120023", shape=(2, 3))
+    assert grid_masks(shape, occ, 3) == (0b1, 0b100010, 0b1000000)
+    shape, occ = parse_board("120003", shape=(2, 3))  # the 3 touches nothing
+    assert grid_masks(shape, occ, 3) == (0b1, 0b10, 0)
+    shape, occ = parse_board("0120", shape=(2, 2))  # (0, 1) and (1, 0) never touch
+    assert grid_masks(shape, occ, 3) == (0, 0, 0)
 
 
 def test_parse_board_line_and_render_round_trip():
-    graph, occ = parse_board("12023")
-    assert graph is line_graph(5)
+    shape, occ = parse_board("12023")
+    assert shape == (1, 5)
     assert occ == bytes([1, 2, 0, 2, 3])
 
 
 def test_parse_board_grid_shape():
-    graph, occ = parse_board("120233", shape=(2, 3))
-    assert graph is grid_graph(2, 3)
+    shape, occ = parse_board("120233", shape=(2, 3))
+    assert shape == (2, 3)
     assert occ == bytes([1, 2, 0, 2, 3, 3])
 
 
@@ -123,6 +114,8 @@ def test_parse_board_rejects_bad_input():
         parse_board("124")  # token above the player count
     with pytest.raises(BoardError):
         parse_board("1202", shape=(2, 3))  # wrong cell count
+    with pytest.raises(BoardError, match="positive dimensions"):
+        parse_board("123", shape=(-1, -3))  # the right count, but no grid
     with pytest.raises(BoardError):
         parse_board("")
     with pytest.raises(BoardError, match="nonempty digit string"):
@@ -177,70 +170,70 @@ def test_run_moves_equal_the_reference_on_every_canonical_run(players, longest):
 
 
 def test_legal_moves_are_clobbers_in_ascending_order():
-    graph, occ = parse_board("213")
-    assert legal_moves(graph, occ, 1) == [Move(1, 0), Move(1, 2)]
-    assert legal_moves(graph, occ, 2) == [Move(0, 1)]
-    assert legal_moves(graph, occ, 3) == [Move(2, 1)]
+    shape, occ = parse_board("213")
+    assert legal_moves(shape, occ, 1) == [Move(1, 0), Move(1, 2)]
+    assert legal_moves(shape, occ, 2) == [Move(0, 1)]
+    assert legal_moves(shape, occ, 3) == [Move(2, 1)]
 
 
 def test_legal_moves_ignore_empty_and_own_neighbors():
-    graph, occ = parse_board("1102")
-    assert legal_moves(graph, occ, 1) == []
-    assert legal_moves(graph, occ, 2) == []
+    shape, occ = parse_board("1102")
+    assert legal_moves(shape, occ, 1) == []
+    assert legal_moves(shape, occ, 2) == []
 
 
 def test_apply_move_replaces_target_and_empties_source():
-    graph, occ = parse_board("213")
+    shape, occ = parse_board("213")
     nxt = apply_move(occ, Move(1, 0))
     assert nxt == bytes([1, 0, 3])
 
 
 def test_apply_move_validates_against_the_graph():
-    graph, occ = parse_board("2103")
+    shape, occ = parse_board("2103")
     with pytest.raises(BoardError):
         apply_move(occ, Move(1, 2))  # destination empty
     with pytest.raises(BoardError):
         apply_move(occ, Move(2, 3))  # source empty
-    graph, occ = parse_board("1123")
+    shape, occ = parse_board("1123")
     with pytest.raises(BoardError):
         apply_move(occ, Move(0, 1))  # destination holds own token
 
 
 def test_movers_mask_and_terminal():
-    graph, occ = parse_board("1122")
-    assert movers_mask(graph, occ) == (1 << 1) | (1 << 2)
-    graph, occ = parse_board("1012")
-    assert movers_mask(graph, occ) == (1 << 1) | (1 << 2)
-    graph, occ = parse_board("1023")
-    assert movers_mask(graph, occ) == (1 << 2) | (1 << 3)
-    graph, occ = parse_board("1100")
-    assert movers_mask(graph, occ) == 0
+    shape, occ = parse_board("1122")
+    assert movers_mask(shape, occ) == (1 << 1) | (1 << 2)
+    shape, occ = parse_board("1012")
+    assert movers_mask(shape, occ) == (1 << 1) | (1 << 2)
+    shape, occ = parse_board("1023")
+    assert movers_mask(shape, occ) == (1 << 2) | (1 << 3)
+    shape, occ = parse_board("1100")
+    assert movers_mask(shape, occ) == 0
 
 
 def test_next_active_player_wraps_and_handles_terminal():
-    graph, occ = parse_board("1122")
-    assert next_active_player(graph, occ, after=1) == 2
-    assert next_active_player(graph, occ, after=2) == 1  # 3 is stuck
-    assert next_active_player(graph, occ, after=3) == 1
-    graph, occ = parse_board("1100")
-    assert next_active_player(graph, occ, after=1) is None
+    shape, occ = parse_board("1122")
+    assert next_active_player(shape, occ, after=1) == 2
+    assert next_active_player(shape, occ, after=2) == 1  # 3 is stuck
+    assert next_active_player(shape, occ, after=3) == 1
+    shape, occ = parse_board("1100")
+    assert next_active_player(shape, occ, after=1) is None
 
 
 @given(movable_board_strategy())
 def test_mirroring_a_line_board_mirrors_its_moves(board):
     n = len(board)
-    graph, occ = parse_board(board)
+    shape, occ = parse_board(board)
     _, rocc = parse_board(board[::-1])
     for player in (1, 2, 3):
-        fwd = {(m.src, m.dst) for m in legal_moves(graph, occ, player)}
-        rev = {(n - 1 - s, n - 1 - d) for (s, d) in legal_moves(graph, rocc, player)}
+        fwd = {(m.src, m.dst) for m in legal_moves(shape, occ, player)}
+        rev = {(n - 1 - s, n - 1 - d) for (s, d) in legal_moves(shape, rocc, player)}
         assert fwd == rev
 
 
 @given(movable_board_strategy(), st.integers(1, 3))
 def test_apply_move_removes_exactly_one_token(board, player):
-    graph, occ = parse_board(board)
-    for move in legal_moves(graph, occ, player):
+    shape, occ = parse_board(board)
+    for move in legal_moves(shape, occ, player):
         nxt = apply_move(occ, move)
         assert sum(1 for c in nxt if c) == sum(1 for c in occ if c) - 1
         assert nxt[move.src] == 0 and nxt[move.dst] == player
@@ -260,14 +253,14 @@ def test_isolation_exhaustive_on_short_lines():
 
 def test_isolation_on_a_grid():
     board = "123123213"
-    graph, occ = parse_board(board, shape=(3, 3))
-    # walk by hand over the grid graph using the shared helper's logic
+    shape, occ = parse_board(board, shape=(3, 3))
+    # walk by hand over the grid using the shared helper's logic
     from helpers import reachable_occupancies
 
-    for cur in reachable_occupancies(graph, occ):
-        stuck = [p for p in (1, 2, 3) if not legal_moves(graph, cur, p)]
+    for cur in reachable_occupancies(shape, occ):
+        stuck = [p for p in (1, 2, 3) if not legal_moves(shape, cur, p)]
         for player in (1, 2, 3):
-            for move in legal_moves(graph, cur, player):
+            for move in legal_moves(shape, cur, player):
                 nxt = apply_move(cur, move)
                 for q in stuck:
-                    assert not legal_moves(graph, nxt, q)
+                    assert not legal_moves(shape, nxt, q)

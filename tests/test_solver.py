@@ -21,15 +21,7 @@ from helpers import (
 import nclobber
 from nclobber import solver
 from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
-from nclobber.game_core import (
-    BoardGraph,
-    Position,
-    grid_graph,
-    grid_masks,
-    line_graph,
-    movers_mask,
-    parse_board,
-)
+from nclobber.game_core import Position, grid_masks, movers_mask, parse_board
 from nclobber.preferences import fold_value, prudent_simplify, pruning_fold
 from nclobber.solver import (
     MODES,
@@ -87,14 +79,14 @@ def test_stuck_movers_pass_through_as_forced_nodes():
     checked = 0
     for n in (3, 4, 5):
         for board in MOVABLE_BOARDS[n]:
-            graph, occ = parse_board(board)
-            mask = movers_mask(graph, occ)
+            shape, occ = parse_board(board)
+            mask = movers_mask(shape, occ)
             for start in (1, 2, 3):
                 if mask & (1 << start):
                     continue
-                nxt = next_active_player(graph, occ, after=start)
-                mine = evaluate(Position(graph, occ, start), "raw")
-                theirs = evaluate(Position(graph, occ, nxt), "raw")
+                nxt = next_active_player(shape, occ, after=start)
+                mine = evaluate(Position(shape, occ, start), "raw")
+                theirs = evaluate(Position(shape, occ, nxt), "raw")
                 assert mine.value is choice([theirs.value]), (board, start)
                 checked += 1
     assert checked > 50
@@ -194,22 +186,12 @@ def test_results_graphs_and_caches_keep_their_contract():
         (first[0], "value"),
         (first[1], "value"),
         (first[2], "mine"),
-        (Position(line_graph(2), b"\1\2"), "mover"),
+        (Position((1, 2), b"\1\2"), "mover"),
         (EnumerationReport(2, 3, {}), "games_analysed"),
     ]
     for obj, attr in frozen:
         with pytest.raises(AttributeError):
             setattr(obj, attr, 1)
-
-    # Memos key on graphs by identity: a graph equals only itself, and
-    # each shape has one cached graph.
-    graph = line_graph(5)
-    twin = BoardGraph(1, 5)
-    assert graph == graph and graph is line_graph(5) is grid_graph(1, 5)
-    assert twin != graph and graph != grid_graph(5, 1)
-    assert {graph: 1}.get(twin) is None
-    assert twin.shape == graph.shape == (1, 5)
-    assert evaluate(Position(twin, b"\1\2\3\0\0")) == evaluate(Position(graph, b"\1\2\3\0\0"))
 
     one, two = EvalCache(), EvalCache()
     assert one.players == two.players == 3 and EvalCache(2).players == 2
@@ -220,13 +202,13 @@ def test_results_graphs_and_caches_keep_their_contract():
 def test_prudent_solver_matches_collapsing_the_raw_tree():
     for n in (3, 4, 5, 6):
         for board in MOVABLE_BOARDS[n]:
-            graph, occ = parse_board(board)
+            shape, occ = parse_board(board)
             raw_cache = EvalCache()
             prudent_cache = EvalCache()
             for start in (1, 2, 3):
-                raw = evaluate(Position(graph, occ, start), "raw", cache=raw_cache)
+                raw = evaluate(Position(shape, occ, start), "raw", cache=raw_cache)
                 fast = evaluate(
-                    Position(graph, occ, start), "prudent", cache=prudent_cache
+                    Position(shape, occ, start), "prudent", cache=prudent_cache
                 )
                 assert fast.value == prudent_simplify(raw.value, start), (
                     board,
@@ -257,9 +239,13 @@ def test_modes_are_validated():
     with pytest.raises(ValueError, match="no fold of the raw value"):
         fold_raw(parse_value("[1,2]"), 1, "indifferent", L1, 3, {})
     # A position built by hand may hold a token of no player.
-    for graph in (line_graph(3), grid_graph(1, 3)):
-        with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
-            evaluate(Position(graph, b"\5\1\2"))
+    with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
+        evaluate(Position((1, 3), b"\5\1\2"))
+    # Nor may its cells fail to fill its shape: walked on the wrong
+    # stride or run length, they would answer for some other board.
+    for shape, occ in [((2, 2), b"\1\2\3" * 3), ((1, 9), b"\1\2\3"), ((0, 3), b"")]:
+        with pytest.raises(ValueError, match="cells do not fill a"):
+            evaluate(Position(shape, occ))
 
 
 def test_syntactic_mode_equals_normalizing_the_raw_tree():
@@ -273,18 +259,18 @@ def test_syntactic_mode_equals_normalizing_the_raw_tree():
 
 
 def test_cache_reuse_is_safe_and_checked():
-    graph, occ = parse_board("123213")
+    shape, occ = parse_board("123213")
     cache = EvalCache()
-    first = evaluate(Position(graph, occ, 1), "raw", cache=cache)
-    again = evaluate(Position(graph, occ, 1), "raw", cache=cache)
+    first = evaluate(Position(shape, occ, 1), "raw", cache=cache)
+    again = evaluate(Position(shape, occ, 1), "raw", cache=cache)
     assert first.value is again.value
     assert cache.entries  # the memo actually filled
     # one cache serves every mode and profile in turn
-    position = Position(graph, occ, 1)
+    position = Position(shape, occ, 1)
     for mode in ("raw", "selfish", "prudent"):
         shared = evaluate(position, mode, cache=cache)
         assert shared == evaluate(position, mode, cache=EvalCache()), mode
-    # and every other board graph
+    # and every other board
     other = Position(*parse_board("1232"), 1)
     assert evaluate(other, "raw", cache=cache) == evaluate(other, "raw", cache=EvalCache())
     # but never another player count
@@ -293,8 +279,8 @@ def test_cache_reuse_is_safe_and_checked():
 
 
 def test_one_cache_serves_every_shape_of_the_same_digits():
-    # 1x6, 2x3 and 3x2 share their occupancy bytes; only the graph in
-    # the memo key tells their positions apart.
+    # 1x6, 2x3 and 3x2 share their occupancy bytes; the line is keyed on
+    # its runs, and the grids on bitboards of strides 4 and 3.
     cache = EvalCache()
     for start in (1, 2, 3):
         got = set()
@@ -308,11 +294,11 @@ def test_one_cache_serves_every_shape_of_the_same_digits():
 
 def test_fold_memos_in_one_cache_do_not_leak_between_modes():
     for n in (3, 4, 5, 6):
-        graph = parse_board(MOVABLE_BOARDS[n][0])[0]
+        shape = parse_board(MOVABLE_BOARDS[n][0])[0]
         cache = EvalCache()
         for board in MOVABLE_BOARDS[n]:
             for start in (1, 2, 3):
-                position = Position(graph, parse_board(board)[1], start)
+                position = Position(shape, parse_board(board)[1], start)
                 for mode in ("prudent", "selfish", "prudent"):
                     fresh = evaluate(position, mode, cache=EvalCache())
                     got = evaluate(position, mode, cache=cache)
@@ -339,19 +325,19 @@ def _mismatches(boards, modes, profiles, players=3, shape="line"):
     and profile; return (cases, mismatch descriptions).
 
     Both sides share their memos across the boards: evaluate one cache
-    for every graph and mode, as the census does, the reference one per
-    graph, mode and profile.
+    for every shape and mode, as the census does, the reference one per
+    shape, mode and profile.
     """
     cache, memos, bad, cases = EvalCache(players), {}, [], 0
     for board in boards:
-        graph, occ = parse_board(board, shape=shape, players=players)
-        if movers_mask(graph, occ) == 0:
+        dims, occ = parse_board(board, shape=shape, players=players)
+        if movers_mask(dims, occ) == 0:
             continue
         for start in range(1, players + 1):
-            position = Position(graph, occ, start)
+            position = Position(dims, occ, start)
             for mode in modes:
                 for profile in profiles:
-                    memo = memos.setdefault((graph, mode, profile), {})
+                    memo = memos.setdefault((dims, mode, profile), {})
                     got = evaluate(position, mode, profile, cache, players)
                     want = reference_evaluate(position, mode, profile, memo, players)
                     cases += 1
@@ -405,6 +391,15 @@ def test_folds_match_the_reference_on_random_grids():
 # prudent and indifferent walks against folding the raw value
 
 
+def _grid_walk(shape, occ, mover, cache, walk="raw"):
+    """The position walk's result on a grid occupancy, any shape, even
+    1xn, which evaluate would walk as a line."""
+    state = (shape[1] + 1, *grid_masks(shape, occ, cache.players))
+    return cache.entries.get((walk, mover, state)) or solver._walk(
+        state, mover, cache, walk, solver._GRID
+    )
+
+
 def _folded(raw, mover, walk, players, cache, memo):
     """A walk's result got by folding the raw value instead: the prudent
     simple (fold_raw), or the winner of the indifferent fold's leaf."""
@@ -443,14 +438,13 @@ def test_grid_walks_match_folding_the_raw_value():
     for shape in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (3, 4)]:
         for _ in range(40):
             board = "".join(rng.choice("01233") for _ in range(shape[0] * shape[1]))
-            graph, occ = parse_board(board, shape=shape)
-            if not movers_mask(graph, occ):
+            _, occ = parse_board(board, shape=shape)
+            if not movers_mask(shape, occ):
                 continue
-            masks = grid_masks(graph, occ, 3)
             for mover in (1, 2, 3):
-                raw = solver._eval_grid(graph, masks, mover, cache)
+                raw = _grid_walk(shape, occ, mover, cache)
                 for walk in ("prudent", "indifferent"):
-                    got = solver._eval_grid(graph, masks, mover, cache, walk)
+                    got = _grid_walk(shape, occ, mover, cache, walk)
                     assert got == _folded(raw, mover, walk, 3, cache, memo), (board, mover, walk)
                     cases += 1
     assert cases > 1000
@@ -481,12 +475,12 @@ def test_grid_walk_returns_the_edge_walks_values(players, shapes):
                 "0" if rng.random() < 0.15 else rng.choice(tokens)
                 for _ in range(shape[0] * shape[1])
             )
-            graph, occ = parse_board(board, shape=shape, players=players)
-            if not movers_mask(graph, occ):
+            dims, occ = parse_board(board, shape=shape, players=players)
+            if not movers_mask(dims, occ):
                 continue
             for start in range(1, players + 1):
-                want = reference_eval_graph(graph, occ, start, reference)
-                got = evaluate(Position(graph, occ, start), cache=cache, players=players)
+                want = reference_eval_graph(dims, occ, start, reference)
+                got = evaluate(Position(dims, occ, start), cache=cache, players=players)
                 assert got.value is want, (board, shape, start)
                 cases += 1
     assert cases > 30 * players
@@ -508,6 +502,19 @@ def test_grids_that_differ_in_isolated_tokens_share_one_memo_entry(shape, boards
         assert len(cache.entries) == size, board
 
 
+def test_grids_with_the_same_columns_and_live_tokens_share_memo_entries():
+    # Both lay out their bitboards on stride 4, and nothing lies below the
+    # first row; the row count is in no key.
+    cache = EvalCache()
+    for mode in ("raw", "prudent", "indifferent"):
+        for start in (1, 2, 3):
+            first = evaluate_text("123000", start, mode, shape=(2, 3), cache=cache)
+            size = len(cache.entries)
+            again = evaluate_text("123000000", start, mode, shape=(3, 3), cache=cache)
+            assert again.value is first.value if mode == "raw" else again == first
+            assert len(cache.entries) == size, (mode, start)
+
+
 def test_the_slowest_solve_stream_grid_holds_8704_memo_entries():
     cache = EvalCache()
     evaluate_text("122132133121", shape=(3, 4), cache=cache)
@@ -526,16 +533,15 @@ def _line_vs_grid(boards, players=3, modes=MODES):
     all boards."""
     line_cache, grid_cache, bad, cases = EvalCache(players), EvalCache(players), [], 0
     for board in boards:
-        graph, occ = parse_board(board, shape=(1, len(board)), players=players)
-        masks = grid_masks(graph, occ, players)
+        shape, occ = parse_board(board, shape=(1, len(board)), players=players)
         for start in range(1, players + 1):
-            raw = solver._eval_grid(graph, masks, start, grid_cache)
+            raw = _grid_walk(shape, occ, start, grid_cache)
             for mode in modes:
                 a = evaluate_text(board, start, mode, players=players, cache=line_cache)
                 if mode == "prudent":
-                    b = Simple(solver._eval_grid(graph, masks, start, grid_cache, mode))
+                    b = Simple(_grid_walk(shape, occ, start, grid_cache, mode))
                 elif mode == "indifferent":
-                    winner = solver._eval_grid(graph, masks, start, grid_cache, mode)
+                    winner = _grid_walk(shape, occ, start, grid_cache, mode)
                     b = Class(winner == start)
                 else:
                     b = fold_raw(raw, start, mode, L1, players, grid_cache.folds)
@@ -550,7 +556,7 @@ def _movable_strings(n, players):
     """Every digit string over 0..players of length n with a move."""
     for cells in itertools.product(range(players + 1), repeat=n):
         occ = bytes(cells)
-        if movers_mask(line_graph(n), occ):
+        if movers_mask((1, n), occ):
             yield "".join(map(str, cells))
 
 
