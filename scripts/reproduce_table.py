@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Reproduce the 1xn census table, with per-length timing.
 
-Lengths up to 10 run in seconds (3.0-4.5 s for n = 10); n = 11 takes
-17-19 s, and the whole run up to 11 takes 23-26 s and peaks at 378 MB
-in one process (three runs on a 2-vCPU Xeon VM with 8 GB, Python
-3.11.7).  12 and 13 are long-running (the census at 13 traverses about
-1.7 million run keys, for eleven million boards), so the default stops
-at 10.  The games column is closed-form and printed for the full 2..13
-range regardless.
+Lengths up to 10 run in seconds (2-3 s for n = 10); n = 11 takes
+12-14 s and peaks at 217 MB in a process of its own, and n = 12 takes
+51-53 s at 1.1 GB.  The whole run up to 12 took 72 s and peaked at
+1.2 GB in one process (a 2-vCPU Xeon VM with 8 GB, Python 3.11.7).
+13 is long-running (the census there traverses about 1.7 million run
+keys, for eleven million boards), so the default stops at 10.  The
+games column is closed-form and printed for the full 2..13 range
+regardless.
 
 Usage:
     python3 scripts/reproduce_table.py --max-n 10 --jobs 1 --out table.csv

@@ -21,7 +21,14 @@ on its live-run key (game_core.line_runs), and many boards share one,
 so run_keys lists the keys of the novel boards directly and each key is
 traversed once, into its raw value (solver.evaluate_runs).  Only the
 distinct raw values go on: every regime is a fold of them
-(solver.fold_raw), and each distinct result is rendered once.
+(solver.fold_raw), one regime at a time, each with a fold memo that is
+freed when the regime is done.  The key list is dropped before the folds.
+
+Results are rendered only when they are listed or merged across
+workers.  Values are interned, so equal results are equal objects, and
+bar rendering is injective: a census with no inventory in one process
+counts its distinct results and renders none.  With an inventory each
+distinct result is rendered once.
 
 Censuses parallelize over keys: the sorted keys are cut into one slice
 per process, each process collects the distinct raw values of its
@@ -212,17 +219,31 @@ def raw_values(keys: Iterable[tuple[bytes, ...]], players: int = 3) -> set[GameV
     return {evaluate_runs(key, 1, cache) for key in keys}
 
 
+def _results(roots: set[GameValue], m: str, profile: NormalizationProfile, players: int) -> set:
+    """One regime's distinct results over the raw values roots, through a
+    fold memo that is freed on return.  Values are interned, so equal
+    results are equal objects, and bar rendering is injective: there are
+    as many results as distinct renderings.
+    """
+    mode = "raw" if m == "unsimplified" else m
+    folds: FoldMemos = {}
+    return {fold_raw(raw, 1, mode, profile, players, folds) for raw in roots}
+
+
+def _rendered(
+    roots: set[GameValue], modes: Sequence[str], profile: NormalizationProfile, players: int
+) -> dict[str, set[str]]:
+    """Each regime's distinct results over roots, rendered in bar style."""
+    return {
+        m: {render_result(result, "bar") for result in _results(roots, m, profile, players)}
+        for m in modes
+    }
+
+
 def _census_chunk(args: tuple) -> dict[str, set[str]]:
     """Distinct rendered values per regime over one batch of keys."""
     keys, modes, profile, players = args
-    roots = raw_values(keys, players)
-    folds: FoldMemos = {}
-    out: dict[str, set[str]] = {}
-    for m in modes:
-        mode = "raw" if m == "unsimplified" else m
-        results = {fold_raw(raw, 1, mode, profile, players, folds) for raw in roots}
-        out[m] = {render_result(result, "bar") for result in results}
-    return out
+    return _rendered(raw_values(keys, players), modes, profile, players)
 
 
 def enumerate_values(
@@ -239,34 +260,39 @@ def enumerate_values(
     sorted value lists costs little and makes count diffs diagnosable.
     The sorted run keys are cut into min(workers, CPUs) slices with
     independent caches, one process each; the merged report does not
-    depend on the worker count.
+    depend on the worker count.  One process renders results only when
+    it lists them; without an inventory it counts them.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     modes = _check_modes(modes, players)
     if collect_inventory is None:
         collect_inventory = n <= 10
+    games = count_boards(n, players)
     keys = run_keys(n, players)
-    k = min(workers, os.cpu_count() or 1)
-    chunks = [keys[i::k] for i in range(k)]
-    payloads = [(chunk, modes, profile, players) for chunk in chunks if chunk]
-    if len(payloads) <= 1:
-        partials = [_census_chunk(p) for p in payloads]
+    # A slice per process, and none of them empty.
+    k = min(workers, os.cpu_count() or 1, len(keys))
+    if k <= 1:
+        roots = raw_values(keys, players)
+        del keys  # the folds need only the raw values
+        if not collect_inventory:
+            counts = {m: len(_results(roots, m, profile, players)) for m in modes}
+            return EnumerationReport(n, games, counts)
+        merged = _rendered(roots, modes, profile, players)
     else:
+        payloads = [(keys[i::k], modes, profile, players) for i in range(k)]
+        del keys
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        with ProcessPoolExecutor(max_workers=k) as pool:
             partials = list(pool.map(_census_chunk, payloads))
-    merged: dict[str, set[str]] = {m: set() for m in modes}
-    for part in partials:
-        for m, values in part.items():
-            merged[m].update(values)
+        merged = {m: set().union(*(part[m] for part in partials)) for m in modes}
     counts = {m: len(values) for m, values in merged.items()}
     inventory = (
         {m: tuple(sorted(values)) for m, values in merged.items()}
         if collect_inventory
         else None
     )
-    return EnumerationReport(n, count_boards(n, players), counts, inventory)
+    return EnumerationReport(n, games, counts, inventory)
 
 
 def render_reports(

@@ -168,26 +168,39 @@ def run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
     Moving from cell i onto i+1, or from i+1 onto i, empties one cell
     and so splits the run there.  Each piece is canonicalized as in
     line_runs.
+
+    A piece of one colour (or none) is dead.  With run[:lo] the first
+    colour's stretch and run[hi + 1:] the last one's, found once, whether
+    a piece is dead is an index test, plus, for the piece that holds the
+    moved token, whether that token matches the stretch it joins.
     """
+    first, last = run[0], len(run) - 1
+    end = run[last]
+    lo = 1
+    while run[lo] == first:
+        lo += 1
+    hi = last - 1
+    while run[hi] == end:
+        hi -= 1
     found: set[tuple[bytes, ...]] = set()
-    for i in range(len(run) - 1):
+    for i in range(last):
         a, b = run[i], run[i + 1]
-        if a == player != b:
-            left, right = run[:i], bytes((a,)) + run[i + 2 :]
-        elif b == player != a:
-            left, right = run[:i] + bytes((b,)), run[i + 2 :]
+        if a == b:
+            continue
+        if a == player:  # a clobbers rightwards: run[:i] | a run[i + 2:]
+            left = run[:i] if i > lo else None
+            live = i + 1 < hi or i + 1 < last and a != end
+            right = bytes((a,)) + run[i + 2 :] if live else None
+        elif b == player:  # b clobbers leftwards: run[:i] b | run[i + 2:]
+            left = run[:i] + bytes((b,)) if i > lo or i and b != first else None
+            right = run[i + 2 :] if i + 1 < hi else None
         else:
             continue
-        # A piece of one colour (or none) strips to nothing.
-        if left.strip(left[:1]):
-            left = max(left, left[::-1])
-            if right.strip(right[:1]):
-                right = max(right, right[::-1])
-                found.add((left, right) if left <= right else (right, left))
-            else:
-                found.add((left,))
-        elif right.strip(right[:1]):
-            found.add((max(right, right[::-1]),))
+        if left is None:
+            found.add(() if right is None else (max(right, right[::-1]),))
+        elif right is None:
+            found.add((max(left, left[::-1]),))
         else:
-            found.add(())
+            left, right = max(left, left[::-1]), max(right, right[::-1])
+            found.add((left, right) if left <= right else (right, left))
     return tuple(sorted(found))

@@ -475,8 +475,10 @@ def prudent_step(simples: Iterable[SimpleValue], mover: int) -> SimpleValue:
     return SimpleValue(mover, best) if tie else kept
 
 
-# Prudent play (three players): a finished game is the simple w_0.
-PRUDENT = Fold(lambda w: SimpleValue(w, 0), prudent_step, True)
+# Prudent play (three players): a finished game is the simple w_0, one
+# shared value per winner, read by index.
+_PRUDENT_LEAVES = (None, *(SimpleValue(w, 0) for w in (1, 2, 3)))
+PRUDENT = Fold(_PRUDENT_LEAVES.__getitem__, prudent_step, True)
 # Indifferent play, by the leaf lemma (solver module docstring): the
 # mover's own win if an option gives it, else the least option winner.
 INDIFFERENT = Fold(lambda w: w, lambda ws, mover: mover if mover in ws else min(ws), True)

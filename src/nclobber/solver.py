@@ -84,7 +84,16 @@ board's kind:
                interact; reversing a run is a graph automorphism; and a
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
-               Nobody can move when the tuple is empty.
+               Nobody can move when the tuple is empty.  A run's moves
+               (game_core.run_moves) are kept in the cache's run table
+               only when the run shares a position with another run:
+               a position of one run is expanded at most once per walk
+               and mover, so its entry would be read at most once per
+               walk, while a run beside others recurs in many keys.
+               Two runs and the blank between them take at least
+               len(run) + 3 cells, so on n cells no run longer than
+               n - 3 is kept.  The table holds only moves, never
+               results, so what it keeps changes no result.
   grid boards  (stride, live bitboards): the stride cols + 1, then
                one int per player over the grid's cells
                (game_core.grid_masks), with every token that has no
@@ -200,9 +209,11 @@ class EvalCache:
     state is its live runs and a grid's is (stride, live bitboards);
     see the module docstring for why both keys are exact.  runs holds,
     per live run and player, the runs that player's moves there leave
-    (game_core.run_moves), each computed once.  Every board shape, mode
-    and profile may share a cache; reusing it with another player count
-    is an error.
+    (game_core.run_moves), for the runs that share a position with
+    another run; a lone run's moves are computed where its position is
+    expanded, at most once per walk and mover, and not kept.
+    Every board shape, mode and profile may share a cache; reusing it
+    with another player count is an error.
     """
 
     __slots__ = ("players", "entries", "runs", "folds")
@@ -335,9 +346,14 @@ def _walk(state: tuple, mover: int, cache: EvalCache, walk: str, kind: _Kind) ->
     return got
 
 
-def _line_moves(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> list[tuple]:
-    """The live-run keys the mover's moves leave on a line."""
+def _line_moves(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Iterable[tuple]:
+    """The live-run keys the mover's moves leave on a line; cache.runs
+    stores a run's moves only when the run shares the position."""
     runs = cache.runs
+    if len(parts) == 1:  # each child key is one of the run's moves
+        (run,) = parts
+        moves = runs.get((run, mover))
+        return run_moves(run, mover) if moves is None else moves
     children = []
     for j, run in enumerate(parts):
         if j and run == parts[j - 1]:
@@ -346,9 +362,6 @@ def _line_moves(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> list[
         if moves is None:
             moves = runs[run, mover] = run_moves(run, mover)
         rest = parts[:j] + parts[j + 1 :]
-        if not rest:
-            children += moves
-            continue
         for replacement in moves:
             children.append(tuple(sorted(rest + replacement)))
     return children

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -210,15 +211,15 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     assert alone == split
 
 
-def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
-    sizes = []
-    mapped = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Two CPUs, and a process pool that maps in this process and records
+    each pool's size and how many payloads it was given."""
+    record = types.SimpleNamespace(sizes=[], mapped=[])
 
     class SerialPool:
-        """Records the pool size and the payloads; maps in this process."""
-
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -228,15 +229,48 @@ def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
 
         def map(self, fn, items):
             items = list(items)
-            mapped.append(len(items))
+            record.mapped.append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # enumerate_values imports the pool only when it runs more than one worker.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return record
+
+
+def test_census_starts_at_most_one_process_per_cpu(serial_pool):
     report = enumerate_values(4, workers=64)
-    assert sizes == [2] and mapped == [2]
+    assert serial_pool.sizes == [2] and serial_pool.mapped == [2]
     assert report == enumerate_values(4, workers=1)
+
+
+@pytest.mark.parametrize("players", [3, 2])
+def test_count_only_censuses_count_what_the_inventory_lists(players, serial_pool):
+    # One process counts results without rendering them; two merge
+    # rendered strings.  Both must count what the inventory lists.
+    modes = REGIMES if players == 3 else REGIMES[:3]
+    for n in range(2, 10):
+        listed = enumerate_values(n, modes, workers=1, collect_inventory=True, players=players)
+        assert listed.unique_values == {m: len(v) for m, v in listed.value_inventory.items()}
+        for workers in (1, 2):
+            counted = enumerate_values(
+                n, modes, workers=workers, collect_inventory=False, players=players
+            )
+            assert counted == listed._replace(value_inventory=None), (n, workers)
+    assert set(serial_pool.sizes) == {2}
+
+
+def test_censuses_leave_the_callers_lists_alone(serial_pool):
+    keys = run_keys(7)
+    before = list(keys)
+    raw_values(keys)
+    assert keys == before
+    for workers in (1, 2):
+        for inventory in (True, False):
+            modes = ["prudent", "unsimplified"]
+            enumerate_values(6, modes, workers=workers, collect_inventory=inventory)
+            assert modes == ["prudent", "unsimplified"]
+    assert serial_pool.sizes == [2, 2]
 
 
 def test_census_needs_at_least_one_worker():

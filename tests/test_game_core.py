@@ -151,7 +151,7 @@ def test_run_moves_split_the_run_where_a_cell_empties():
     assert run_moves(bytes([2, 1, 2, 1]), 1) == ((), (bytes([2, 1]),), (bytes([2, 1, 1]),))
 
 
-@pytest.mark.parametrize("players, longest", [(3, 9), (2, 12)])
+@pytest.mark.parametrize("players, longest", [(3, 9), (2, 12), (4, 7)])
 def test_run_moves_equal_the_reference_on_every_canonical_run(players, longest):
     bad = []
     for m in range(2, longest + 1):

@@ -606,6 +606,17 @@ def test_the_n9_census_sweep_holds_one_memo_entry_per_resolved_run_key():
     assert len(cache.entries) == 27_191
 
 
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_the_run_move_table_holds_only_runs_that_share_a_position(n):
+    # Two runs and the blank between them take at least len(run) + 3
+    # cells, so a run longer than n - 3 only ever stands alone.
+    cache = EvalCache()
+    for key in run_keys(n):
+        evaluate_runs(key, 1, cache)
+    assert cache.runs
+    assert max(len(run) for run, _ in cache.runs) <= n - 3
+
+
 def test_one_cache_shares_line_positions_across_lengths():
     shared, separate = EvalCache(), 0
     for n in range(2, 9):
