@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from nclobber.enumeration import raw_values, run_keys
-from nclobber.solver import FoldMemos, fold_raw
+from nclobber.solver import EvalCache, fold_raw
 from nclobber.values import GameValue, NormalizationProfile, _unwrap_exact, choice
 from published_counts import PUBLISHED_COUNTS
 
@@ -128,7 +128,7 @@ def calibrate_normalization(
         },
         "selfish": {"published": {}, "L1": {}, "L2": {}},
     }
-    folds: FoldMemos = {}
+    cache = EvalCache(players)
     splice_memo: dict[GameValue, GameValue] = {}
     for n in ns:
         roots = raw_values(run_keys(n, players), players)
@@ -136,7 +136,7 @@ def calibrate_normalization(
         for column in columns:
             for prof in profiles:
                 counts[column][prof.name][n] = len(
-                    {fold_raw(raw, 1, column, prof, players, folds) for raw in roots}
+                    {fold_raw(raw, 1, column, prof, cache) for raw in roots}
                 )
             counts[column]["published"][n] = PUBLISHED_COUNTS[column].get(n, -1)
         counts["syntactic"]["conservative"][n] = len(

@@ -21,7 +21,7 @@ on its live-run key (game_core.line_runs), and many boards share one,
 so run_keys lists the keys of the novel boards directly and each key is
 traversed once, into its raw value (solver.evaluate_runs).  Only the
 distinct raw values go on: every regime is a fold of them
-(solver.fold_raw), one regime at a time, each with a fold memo that is
+(solver.fold_raw), one regime at a time, each through a cache that is
 freed when the regime is done.  The key list is dropped before the folds.
 
 Results are rendered only when they are listed or merged across
@@ -43,7 +43,7 @@ import itertools
 import os
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .solver import EvalCache, FoldMemos, evaluate_runs, fold_raw, render_result
+from .solver import EvalCache, evaluate_runs, fold_raw, render_result
 from .values import DEFAULT_PROFILE, GameValue, NormalizationProfile
 
 REGIMES = ("unsimplified", "syntactic", "selfish", "prudent")
@@ -221,13 +221,13 @@ def raw_values(keys: Iterable[tuple[bytes, ...]], players: int = 3) -> set[GameV
 
 def _results(roots: set[GameValue], m: str, profile: NormalizationProfile, players: int) -> set:
     """One regime's distinct results over the raw values roots, through a
-    fold memo that is freed on return.  Values are interned, so equal
+    cache that is freed on return.  Values are interned, so equal
     results are equal objects, and bar rendering is injective: there are
     as many results as distinct renderings.
     """
     mode = "raw" if m == "unsimplified" else m
-    folds: FoldMemos = {}
-    return {fold_raw(raw, 1, mode, profile, players, folds) for raw in roots}
+    cache = EvalCache(players)
+    return {fold_raw(raw, 1, mode, profile, cache) for raw in roots}
 
 
 def _rendered(

@@ -407,49 +407,71 @@ def merge_incomparable_simples(simples: Iterable[SimpleValue], p: int) -> Simple
 # one fold per regime
 
 
-class Fold(NamedTuple):
+class Fold:
     """How one regime folds a game, one node at a time.
 
     leaf maps the winner of a finished game to its result, and step maps
     the results of a node's options and its mover to the node's result.
-    cutoff says that leaf(mover) among the options decides the step; only
-    the position walk reads it (solver module docstring).
+    cutoff says that leaf(mover) among the options decides the step, so
+    walk stops there (solver module docstring).  A record is its own memo
+    tag, hashed by identity, so one memo serves many folds.  Slots, not a
+    tuple: walk reads the fields and hashes the record per node.
     """
 
-    leaf: Callable[[int], Any]
-    step: Callable[[Collection, int], Any]
-    cutoff: bool
+    __slots__ = ("leaf", "step", "cutoff")
+
+    def __init__(self, leaf: Callable, step: Callable, cutoff: bool) -> None:
+        self.leaf, self.step, self.cutoff = leaf, step, cutoff
 
 
-def fold_value(
-    v: GameValue, mover: int, fold: Fold, players: int, memo: dict[tuple[GameValue, int], Any]
-) -> Any:
-    """Fold a value tree the way fold's regime plays it.
+class Kind:
+    """A kind of game, as walk sees it: moves gives a sequence of the
+    states the mover's moves leave; when it is empty, end gives the
+    winner of the finished game from the player who moved last, or None
+    when the mover passes."""
 
-    The mover owns the top-level choice and the turn rotates one player
-    per level down; a pass is a singleton level.  A choice applies the
-    step to its options' results, in the order of its children.  memo
-    maps (value, mover) to results for one fold and player count; pass
-    the same dict for many values to share work between them.
+    __slots__ = ("moves", "end")
+
+    def __init__(self, moves: Callable, end: Callable) -> None:
+        self.moves, self.end = moves, end
+
+
+# A value tree: a choice's options are the mover's moves, a leaf names
+# its winner, and a singleton is a pass, its one option under the next
+# mover.
+TREE = Kind(lambda v, mover: v.children or (), lambda v, last: v.winner)
+
+
+def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: int) -> Any:
+    """Fold the game at state, mover to move, the way fold's regime plays
+    it: bottom-up, the turn rotating one player per move.
+
+    memo maps (fold, mover, state) to results; callers probe it first,
+    and pass the same dict to share work between walks.  A mover with no
+    move passes, one option under the next mover, unless the game is
+    over.  The step sees its options' results in move order: prune fills
+    the relation memos in the order it gets options.
     """
-    if v.children is None:
-        return fold.leaf(v.winner)
-    got = memo.get((v, mover))
-    return got if got is not None else _fold(v, mover, fold, players, memo)
-
-
-def _fold(v: GameValue, mover: int, fold: Fold, players: int, memo: dict) -> Any:
-    # fold_value on a choice node; callers probe memo first.  A loop, not
-    # a comprehension, which would cost a frame per node.
-    leaf_of = fold.leaf
+    children = kind.moves(state, mover)
     after = mover % players + 1
-    options = []
-    for c in v.children:
-        if c.children is None:
-            options.append(leaf_of(c.winner))
-        else:  # every result is truthy: a value, a simple or a player id
-            options.append(memo.get((c, after)) or _fold(c, after, fold, players, memo))
-    got = memo[v, mover] = fold.step(options, mover)
+    if not children:
+        # The game is over, won by the player before the mover, who moved
+        # last; or the mover passes: a forced continuation, one level.
+        winner = kind.end(state, (mover - 2) % players + 1)
+        if winner is not None:
+            return fold.leaf(winner)
+        children = (state,)
+    cutoff = fold.cutoff
+    win = fold.leaf(mover) if cutoff else None
+    results = {}  # an ordered set
+    for child in children:
+        # Every result is truthy: a value, a simple or a player id.
+        got = memo.get((fold, after, child)) or walk(child, after, fold, kind, memo, players)
+        if cutoff and got == win:  # the cutoff (solver module docstring)
+            memo[fold, mover, state] = got
+            return got
+        results[got] = None
+    got = memo[fold, mover, state] = fold.step(results, mover)
     return got
 
 
@@ -475,6 +497,8 @@ def prudent_step(simples: Iterable[SimpleValue], mover: int) -> SimpleValue:
     return SimpleValue(mover, best) if tie else kept
 
 
+# Raw play: a game's value is the canonical choice over its options'.
+RAW = Fold(leaf, lambda options, mover: choice(options), False)
 # Prudent play (three players): a finished game is the simple w_0, one
 # shared value per winner, read by index.
 _PRUDENT_LEAVES = (None, *(SimpleValue(w, 0) for w in (1, 2, 3)))
@@ -503,18 +527,19 @@ def pruning_fold(mode: str, profile: NormalizationProfile, players: int) -> Fold
 def prudent_simplify(
     v: GameValue,
     mover: int,
-    memo: Optional[dict[tuple[GameValue, int], SimpleValue]] = None,
+    memo: Optional[dict] = None,
 ) -> SimpleValue:
     """Collapse a value tree to the one simple value prudent play reaches.
 
-    The PRUDENT fold: the mover owns the top-level choice and the turn
-    rotates one player per level down; a singleton level is a pass and
-    is absorbed.  At each choice the options collapse recursively, the
-    mover keeps the ones at the best chain coordinate, and the survivors
-    merge (prudent_step).  The board evaluator's prudent mode applies the
-    same step to positions instead, and reaches the same simple (solver
-    module docstring); the census collapses raw values here.  memo maps
-    (value, mover) to results; a call without one starts afresh.
+    The PRUDENT fold, walked over the value as a TREE: the mover owns the
+    top-level choice and the turn rotates one player per level down; a
+    singleton level is a pass and is absorbed.  At each choice the
+    options collapse recursively, the mover keeps the ones at the best
+    chain coordinate, and the survivors merge (prudent_step); the walk
+    stops at the mover's own win.  The board evaluator's prudent mode
+    walks positions instead, and reaches the same simple (solver module
+    docstring); the census collapses raw values here.  memo is walk's; a
+    call without one starts afresh.
 
     Wrapper levels carry turn information, so collapsing singletons
     around simples (rule 1, profile L2) beforehand may change the
@@ -532,7 +557,9 @@ def prudent_simplify(
         raise ValueError(f"mover {mover} out of range for three players")
     if not v.outcomes <= {1, 2, 3}:
         raise ValueError("prudent simplification is defined for three players")
-    return fold_value(v, mover, PRUDENT, 3, {} if memo is None else memo)
+    if memo is None:
+        memo = {}
+    return memo.get((PRUDENT, mover, v)) or walk(v, mover, PRUDENT, TREE, memo, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ Every regime is a fold (preferences.Fold): a leaf map from a finished
 game's winner w to a result, a step from the mover and its options'
 results to the node's result, and whether the mover's own win,
 leaf(mover), among the options decides the step (the cutoff).  The
-raw record is _WALKS["raw"]; the others live in preferences:
+records live in preferences:
 
-  raw           leaf(w), and the canonical choice over the options
+  RAW           leaf(w), and the canonical choice over the options
   PRUDENT       the simple w_0, and preferences.prudent_step, the rank
                 loop of prudent play (three players only); cutoff
   INDIFFERENT   the winner w: the mover if some option's result is the
@@ -24,15 +24,17 @@ raw record is _WALKS["raw"]; the others live in preferences:
                 survivors is rewritten with the session's profile
                 (selfish play; indifferent play for the tests)
 
-The position walk runs raw, PRUDENT and INDIFFERENT.  It is one
-function over two board kinds, lines and grids; a kind gives it the
-child states of the mover's moves, and whether nobody can move.  The
+One function, preferences.walk, runs every fold over three kinds of
+game (preferences.Kind): lines and grids, whose states are positions,
+and value trees (preferences.TREE), whose states are values.  A kind
+gives the walk the states the mover's moves leave and, when there are
+none, the winner of the finished game, or that the mover passes.  The
 walk holds the memo probe, the cutoff, the forced pass and the leaf of
-a finished game once.  fold_raw runs PRUDENT
-(preferences.prudent_simplify) and the selfish pruning_fold over the
-raw value, through preferences.fold_value, whose levels rotate the
-mover one player down; the syntactic result is the raw value rewritten
-with the profile.
+a finished game once.  evaluate walks positions under RAW, PRUDENT and
+INDIFFERENT.  fold_raw walks the raw value as a tree under PRUDENT
+(preferences.prudent_simplify) and the selfish pruning_fold, the turn
+rotating one player per level down; the syntactic result is the raw
+value rewritten with the profile.
 
 The indifferent step is the leaf lemma: folding a raw value the way
 indifferent players play it (pruning_fold) always lands on a leaf, so
@@ -45,14 +47,14 @@ one leaf is that leaf, and rewriting leaves a leaf alone.
 
 Why the walk agrees with folding the raw value.  Take a record whose
 step reads only the set of its options' results and maps a lone leaf
-option to that leaf's result, as raw, PRUDENT and INDIFFERENT do.  A
+option to that leaf's result, as RAW, PRUDENT and INDIFFERENT do.  A
 position's raw value is choice over its children's raw values, and by
 induction each child's walk result is the fold of its raw value.
 Choice drops duplicates, which the step does not see.  Choice
 identifies a singleton leaf with that leaf, which the step maps alike.
 A forced pass is one option, as it is in choice.  So the walk applies
 the same step to a DAG of which the raw DAG is a quotient, and gets the
-same result as fold_value over the raw value.
+same result as walking the raw value as a tree.
 
 The cutoff.  The walk returns as soon as an option's result is
 leaf(mover), the mover's own win, and visits no more options: the
@@ -61,21 +63,22 @@ sound when the step returns leaf(mover) whatever the other options are.
 Indifferent: that is the lemma's first clause.  Prudent: (mover, 0) has
 rank e = 0, and rank 0 is the unique top of the chain, so no later
 option can rank above it; and no option ties it with another base,
-because rank 0 means the base is the mover.  Raw has no cutoff: its
-value needs every option.  fold_value applies the step to every option.
+because rank 0 means the base is the mover.  The argument holds for
+tree walks alike.  Raw has no cutoff: its value needs every option;
+nor has pruning_fold.
 
 fold_raw turns a raw value into a raw, syntactic, selfish or prudent
 result; evaluate, the census and the profile calibration all call it.
 The census reaches the walk through evaluate_runs, with a line
 position's live-run key and no board.  Results are wrapped in one of
 three variants: Raw carries a value tree, Simple a simple value, Class
-a loss-blind class.  A cache holds every walk's memo and the memos of
-fold_raw; it serves every board shape, mode and profile for one player
-count, and its memos are freed with it.
+a loss-blind class.  A cache holds the walks' memo, over positions and
+values alike, and a run table; it serves every board shape, mode and
+profile for one player count, and its memos are freed with it.
 
-Positions are memoized under (walk, mover, state), led by the walk's
-name so that one cache serves every walk.  The state depends on the
-board's kind:
+Walks memoize under (fold, mover, state), led by the fold record itself
+so that one memo serves every fold.  A tree's state is its value, and
+values are interned.  A position's state depends on the board's kind:
 
   line boards  the live runs: the sorted tuple of the position's runs
                between empty cells that hold two or more colours, each
@@ -106,13 +109,12 @@ board's kind:
                their entries.  Nobody can move when no token touches
                another colour.  A move is three bit flips on the masks.
 
-Every key holds only strings, ints and bytes.
+Beside its fold, a position's key holds only ints and bytes.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .game_core import (
     Position,
@@ -123,15 +125,13 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import INDIFFERENT, PRUDENT, fold_value, prudent_simplify, pruning_fold
+from .preferences import INDIFFERENT, PRUDENT, RAW, TREE, Kind, prudent_simplify, pruning_fold, walk
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
     NormalizationProfile,
     SimpleValue,
-    choice,
     expand_simple,
-    leaf,
     normalize,
     quote,
     render_value,
@@ -178,51 +178,34 @@ EvalResult = Union[Raw, Simple, Class]
 WalkResult = Union[GameValue, SimpleValue, int]
 
 
-# The folds of the position walk (module docstring), by name, as plain
-# (leaf, step, cutoff) tuples, which the walk unpacks per memo miss
-# faster than a Fold.
-_WALKS: dict[str, tuple] = {
-    "raw": (leaf, lambda options, mover: choice(options), False),
-    "prudent": tuple(PRUDENT),
-    "indifferent": tuple(INDIFFERENT),
-}
-
-
-class _Kind(NamedTuple):
-    """A board kind, as the position walk sees it: moves gives the child
-    states of the mover's moves, and over says whether nobody can move."""
-
-    moves: Callable[[tuple, int, "EvalCache"], Iterable[tuple]]
-    over: Callable[[tuple], bool]
-
-
-# fold_raw's memos, one per (mode, profile), each mapping (value, mover)
-# to that fold's result.
-FoldMemos = dict[tuple[str, NormalizationProfile], dict]
+# The folds of the position walk (module docstring), by name.
+_WALKS = {"raw": RAW, "prudent": PRUDENT, "indifferent": INDIFFERENT}
 
 
 class EvalCache:
-    """Every walk's results for resolved positions, and the memos of
-    fold_raw, for one player count.
+    """Every walk's results, over positions and over the value trees
+    fold_raw folds, for one player count.
 
-    entries keys a position on (walk, mover, state), where a line's
-    state is its live runs and a grid's is (stride, live bitboards);
-    see the module docstring for why both keys are exact.  runs holds,
-    per live run and player, the runs that player's moves there leave
+    entries is the walks' memo (preferences.walk), keyed on (fold,
+    mover, state), where a line's state is its live runs, a grid's is
+    (stride, live bitboards) and a tree's is its value; see the module
+    docstring for why the position keys are exact.  runs holds, per live
+    run and player, the runs that player's moves there leave
     (game_core.run_moves), for the runs that share a position with
     another run; a lone run's moves are computed where its position is
-    expanded, at most once per walk and mover, and not kept.
-    Every board shape, mode and profile may share a cache; reusing it
-    with another player count is an error.
+    expanded, at most once per walk and mover, and not kept.  line is
+    the line kind that reads and fills runs.  Every board shape, mode and
+    profile may share a cache; reusing it with another player count is
+    an error.
     """
 
-    __slots__ = ("players", "entries", "runs", "folds")
+    __slots__ = ("players", "entries", "runs", "line")
 
     def __init__(self, players: int = 3) -> None:
         self.players = players
         self.entries: dict[tuple, WalkResult] = {}
         self.runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
-        self.folds: FoldMemos = {}
+        self.line = _line_kind(self.runs)
 
 
 def evaluate(
@@ -250,47 +233,45 @@ def evaluate(
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
     if rows == 1:
-        state, kind = line_runs(occupancy), _LINE
+        state, kind = line_runs(occupancy), cache.line
     else:
         state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _GRID
-    if kind.over(state):
+    if kind.end(state, mover) is not None:  # nobody can move
         digits = "".join(map(str, occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
-    walk = mode if mode in _WALKS else "raw"
+    fold, memo = _WALKS.get(mode, _WALKS["raw"]), cache.entries
     try:
-        got = cache.entries.get((walk, mover, state)) or _walk(state, mover, cache, walk, kind)
-        if walk == "raw":
-            return fold_raw(got, mover, mode, profile, players, cache.folds)
-        return Simple(got) if walk == "prudent" else Class(got == mover)
-    except RecursionError:  # the walk and the folds recurse once per move
+        got = memo.get((fold, mover, state)) or walk(state, mover, fold, kind, memo, players)
+        if fold is PRUDENT:
+            return Simple(got)
+        if fold is INDIFFERENT:
+            return Class(got == mover)
+        return fold_raw(got, mover, mode, profile, cache)
+    except RecursionError:  # the walks recurse once per move
         size = rows * cols
         raise ValueError(f"the game tree of a {size}-cell board is too deep to evaluate") from None
 
 
 def fold_raw(
-    raw: GameValue,
-    mover: int,
-    mode: str,
-    profile: NormalizationProfile,
-    players: int,
-    folds: FoldMemos,
+    raw: GameValue, mover: int, mode: str, profile: NormalizationProfile, cache: EvalCache
 ) -> EvalResult:
     """The raw, syntactic, selfish or prudent result for a raw value
     whose top choice is mover's; indifferent results come from the walk.
 
-    folds holds the fold memos; pass the same dict for many values to
-    share work between them.
+    The folds walk the value as a tree through cache.entries; pass the
+    same cache for many values to share work between them.
     """
+    players, memo = cache.players, cache.entries
     if mode == "raw":
         return Raw(raw)
     if mode == "syntactic":
         return Raw(normalize(raw, profile, players))
-    memo = folds.setdefault((mode, profile), {})
     if mode == "prudent":
         return Simple(prudent_simplify(raw, mover, memo))
-    if mode == "selfish":
-        return Raw(fold_value(raw, mover, pruning_fold(mode, profile, players), players, memo))
-    raise ValueError(f"no fold of the raw value for mode {mode!r}")
+    if mode != "selfish":
+        raise ValueError(f"no fold of the raw value for mode {mode!r}")
+    fold = pruning_fold(mode, profile, players)
+    return Raw(memo.get((fold, mover, raw)) or walk(raw, mover, fold, TREE, memo, players))
 
 
 def render_result(result: EvalResult, style: Optional[str] = None) -> str:
@@ -309,74 +290,55 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
 
 
 def evaluate_runs(
-    parts: tuple[bytes, ...], mover: int, cache: EvalCache, walk: str = "raw"
+    parts: tuple[bytes, ...], mover: int, cache: EvalCache, mode: str = "raw"
 ) -> WalkResult:
-    """Result under one walk ("raw", "prudent" or "indifferent") of the
-    line position whose live-run key is parts (game_core.line_runs),
-    mover to move: the census's entry point, which needs no board.  An
-    empty key is the finished game.
+    """Result under one position walk ("raw", "prudent" or
+    "indifferent") of the line position whose live-run key is parts
+    (game_core.line_runs), mover to move: the census's entry point, which
+    needs no board.  An empty key is the finished game.
     """
-    return cache.entries.get((walk, mover, parts)) or _walk(parts, mover, cache, walk, _LINE)
+    fold, memo = _WALKS[mode], cache.entries
+    got = memo.get((fold, mover, parts))
+    return got or walk(parts, mover, fold, cache.line, memo, cache.players)
 
 
-def _walk(state: tuple, mover: int, cache: EvalCache, walk: str, kind: _Kind) -> WalkResult:
-    """Result under one walk of the position state, mover to move, on a
-    board kind (_LINE, _GRID); callers probe the memo first.
-    """
-    entries = cache.entries
-    leaf_of, step, cutoff = _WALKS[walk]
-    players = cache.players
-    after = mover % players + 1
-    win = leaf_of(mover) if cutoff else None
-    results = set()
-    for child in kind.moves(state, mover, cache):
-        # Every result is truthy: a value, a simple or a player id.
-        got = entries.get((walk, after, child)) or _walk(child, after, cache, walk, kind)
-        if cutoff and got == win:  # the cutoff (module docstring)
-            entries[walk, mover, state] = got
-            return got
-        results.add(got)
-    if not results:
-        if kind.over(state):
-            # Nobody can move: the player before the mover moved last.
-            return leaf_of((mover - 2) % players + 1)
-        # The mover passes: a forced continuation, one list level.
-        results.add(entries.get((walk, after, state)) or _walk(state, after, cache, walk, kind))
-    got = entries[walk, mover, state] = step(results, mover)
-    return got
+def _line_kind(runs: dict) -> Kind:
+    """The kind of line positions, keyed on their live runs, that keeps
+    run moves in the run table runs."""
+
+    def line_moves(parts: tuple[bytes, ...], mover: int) -> Iterable[tuple]:
+        # The live-run keys the mover's moves leave; runs stores a run's
+        # moves only when the run shares the position.
+        if len(parts) == 1:  # each child key is one of the run's moves
+            (run,) = parts
+            moves = runs.get((run, mover))
+            return run_moves(run, mover) if moves is None else moves
+        children = []
+        for j, run in enumerate(parts):
+            if j and run == parts[j - 1]:
+                continue  # the same run again: the same children
+            moves = runs.get((run, mover))
+            if moves is None:
+                moves = runs[run, mover] = run_moves(run, mover)
+            rest = parts[:j] + parts[j + 1 :]
+            for replacement in moves:
+                children.append(tuple(sorted(rest + replacement)))
+        return children
+
+    # Nobody can move when the key is empty; then the last mover won.
+    return Kind(line_moves, lambda parts, last: None if parts else last)
 
 
-def _line_moves(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Iterable[tuple]:
-    """The live-run keys the mover's moves leave on a line; cache.runs
-    stores a run's moves only when the run shares the position."""
-    runs = cache.runs
-    if len(parts) == 1:  # each child key is one of the run's moves
-        (run,) = parts
-        moves = runs.get((run, mover))
-        return run_moves(run, mover) if moves is None else moves
-    children = []
-    for j, run in enumerate(parts):
-        if j and run == parts[j - 1]:
-            continue  # the same run again: the same children
-        moves = runs.get((run, mover))
-        if moves is None:
-            moves = runs[run, mover] = run_moves(run, mover)
-        rest = parts[:j] + parts[j + 1 :]
-        for replacement in moves:
-            children.append(tuple(sorted(rest + replacement)))
-    return children
-
-
-def _grid_moves(state: tuple, mover: int, cache: EvalCache) -> Iterator[tuple]:
-    """The grid states the mover's moves leave, one at a time: a child
-    costs more to build here, and the cutoff may need only the first.
-    game_core.adjacent is inlined where it runs per move.
+def _grid_moves(state: tuple, mover: int) -> list[tuple]:
+    """The grid states the mover's moves leave.  game_core.adjacent is
+    inlined where it runs per move.
     """
     stride = state[0]
     mine = state[mover]
     occ = sum(state) - stride  # the masks are disjoint
     others = occ ^ mine
     sources = mine & ((others << 1) | (others >> 1) | (others << stride) | (others >> stride))
+    children = []
     # Each move empties src, recolours dst and drops the tokens it isolates.
     while sources:
         src = sources & -sources
@@ -391,20 +353,19 @@ def _grid_moves(state: tuple, mover: int, cache: EvalCache) -> Iterator[tuple]:
             child = [m & keep for m in state]
             child[0] = stride
             child[mover] = (mine ^ src | dst) & live
-            yield tuple(child)
+            children.append(tuple(child))
+    return children
 
 
-def _grid_over(state: tuple) -> bool:
-    """Whether nobody can move: no token touches another colour (a live
-    token may touch only its own)."""
+def _grid_end(state: tuple, last: int) -> Optional[int]:
+    """last, who won, when nobody can move: no token touches another
+    colour (a live token may touch only its own); else None."""
     stride = state[0]
     occ = sum(state) - stride  # the masks are disjoint
-    return not any(m & adjacent(occ ^ m, stride) for m in state[1:])
+    return None if any(m & adjacent(occ ^ m, stride) for m in state[1:]) else last
 
 
-# On a line, nobody can move when the key is empty.
-_LINE = _Kind(_line_moves, operator.not_)
-_GRID = _Kind(_grid_moves, _grid_over)
+_GRID = Kind(_grid_moves, _grid_end)
 
 
 def evaluate_all_starts(

@@ -745,8 +745,8 @@ def reference_prune_fold(
     players: int,
     memo: dict[tuple[GameValue, int], GameValue],
 ) -> GameValue:
-    """fold_value over preferences.pruning_fold, through the reference
-    prune and normalize."""
+    """preferences.pruning_fold walked over the value tree v, through the
+    reference prune and normalize."""
     if v.children is None:
         return v
     key = (v, mover)

@@ -33,6 +33,8 @@ from helpers import (
 from nclobber import preferences
 from nclobber.enumeration import raw_values, run_keys
 from nclobber.preferences import (
+    INDIFFERENT,
+    TREE,
     ChainCoordinate,
     ChainError,
     Comparison,
@@ -41,11 +43,11 @@ from nclobber.preferences import (
     leq,
     merge_incomparable_simples,
     prudent_compare,
-    fold_value,
     prudent_simplify,
     prune,
     pruning_fold,
     simple_compare,
+    walk,
 )
 from nclobber.values import (
     NormalizationProfile,
@@ -298,6 +300,12 @@ FOLD_ROOTS = sorted(
 PROFILES = tuple(NormalizationProfile)
 
 
+def _walk_tree(v, mover, fold, players, memo):
+    """fold's result over the value tree v, mover to move, as fold_raw
+    walks it."""
+    return memo.get((fold, mover, v)) or walk(v, mover, fold, TREE, memo, players)
+
+
 @pytest.mark.parametrize("profile", PROFILES, ids=[p.name for p in PROFILES])
 def test_syntactic_fold_equals_the_reference_on_every_root(profile):
     bad = [v for v in FOLD_ROOTS if normalize(v, profile) is not reference_normalize(v, profile)]
@@ -312,7 +320,7 @@ def test_prune_fold_equals_the_reference_on_every_root(mode, profile):
     for mover in (1, 2, 3):
         memo, reference_memo = {}, {}
         for v in FOLD_ROOTS:
-            got = fold_value(v, mover, fold, 3, memo)
+            got = _walk_tree(v, mover, fold, 3, memo)
             want = reference_prune_fold(v, mover, mode, profile, 3, reference_memo)
             if got is not want:
                 bad.append((mover, v.text))
@@ -348,12 +356,14 @@ def test_the_indifferent_fold_is_a_leaf_the_mover_wins_when_they_can(args):
     # The leaf lemma of the solver docstring, which fold_raw relies on.
     v, mover, profile, players = args
     fold, memo = pruning_fold("indifferent", profile, players), {}
-    got = fold_value(v, mover, fold, players, memo)
+    got = _walk_tree(v, mover, fold, players, memo)
     assert got.children is None
     if v.children is not None:
         after = mover % players + 1
-        winners = {fold_value(c, after, fold, players, memo).winner for c in v.children}
+        winners = {_walk_tree(c, after, fold, players, memo).winner for c in v.children}
         assert got.winner == (mover if mover in winners else min(winners))
+    # So the INDIFFERENT fold, which keeps only winners, reaches the same.
+    assert _walk_tree(v, mover, INDIFFERENT, players, {}) == got.winner
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +649,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 for mode in ("selfish", "indifferent"):
     fold, memo = preferences.pruning_fold(mode, NormalizationProfile.L1, 3), {}
     for v in raw_values(run_keys(7)):
-        preferences.fold_value(v, 1, fold, 3, memo)
+        memo.get((fold, 1, v)) or preferences.walk(v, 1, fold, preferences.TREE, memo, 3)
 names = ("_LEQ_CACHE", "_PLESS_CACHE", "_EXT_CACHE", "_QUOT_CACHE")
 print(*(len(getattr(preferences, name)) for name in names))
 """
@@ -679,6 +689,16 @@ def test_prudent_simplify_goldens():
         "[[[1,2],[[2,3],[[1,3]]]],[[1,2],[[2,3]]],[[[2,3],[[1,3]]]]]"
     )
     assert prudent_simplify(tree, 1) == S(3, 1)
+
+
+def test_a_tree_fold_stops_at_the_movers_own_win():
+    # The cutoff: the mover's leaf comes first, so the choice beside it
+    # is never folded and never memoized.
+    v = parse_value("[1,[[1,3],[2,3]]]")
+    (inner,) = (c for c in v.children if c.children is not None)
+    memo = {}
+    assert str(prudent_simplify(v, 1, memo)) == "1"
+    assert memo and all(state is not inner for _, _, state in memo)
 
 
 def test_prudent_simplify_rotates_the_mover_through_levels():

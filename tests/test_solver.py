@@ -22,7 +22,7 @@ import nclobber
 from nclobber import solver
 from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
 from nclobber.game_core import Position, grid_masks, movers_mask, parse_board
-from nclobber.preferences import fold_value, prudent_simplify, pruning_fold
+from nclobber.preferences import PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
 from nclobber.solver import (
     MODES,
     Class,
@@ -37,6 +37,7 @@ from nclobber.solver import (
     fold_raw,
 )
 from nclobber.values import (
+    GameValue,
     NormalizationProfile,
     SimpleValue,
     choice,
@@ -195,7 +196,7 @@ def test_results_graphs_and_caches_keep_their_contract():
 
     one, two = EvalCache(), EvalCache()
     assert one.players == two.players == 3 and EvalCache(2).players == 2
-    for name in ("entries", "runs", "folds"):
+    for name in ("entries", "runs"):
         assert getattr(one, name) == {} and getattr(one, name) is not getattr(two, name)
 
 
@@ -237,7 +238,7 @@ def test_modes_are_validated():
         evaluate_text("1212", mode="prudent", players=4)
     # Indifferent results come from the walk, not from a raw value.
     with pytest.raises(ValueError, match="no fold of the raw value"):
-        fold_raw(parse_value("[1,2]"), 1, "indifferent", L1, 3, {})
+        fold_raw(parse_value("[1,2]"), 1, "indifferent", L1, EvalCache())
     # A position built by hand may hold a token of no player.
     with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
         evaluate(Position((1, 3), b"\5\1\2"))
@@ -303,9 +304,13 @@ def test_fold_memos_in_one_cache_do_not_leak_between_modes():
                     fresh = evaluate(position, mode, cache=EvalCache())
                     got = evaluate(position, mode, cache=cache)
                     assert got == fresh, (board, start, mode)
-        # Prudent walks positions; selfish folds the raw walk's values.
-        assert {key[0] for key in cache.entries} == {"prudent", "raw"}
-        assert {mode for mode, _ in cache.folds} == {"selfish"}
+        # Prudent walks positions; selfish walks the raw walk's values.
+        # (At n = 3 every raw value is a leaf, which leaves no selfish entry.)
+        selfish = pruning_fold("selfish", L1, 3)
+        tags = {key[0] for key in cache.entries}
+        assert tags == {PRUDENT, RAW} | ({selfish} if n > 3 else set()), n
+        for fold, _, state in cache.entries:
+            assert isinstance(state, GameValue) == (fold is selfish), (fold, state)
 
 
 def test_evaluate_all_starts_shares_one_cache_consistently():
@@ -391,21 +396,24 @@ def test_folds_match_the_reference_on_random_grids():
 # prudent and indifferent walks against folding the raw value
 
 
-def _grid_walk(shape, occ, mover, cache, walk="raw"):
+def _grid_walk(shape, occ, mover, cache, mode="raw"):
     """The position walk's result on a grid occupancy, any shape, even
     1xn, which evaluate would walk as a line."""
     state = (shape[1] + 1, *grid_masks(shape, occ, cache.players))
-    return cache.entries.get((walk, mover, state)) or solver._walk(
-        state, mover, cache, walk, solver._GRID
+    fold, memo = solver._WALKS[mode], cache.entries
+    return memo.get((fold, mover, state)) or walk(
+        state, mover, fold, solver._GRID, memo, cache.players
     )
 
 
-def _folded(raw, mover, walk, players, cache, memo):
-    """A walk's result got by folding the raw value instead: the prudent
-    simple (fold_raw), or the winner of the indifferent fold's leaf."""
-    if walk == "prudent":
-        return fold_raw(raw, mover, walk, L1, players, cache.folds).value
-    return fold_value(raw, mover, pruning_fold(walk, L1, players), players, memo).winner
+def _folded(raw, mover, mode, players, cache, memo):
+    """A walk's result got by folding the raw value as a tree instead: the
+    prudent simple (fold_raw), or the winner of the indifferent fold's
+    leaf."""
+    if mode == "prudent":
+        return fold_raw(raw, mover, mode, L1, cache).value
+    fold = pruning_fold(mode, L1, players)
+    return (memo.get((fold, mover, raw)) or walk(raw, mover, fold, TREE, memo, players)).winner
 
 
 @pytest.mark.parametrize(
@@ -424,11 +432,11 @@ def test_line_walks_match_folding_the_raw_value(players, max_n, walks):
     for mover in range(1, min(players, 3) + 1):
         for key in keys:
             raw = evaluate_runs(key, mover, cache)
-            for walk in walks:
-                got = evaluate_runs(key, mover, cache, walk)
-                want = _folded(raw, mover, walk, players, cache, memo)
+            for mode in walks:
+                got = evaluate_runs(key, mover, cache, mode)
+                want = _folded(raw, mover, mode, players, cache, memo)
                 if got != want:
-                    bad.append(f"{key} mover={mover} {walk}: {got} != {want}")
+                    bad.append(f"{key} mover={mover} {mode}: {got} != {want}")
     assert not bad, bad[:10]
 
 
@@ -443,9 +451,9 @@ def test_grid_walks_match_folding_the_raw_value():
                 continue
             for mover in (1, 2, 3):
                 raw = _grid_walk(shape, occ, mover, cache)
-                for walk in ("prudent", "indifferent"):
-                    got = _grid_walk(shape, occ, mover, cache, walk)
-                    assert got == _folded(raw, mover, walk, 3, cache, memo), (board, mover, walk)
+                for mode in ("prudent", "indifferent"):
+                    got = _grid_walk(shape, occ, mover, cache, mode)
+                    assert got == _folded(raw, mover, mode, 3, cache, memo), (board, mover, mode)
                     cases += 1
     assert cases > 1000
 
@@ -544,7 +552,7 @@ def _line_vs_grid(boards, players=3, modes=MODES):
                     winner = _grid_walk(shape, occ, start, grid_cache, mode)
                     b = Class(winner == start)
                 else:
-                    b = fold_raw(raw, start, mode, L1, players, grid_cache.folds)
+                    b = fold_raw(raw, start, mode, L1, grid_cache)
                 cases += 1
                 same = a.value is b.value if isinstance(a, Raw) else a == b
                 if type(a) is not type(b) or not same:
