@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Reproduce the 1xn census table, with per-length timing.
 
-Lengths up to 10 run in seconds (2-3 s for n = 10); n = 11 takes
-12-14 s and peaks at 217 MB in a process of its own, and n = 12 takes
-51-53 s at 1.1 GB.  The whole run up to 12 took 72 s and peaked at
-1.2 GB in one process (a 2-vCPU Xeon VM with 8 GB, Python 3.11.7).
-13 is long-running (the census there traverses about 1.7 million run
-keys, for eleven million boards), so the default stops at 10.  The
+Lengths up to 10 run in seconds (about 5 s for n = 10); n = 11 takes
+about 17 s, and n = 12 takes 74 s at 611 MB in a process of its own.
+The whole run up to 12 took 101 s and peaked at 661 MB in one process,
+and up to 13 it took 387 s (271 s for n = 13) at 2.4 GB (a 2-vCPU Xeon
+VM with 8 GB, Python 3.11.7).  13 is long-running (the census there
+traverses about 1.7 million run keys, for eleven million boards), so the
+default stops at 10.  The
 games column is closed-form and printed for the full 2..13 range
 regardless.
 

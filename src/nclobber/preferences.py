@@ -643,7 +643,9 @@ def prune(
     indifferent player); the options themselves stay as given, for the
     caller owns them.  Both orders are transitive (module docstring), so
     some option always survives.  In indifferent mode, options the
-    player cannot tell apart additionally collapse to the text-least.
+    player cannot tell apart additionally collapse to the least in
+    `order`, which is text order: loss-blind players take the least
+    winner, so among losses the player labels decide.
     """
     opts = list(dict.fromkeys(options))
     if not opts:
@@ -672,7 +674,7 @@ def prune(
         )
     ]
     merged: list[GameValue] = []
-    for v in sorted(survivors, key=lambda v: v.text):
+    for v in sorted(survivors, key=lambda v: v.order):
         a = proxy[v]
         if not any(_ext_leq(a, proxy[r]) and _ext_leq(proxy[r], a) for r in merged):
             merged.append(v)

@@ -42,8 +42,13 @@ the result is a winner and the class is win or other_0.  By induction:
 the options fold to leaves.  If the mover's own leaf is among them, it
 alone is in the top class, and prune keeps it.  Otherwise every option
 is a loss, every loss collapses to one leaf in the loss-blind view, and
-prune merges them to the text-least, the least winner.  A choice over
-one leaf is that leaf, and rewriting leaves a leaf alone.
+prune merges them to the least in text order, the least winner.  A
+choice over one leaf is that leaf, and rewriting leaves a leaf alone.
+So a mover who loses either way hands the win to the least label, and
+indifferent results depend on the player labels: 12311 with player 3
+to move has the raw value [1,[2,3]], where player 1 takes 2 and player
+3 ends other_0, while its colour rotation 23122 with player 1 to move,
+[2,[1,3]], has player 2 take 1, a win for player 1.
 
 Why the walk agrees with folding the raw value.  Take a record whose
 step reads only the set of its options' results and maps a lone leaf

@@ -14,11 +14,28 @@ equality is identity and sets and cache keys stay cheap.  Construction
 always canonicalizes (sorts children, drops duplicates, collapses leaf
 singletons).  Children sort in the lexicographic order of their printed
 forms, so rendering a canonical value reproduces reference printouts
-byte for byte; the printed form is cached on the node as `text`.  Each
-node also carries its outcome set, the players who win some leaf, and
-`ranks`, indexed by player 0..9: ranks[p] is p's outcome class, 0 for a
-loss (p wins no leaf), 1 for mixed and 2 for a win (p wins every leaf).
-Both are shared by every value with the same outcome set.
+byte for byte.
+
+That order needs no text.  Each node carries an `order` key, (0, w) for
+the leaf w and (1, *child keys, (2,)) for a choice, and keys sort
+exactly as printed forms do.  Printed forms are prefix-free: a leaf is
+one digit, and a choice's text ends at the bracket that closes its
+first '['.  So two choices' forms first differ inside the first pair of
+children that differ, and that pair decides, as it does between two
+key tuples.  A digit sorts before '[', as 0 before 1.  When one child
+list is a prefix of the other, ',' sorts before ']', so the longer list
+is the smaller, and the end marker (2,) sorts above every key.  Keys
+compare recursively, so for options that agree deeper than the
+interpreter's recursion limit choice sorts by text, the same order.
+
+The printed form, `text`, is built only when read, from the children's,
+and cached on each node it was built for; so is the bar form.  Both are
+built on an explicit stack, at any depth.
+
+Each node also carries its outcome set, the players who win some leaf,
+and `ranks`, indexed by player 0..9: ranks[p] is p's outcome class, 0
+for a loss (p wins no leaf), 1 for mixed and 2 for a win (p wins every
+leaf).  Both are shared by every value with the same outcome set.
 
 On top of the raw trees live three rewrite rules that preserve outcome
 structure for an N-player game; normalize applies them to a fixed point:
@@ -75,17 +92,21 @@ DEFAULT_PROFILE = NormalizationProfile.L1
 
 
 class GameValue:
-    """An interned game value tree.  Use leaf() and choice() to build."""
+    """An interned game value tree.  Use leaf() and choice() to build.
 
-    __slots__ = ("winner", "children", "outcomes", "ranks", "text", "_simple", "_bar")
+    `order` sorts values as their printed forms sort (module docstring),
+    and `text`, the printed form, is built on first read.
+    """
+
+    __slots__ = ("winner", "children", "outcomes", "ranks", "order", "_text", "_simple", "_bar")
 
     winner: Optional[int]
     children: Optional[tuple["GameValue", ...]]
     outcomes: frozenset[int]
     ranks: tuple[int, ...]
-    text: str
+    order: tuple
 
-    def __init__(self, winner, children, outcomes, text):
+    def __init__(self, winner, children, outcomes, order, text=None):
         self.winner = winner
         self.children = children
         got = _OUTCOMES.get(outcomes)
@@ -94,9 +115,16 @@ class GameValue:
             got = (outcomes, tuple(top if p in outcomes else 0 for p in range(10)))
             _OUTCOMES[outcomes] = got
         self.outcomes, self.ranks = got
-        self.text = text
+        self.order = order
+        # A leaf prints as its digit in both styles; a choice waits for a read.
+        self._text = self._bar = text
         self._simple = _UNRESOLVED
-        self._bar = None
+
+    @property
+    def text(self) -> str:
+        """The bracket form, e.g. [1,[2,3]]."""
+        text = self._text
+        return text if text is not None else _build(self, False)
 
     # Interning makes structural equality identity equality; the default
     # object __eq__ and __hash__ are exactly right.
@@ -125,12 +153,14 @@ def leaf(winner: int) -> GameValue:
         return got
     if not isinstance(winner, int) or not 1 <= winner <= 9:
         raise ValueError(f"leaf winner must be a player id 1..9, got {winner!r}")
-    v = GameValue(winner, None, frozenset((winner,)), str(winner))
+    v = GameValue(winner, None, frozenset((winner,)), (0, winner), str(winner))
     _LEAVES[winner] = v
     return v
 
 
+_BY_ORDER = operator.attrgetter("order")
 _BY_TEXT = operator.attrgetter("text")
+_END = (2,)  # closes a choice's key, above every key
 
 
 def choice(options: Iterable[GameValue]) -> GameValue:
@@ -142,13 +172,17 @@ def choice(options: Iterable[GameValue]) -> GameValue:
         (only,) = uniq
         if only.children is None:
             return only
-    kids = tuple(sorted(uniq, key=_BY_TEXT))
+    try:
+        kids = tuple(sorted(uniq, key=_BY_ORDER))
+    except RecursionError:
+        # Keys compare recursively, down to where two options first
+        # differ; texts give the same order at any depth.
+        kids = tuple(sorted(uniq, key=_BY_TEXT))
     got = _CHOICES.get(kids)
     if got is not None:
         return got
     outcomes = frozenset().union(*(c.outcomes for c in kids))
-    text = "[" + ",".join(c.text for c in kids) + "]"
-    v = GameValue(None, kids, outcomes, text)
+    v = GameValue(None, kids, outcomes, (1, *map(_BY_ORDER, kids), _END))
     _CHOICES[kids] = v
     return v
 
@@ -200,7 +234,7 @@ def _normalize(v: GameValue, level: int, players: int) -> GameValue:
             c = got if got is not None else _normalize(c, level, players)
         normed.append(c)
     # A node whose children all rewrite to themselves is its own canonical
-    # rebuild: skip the text sort in choice.
+    # rebuild: skip the sort in choice.
     node = v if all(map(operator.is_, normed, kids)) else choice(normed)
     if level >= 1:
         while node.children is not None:
@@ -291,9 +325,10 @@ def match_simple(v: GameValue) -> Optional[SimpleValue]:
 # text form: digits, brackets, and bar atoms like 2_1
 
 
-# Bounds on value text.  Every operation on a value recurses once per
-# level, so nesting must stay well inside the interpreter's recursion
-# limit; and the printed form of a_j has about 2**(j+2) characters.
+# Bounds on value text.  The parser, normalize and the relations recurse
+# once per level, so nesting must stay well inside the interpreter's
+# recursion limit; and the printed form of a_j has about 2**(j+2)
+# characters.
 MAX_DEPTH = 128
 MAX_EXPONENT = 16
 # Error messages quote at most this many characters of the input text.
@@ -389,10 +424,31 @@ def render_value(v: GameValue, style: str = "brackets") -> str:
     if style == "brackets":
         return v.text
     if style == "bar":
-        if v._bar is None:
-            m = match_simple(v)
-            v._bar = str(m) if m is not None else (
-                "[" + ",".join(render_value(c, "bar") for c in v.children) + "]"
-            )
-        return v._bar
+        return v._bar if v._bar is not None else _build(v, True)
     raise ValueError(f"unknown render style {style!r}")
+
+
+def _build(v: GameValue, bar: bool) -> str:
+    """v's bracket text, or its bar text if bar, cached on v and on every
+    node below it that had none.
+
+    Children come first, on an explicit stack, so a node joins its
+    children's cached texts and nothing recurses; a bar node is matched
+    as simple only after its children are.
+    """
+    stack = [v]
+    while stack:
+        node = stack[-1]
+        if (node._bar if bar else node._text) is None:
+            kids = node.children
+            todo = [c for c in kids if (c._bar if bar else c._text) is None]
+            if todo:
+                stack += todo
+                continue
+            if not bar:
+                node._text = "[" + ",".join([c._text for c in kids]) + "]"
+            else:
+                m = match_simple(node)
+                node._bar = str(m) if m is not None else "[" + ",".join([c._bar for c in kids]) + "]"
+        stack.pop()
+    return v._bar if bar else v._text

@@ -6,6 +6,7 @@ import pkgutil
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import (
     MOVABLE_BOARDS,
@@ -224,6 +225,88 @@ def test_mirror_invariance_on_short_boards():
                 a = evaluate_text(board, start=start, mode="raw")
                 b = evaluate_text(board[::-1], start=start, mode="raw")
                 assert a.value is b.value, (board, start)
+
+
+def _isometries(board, rows, cols):
+    """The row flip, column flip and transpose of a row-major grid, each
+    with its shape."""
+    grid = [board[r * cols : (r + 1) * cols] for r in range(rows)]
+    return [
+        ("".join(reversed(grid)), (rows, cols)),
+        ("".join(row[::-1] for row in grid), (rows, cols)),
+        ("".join(grid[r][c] for c in range(cols) for r in range(rows)), (cols, rows)),
+    ]
+
+
+def _solve_or_none(board, start, mode, shape, cache):
+    try:
+        return evaluate_text(board, start, mode, shape=shape, cache=cache)
+    except NoMoveError:
+        return None
+
+
+# Grids up to 3x4, as (shape, row-major board).
+GRIDS = st.tuples(st.integers(1, 3), st.integers(2, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape), st.text("0123", min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    )
+)
+
+
+@given(GRIDS)
+def test_grid_isometries_keep_every_result(grid):
+    (rows, cols), board = grid
+    cache = EvalCache()
+    for mode in MODES:
+        for start in (1, 2, 3):
+            want = _solve_or_none(board, start, mode, (rows, cols), cache)
+            for image, shape in _isometries(board, rows, cols):
+                got = _solve_or_none(image, start, mode, shape, cache)
+                assert got == want, (board, (rows, cols), image, shape, mode, start)
+
+
+_ROTATE = str.maketrans("123", "231")
+
+
+def _rotated(v, memo):
+    """v with every leaf's winner w relabelled w % 3 + 1."""
+    got = memo.get(v)
+    if got is None:
+        if v.children is None:
+            got = leaf(v.winner % 3 + 1)
+        else:
+            got = choice(_rotated(c, memo) for c in v.children)
+        memo[v] = got
+    return got
+
+
+def test_rotating_colours_and_start_rotates_raw_prudent_and_selfish_results():
+    memo, cache = {}, EvalCache()
+    for n in range(2, 9):
+        for key in run_keys(n):
+            board = "0".join("".join(map(str, run)) for run in key)
+            image = board.translate(_ROTATE)
+            for start in (1, 2, 3):
+                turned = start % 3 + 1
+                for mode in ("raw", "selfish"):
+                    want = _rotated(evaluate_text(board, start, mode, cache=cache).value, memo)
+                    got = evaluate_text(image, turned, mode, cache=cache).value
+                    assert got is want, (board, start, mode)
+                base, exponent = evaluate_text(board, start, "prudent", cache=cache).value
+                got = evaluate_text(image, turned, "prudent", cache=cache).value
+                assert got == SimpleValue(base % 3 + 1, exponent), (board, start)
+
+
+def test_indifferent_results_depend_on_the_player_labels():
+    # [1,[2,3]] with player 3 to move, and its colour rotation [2,[1,3]]
+    # with player 1 to move.  In each, the player who moves second loses
+    # either way; loss-blind, they take the least winner, so the labels
+    # decide whether the first mover wins.
+    assert evaluate_text("12311", start=3).value is parse_value("[1,[2,3]]")
+    assert evaluate_text("23122", start=1).value is parse_value("[2,[1,3]]")
+    reason = "loss-blind players take the least winner"
+    assert str(evaluate_text("12311", start=3, mode="indifferent")) == "other_0", reason
+    assert str(evaluate_text("23122", start=1, mode="indifferent")) == "win", reason
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Value construction, canonical text, rewrite rules, and parsing."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from helpers import canonicalize, value_trees
+from nclobber import values
+from nclobber.enumeration import raw_values, run_keys
 from nclobber.values import (
     DEFAULT_PROFILE,
     NormalizationProfile,
@@ -87,6 +93,76 @@ def test_outcomes_union_children():
 @given(value_trees())
 def test_canonicalize_is_identity_on_built_values(v):
     assert canonicalize(v) is v
+
+
+# ---------------------------------------------------------------------------
+# the order key and text built on first read
+
+
+@given(value_trees(), value_trees())
+def test_the_order_key_sorts_as_the_text_does(x, y):
+    assert (x.order < y.order) == (x.text < y.text)
+    assert (x.order == y.order) == (x is y)
+
+
+def test_interned_children_are_in_text_order():
+    raw_values(key for n in range(1, 9) for key in run_keys(n))
+    for v in list(values._CHOICES.values()):
+        texts = [c.text for c in v.children]
+        assert texts == sorted(set(texts)), v.text
+
+
+def _deep(depth: int, bottom: int = 2) -> tuple:
+    """A value nested `depth` deep, built with choice, with its two texts."""
+    v, text, bar = leaf(bottom), str(bottom), str(bottom)
+    for k in range(depth):
+        label = (k + 2) % 3 + 1  # 3 first, so bottom 1 or 2 is never absorbed
+        v = choice([leaf(label), v])
+        text = "[" + ",".join(sorted((str(label), text))) + "]"
+        m = match_simple(v)
+        # Two leaves make a simple; above that the leaf option prints first.
+        bar = f"[{label},{bar}]" if m is None else str(m)
+    return v, text, bar
+
+
+def test_values_deeper_than_the_recursion_limit_render_in_both_styles():
+    v, text, bar = _deep(3000)
+    assert len(text) == 12001 and bar.endswith("1_1" + "]" * 2999)
+    assert v.text == render_value(v) == text
+    assert render_value(v, "bar") == bar
+
+
+def test_choice_orders_deep_options_that_first_differ_at_the_bottom():
+    # Their keys compare recursively, down to the leaves that differ.
+    (a, a_text, _), (b, b_text, _) = _deep(3000, 1), _deep(3000, 2)
+    v = choice([b, a])
+    assert v.children == (a, b)
+    assert v.text == f"[{a_text},{b_text}]"
+
+
+# Runs in a fresh interpreter: a census with and without its bar
+# inventory, then the interned choices whose bracket text was built.
+CENSUS_TEXT_PROBE = """
+from nclobber import values
+from nclobber.enumeration import enumerate_values
+enumerate_values(8, collect_inventory=False)
+enumerate_values(8)
+print(len(values._CHOICES), sum(v._text is not None for v in values._CHOICES.values()))
+"""
+
+
+def test_a_census_builds_no_bracket_text():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", CENSUS_TEXT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    interned, built = map(int, proc.stdout.split())
+    assert interned > 1000 and built == 0
 
 
 # ---------------------------------------------------------------------------
