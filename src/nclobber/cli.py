@@ -84,7 +84,7 @@ def _cmd_solve(args: argparse.Namespace) -> str:
     result = evaluate_text(
         args.board, args.start, args.mode, args.profile, args.players, shape
     )
-    rendered = render_result(result, args.render)
+    rendered = render_result(result, args.render, args.players)
     if args.format == "text":
         return rendered
     payload = {
@@ -112,7 +112,7 @@ def _cmd_simplify(args: argparse.Namespace) -> str:
         if args.mode != "raw" and value.children is not None:
             value = pruning_fold(args.mode, args.profile, args.players).step(value.children, p)
         result = Raw(value)
-    rendered = render_result(result, args.render)
+    rendered = render_result(result, args.render, args.players)
     if args.format == "text":
         return rendered
     payload = {
@@ -158,13 +158,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
         players=args.players,
     )
     if args.format != "text":
-        return render_reports([report], args.format, args.modes)
+        return render_reports([report], args.format)
     fields = [f"n={report.board_length}", f"games={report.games_analysed}"]
-    fields += [f"{m}={report.unique_values[m]}" for m in args.modes]
+    fields += [f"{m}={count}" for m, count in report.unique_values.items()]
     lines = [" ".join(fields)]
     if args.inventory:
-        for m in args.modes:
-            lines.append(f"{m}: " + " ".join(report.value_inventory[m]))
+        for m, values in report.value_inventory.items():
+            lines.append(f"{m}: " + " ".join(values))
     return "\n".join(lines)
 
 
@@ -177,7 +177,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
         )
         for n in range(args.max_n, 1, -1)
     ]
-    return render_reports(reports[::-1], args.format, args.modes)
+    return render_reports(reports[::-1], args.format)
 
 
 def _add_common(
@@ -285,8 +285,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         length = args.n if args.command == "enumerate" else args.max_n
         if not 2 <= length <= 13:
             parser.error(f"board length must be 2..13, got {length}")
-        if args.modes is None:  # prudent play is defined for three players only
-            args.modes = tuple(m for m in REGIMES if m != "prudent" or players == 3)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -196,7 +196,9 @@ class EnumerationReport(NamedTuple):
     value_inventory: Optional[dict[str, tuple[str, ...]]] = None
 
 
-def _check_modes(modes: Sequence[str], players: int) -> tuple[str, ...]:
+def _check_modes(modes: Optional[Sequence[str]], players: int) -> tuple[str, ...]:
+    if modes is None:  # prudent play is defined for three players only
+        return tuple(m for m in REGIMES if m != "prudent" or players == 3)
     out = tuple(modes)
     for m in out:
         if m not in REGIMES:
@@ -233,9 +235,10 @@ def _results(roots: set[GameValue], m: str, profile: NormalizationProfile, playe
 def _rendered(
     roots: set[GameValue], modes: Sequence[str], profile: NormalizationProfile, players: int
 ) -> dict[str, set[str]]:
-    """Each regime's distinct results over roots, rendered in bar style."""
+    """Each regime's distinct results over roots, rendered in bar style
+    (brackets outside three-player games)."""
     return {
-        m: {render_result(result, "bar") for result in _results(roots, m, profile, players)}
+        m: {render_result(r, "bar", players) for r in _results(roots, m, profile, players)}
         for m in modes
     }
 
@@ -248,7 +251,7 @@ def _census_chunk(args: tuple) -> dict[str, set[str]]:
 
 def enumerate_values(
     n: int,
-    modes: Sequence[str] = REGIMES,
+    modes: Optional[Sequence[str]] = None,
     profile: NormalizationProfile = DEFAULT_PROFILE,
     workers: int = 1,
     collect_inventory: Optional[bool] = None,
@@ -256,6 +259,9 @@ def enumerate_values(
 ) -> EnumerationReport:
     """Evaluate every novel 1xn board, player 1 to move, per regime.
 
+    modes defaults to every regime defined for the player count: all of
+    REGIMES for three players, all but prudent otherwise.  The report's
+    unique_values, and its inventory, list the regimes in modes order.
     collect_inventory defaults to on for n <= 10, where keeping the
     sorted value lists costs little and makes count diffs diagnosable.
     The sorted run keys are cut into min(workers, CPUs) slices with
@@ -295,17 +301,14 @@ def enumerate_values(
     return EnumerationReport(n, games, counts, inventory)
 
 
-def render_reports(
-    reports: Sequence[EnumerationReport],
-    fmt: str = "csv",
-    modes: Optional[Sequence[str]] = None,
-) -> str:
-    """Serialize censuses; csv columns are n,games,<one per regime>."""
+def render_reports(reports: Sequence[EnumerationReport], fmt: str = "csv") -> str:
+    """Serialize censuses of the same regimes; csv columns are
+    n,games,<one per regime>, in the order the first report lists its
+    regimes (all of REGIMES when there is no report)."""
     import csv
     import io
     import json
-    if modes is None:
-        modes = tuple(reports[0].unique_values) if reports else REGIMES
+    modes = tuple(reports[0].unique_values) if reports else REGIMES
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -148,11 +148,19 @@ class ChainError(RuntimeError):
     """A set of simples straddled chain coordinates; an internal bug."""
 
 
-def _check_perspective(p: int) -> None:
+def _check_perspective(p: int, top: int = 9) -> None:
     # ranks[0] reads every value as a loss and ranks stops at 9, so any
     # other p would read a wrong class or raise IndexError.
-    if not isinstance(p, int) or not 1 <= p <= 9:
-        raise ValueError(f"perspective must be a player id 1..9, got {p!r}")
+    if not isinstance(p, int) or not 1 <= p <= top:
+        raise ValueError(f"perspective must be a player id 1..{top}, got {p!r}")
+
+
+def _check_winners(x: GameValue, y: GameValue, players: int) -> None:
+    # The rewrites take the player count's rules, so a value with a
+    # winner beyond it would be compared as a value of another game.
+    top = max(max(x.outcomes), max(y.outcomes))
+    if top > players:
+        raise ValueError(f"winner {top} exceeds player count {players}")
 
 
 def _prepare(v: GameValue, players: int = 3) -> GameValue:
@@ -211,8 +219,10 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
 
 
 def leq(x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3) -> bool:
-    """Whether x <= y for player p under the selfish or indifferent base."""
+    """Whether x <= y for player p under the selfish or indifferent base,
+    both values of a game of `players` players."""
     _check_perspective(p)
+    _check_winners(x, y, players)
     if base == "selfish":
         return _leq(_prepare(x, players), _prepare(y, players), p)
     if base == "indifferent":
@@ -225,8 +235,10 @@ def leq(x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int 
 def compare(
     x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3
 ) -> Comparison:
-    """Full comparison under the given base relation."""
+    """Full comparison under the given base relation, both values of a
+    game of `players` players."""
     _check_perspective(p)
+    _check_winners(x, y, players)
     x, y = _prepare(x, players), _prepare(y, players)
     if base == "selfish":
         # Antisymmetry (module docstring): only identical values are equal.
@@ -305,20 +317,24 @@ def _pless_options(
 
 
 def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
-    """Whether a prudent player p discards x when y is available."""
-    _check_perspective(p)
+    """Whether a prudent player p discards x when y is available; the
+    prudent order is defined for three players."""
+    _check_perspective(p, 3)
+    _check_winners(x, y, 3)
     return _pless(_prepare(x), _prepare(y), p)
 
 
 def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
     """Full comparison of x and y under player p's prudent order.
 
-    Both values are fully rewritten first.  LESS means p discards x when
-    y is available, GREATER the reverse, EQUAL that they rewrite to one
-    value, and INCOMPARABLE anything else: the order is not asymmetric
-    (module docstring), so a pair below each other is incomparable.
+    Both values, of a three-player game, are fully rewritten first.  LESS
+    means p discards x when y is available, GREATER the reverse, EQUAL
+    that they rewrite to one value, and INCOMPARABLE anything else: the
+    order is not asymmetric (module docstring), so a pair below each
+    other is incomparable.
     """
-    _check_perspective(p)
+    _check_perspective(p, 3)
+    _check_winners(x, y, 3)
     x = _prepare(x)
     y = _prepare(y)
     if x is y:

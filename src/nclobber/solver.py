@@ -74,7 +74,7 @@ nor has pruning_fold.
 
 fold_raw turns a raw value into a raw, syntactic, selfish or prudent
 result; evaluate, the census and the profile calibration all call it.
-The census reaches the walk through evaluate_runs, with a line
+The census reaches the raw walk through evaluate_runs, with a line
 position's live-run key and no board.  Results are wrapped in one of
 three variants: Raw carries a value tree, Simple a simple value, Class
 a loss-blind class.  A cache holds the walks' memo, over positions and
@@ -279,11 +279,13 @@ def fold_raw(
     return Raw(memo.get((fold, mover, raw)) or walk(raw, mover, fold, TREE, memo, players))
 
 
-def render_result(result: EvalResult, style: Optional[str] = None) -> str:
-    """Render a result as text; style "brackets" or "bar" picks the form.
+def render_result(result: EvalResult, style: Optional[str] = None, players: int = 3) -> str:
+    """Render a result of a game of `players` players as text; style
+    "brackets" or "bar" picks the form.
 
     Without a style, simple values print as bar atoms and trees in
-    brackets.  Bar style is injective, so censuses key on it.
+    brackets.  Bar style is injective, so censuses key on it; it prints
+    brackets outside three-player games (values.render_value).
     """
     if isinstance(result, Class):
         return str(result)
@@ -291,20 +293,16 @@ def render_result(result: EvalResult, style: Optional[str] = None) -> str:
         if style == "brackets":
             return expand_simple(result.value).text
         return str(result.value)
-    return render_value(result.value, style or "brackets")
+    return render_value(result.value, style or "brackets", players)
 
 
-def evaluate_runs(
-    parts: tuple[bytes, ...], mover: int, cache: EvalCache, mode: str = "raw"
-) -> WalkResult:
-    """Result under one position walk ("raw", "prudent" or
-    "indifferent") of the line position whose live-run key is parts
+def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> GameValue:
+    """Raw value of the line position whose live-run key is parts
     (game_core.line_runs), mover to move: the census's entry point, which
     needs no board.  An empty key is the finished game.
     """
-    fold, memo = _WALKS[mode], cache.entries
-    got = memo.get((fold, mover, parts))
-    return got or walk(parts, mover, fold, cache.line, memo, cache.players)
+    memo = cache.entries
+    return memo.get((RAW, mover, parts)) or walk(parts, mover, RAW, cache.line, memo, cache.players)
 
 
 def _line_kind(runs: dict) -> Kind:
@@ -371,25 +369,6 @@ def _grid_end(state: tuple, last: int) -> Optional[int]:
 
 
 _GRID = Kind(_grid_moves, _grid_end)
-
-
-def evaluate_all_starts(
-    board: str,
-    mode: str = "raw",
-    profile: NormalizationProfile = DEFAULT_PROFILE,
-    players: int = 3,
-    shape: Shape = "line",
-) -> dict[int, EvalResult]:
-    """Evaluate the same board once per starting player 1..players."""
-    dims, occupancy = parse_board(board, shape=shape, players=players)
-    results: dict[int, EvalResult] = {}
-    # Memo keys carry the resolved mover, so one cache serves all starts.
-    cache = EvalCache(players)
-    for start in range(1, players + 1):
-        results[start] = evaluate(
-            Position(dims, occupancy, start), mode, profile, cache, players
-        )
-    return results
 
 
 def evaluate_text(

@@ -414,14 +414,17 @@ def parse_value(text: str, players: int = 3) -> GameValue:
     return v
 
 
-def render_value(v: GameValue, style: str = "brackets") -> str:
-    """Serialize a value; parse_value inverts this.
+def render_value(v: GameValue, style: str = "brackets", players: int = 3) -> str:
+    """Serialize a value of a game of `players` players;
+    parse_value(text, players) inverts this.
 
     style "brackets" prints the raw tree.  style "bar" prints simple
     subtrees as base_exponent atoms and falls back to brackets around
-    non-simple nodes; each node caches its bar text, like `text`.
+    non-simple nodes; each node caches its bar text, like `text`.  Bar
+    atoms are a three-player notation (expand_simple), so for any other
+    player count bar style prints brackets.
     """
-    if style == "brackets":
+    if style == "brackets" or style == "bar" and players != 3:
         return v.text
     if style == "bar":
         return v._bar if v._bar is not None else _build(v, True)

@@ -40,7 +40,7 @@ from nclobber.preferences import (
     prune,
     simple_compare,
 )
-from nclobber.solver import Class, EvalResult, Raw, Simple
+from nclobber.solver import Class, EvalCache, EvalResult, Raw, Simple, evaluate
 from nclobber.values import (
     GameValue,
     NormalizationProfile,
@@ -359,6 +359,21 @@ def indifferent_class(v: GameValue, p: int, max_exponent: int) -> Optional[Ladde
         # Next loss tier: an option into the mover's tier and one staying put.
         mine, tier = tier, choice((mine, tier))
     return None
+
+
+# ---------------------------------------------------------------------------
+# every starting player at once
+
+
+def evaluate_all_starts(board: str, mode: str = "raw") -> dict[int, EvalResult]:
+    """Evaluate a three-player line board once per starting player 1..3,
+    through one cache: memo keys carry the mover, so the starts share it."""
+    dims, occupancy = parse_board(board)
+    cache = EvalCache()
+    return {
+        start: evaluate(Position(dims, occupancy, start), mode, cache=cache)
+        for start in (1, 2, 3)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,24 @@ def test_solve_indifferent_stops_at_the_first_win(capsys):
     assert (code, out.strip()) == (0, "win")
 
 
+@pytest.mark.parametrize(
+    "argv, players, printed",
+    [
+        (["solve", "1212"], 2, "[1,2]"),
+        (["solve", "1212"], 3, "3_1"),
+        (["simplify", "[[1,3],[1,2]]"], 4, "[[1,2],[1,3]]"),
+        (["simplify", "[[1,3],[1,2]]"], 3, "1_2"),
+    ],
+    ids=["solve-two", "solve-three", "simplify-four", "simplify-three"],
+)
+def test_bar_atoms_print_only_in_three_player_games(capsys, argv, players, printed):
+    # Bar atoms are a three-player notation: in a two-player game, 3_1
+    # would name a player the game does not have.
+    code, out, _ = run(capsys, *argv, "--players", str(players), "--render", "bar")
+    assert (code, out.strip()) == (0, printed)
+    parse_value(printed, players=players)  # the printed form reads back
+
+
 def test_solve_start_player(capsys):
     code, out, _ = run(capsys, "solve", "12", "--start", "2")
     assert (code, out.strip()) == (0, "2")

@@ -273,6 +273,29 @@ def test_censuses_leave_the_callers_lists_alone(serial_pool):
     assert serial_pool.sizes == [2, 2]
 
 
+@pytest.mark.parametrize("players, n", [(2, 7), (4, 5)])
+def test_other_player_counts_list_inventories_that_parse_back(players, n):
+    # Bar atoms are a three-player notation, so these inventories print
+    # brackets; each entry reads back as a value of its own game.
+    report = enumerate_values(n, players=players, collect_inventory=True)
+    for mode, texts in report.value_inventory.items():
+        parsed = [parse_value(t, players=players) for t in texts]
+        assert [v.text for v in parsed] == list(texts), mode
+        assert len(set(parsed)) == report.unique_values[mode], mode
+
+
+def test_the_default_regimes_are_those_the_player_count_defines():
+    assert tuple(enumerate_values(5).unique_values) == REGIMES
+    for players in (1, 2, 4):
+        report = enumerate_values(4, players=players)
+        assert tuple(report.unique_values) == REGIMES[:3], players
+    assert enumerate_values(5, players=2).unique_values == {
+        "unsimplified": 4, "syntactic": 4, "selfish": 2
+    }
+    with pytest.raises(ValueError, match="three players"):
+        enumerate_values(5, REGIMES, players=2)
+
+
 def test_census_needs_at_least_one_worker():
     for workers in (0, -1):
         with pytest.raises(ValueError):

@@ -75,16 +75,16 @@ def test_outcome_class_goldens():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, top",
     [
-        lambda p: leq(leaf(1), leaf(2), p),
-        lambda p: leq(leaf(1), leaf(2), p, "indifferent"),
-        lambda p: compare(leaf(1), leaf(2), p),
-        lambda p: compare(leaf(1), leaf(2), p, "indifferent"),
-        lambda p: preferences.prudent_less(leaf(1), leaf(2), p),
-        lambda p: prudent_compare(leaf(1), leaf(2), p),
-        lambda p: prune({leaf(1), leaf(2)}, p),
-        lambda p: prune({leaf(1), leaf(2)}, p, "indifferent"),
+        (lambda p: leq(leaf(1), leaf(2), p), 9),
+        (lambda p: leq(leaf(1), leaf(2), p, "indifferent"), 9),
+        (lambda p: compare(leaf(1), leaf(2), p), 9),
+        (lambda p: compare(leaf(1), leaf(2), p, "indifferent"), 9),
+        (lambda p: preferences.prudent_less(leaf(1), leaf(2), p), 3),
+        (lambda p: prudent_compare(leaf(1), leaf(2), p), 3),
+        (lambda p: prune({leaf(1), leaf(2)}, p), 9),
+        (lambda p: prune({leaf(1), leaf(2)}, p, "indifferent"), 9),
     ],
     ids=[
         "leq",
@@ -97,13 +97,62 @@ def test_outcome_class_goldens():
         "prune-indifferent",
     ],
 )
-def test_entry_points_refuse_a_perspective_outside_the_players(call):
+def test_entry_points_refuse_a_perspective_outside_the_players(call, top):
     # ranks has an entry per player id 1..9; before the check, p = 0 read
-    # every value as a loss and p = 10 raised IndexError.
-    call(9)
-    for p in (0, 10, -1, 1.0):
+    # every value as a loss and p = 10 raised IndexError.  The prudent
+    # order is defined for three players.
+    call(top)
+    for p in (0, top + 1, -1, 1.0):
         with pytest.raises(ValueError):
             call(p)
+
+
+def test_relations_answer_for_the_player_count_they_are_given():
+    # With the default three players, rewriting [[[[1,4]]]] strips three
+    # wrappers and reads it as [1,4]: EQUAL.  Under four-player rules it
+    # keeps its wrappers, and p = 1 ranks it below.
+    x = parse_value("[[[[1,4]]]]", players=4)
+    y = parse_value("[1,4]", players=4)
+    assert compare(x, y, 1, players=4) is Comparison.LESS
+    assert leq(x, y, 1, players=4) and not leq(y, x, 1, players=4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, y: leq(x, y, 1),
+        lambda x, y: leq(x, y, 1, "indifferent"),
+        lambda x, y: compare(x, y, 1),
+        lambda x, y: compare(x, y, 1, "indifferent"),
+        lambda x, y: compare(y, x, 1, players=2),
+    ],
+    ids=["leq", "leq-indifferent", "compare", "compare-indifferent", "compare-two-players"],
+)
+def test_relations_refuse_a_winner_above_the_player_count(call):
+    x = parse_value("[[[[1,4]]]]", players=4)
+    y = parse_value("[1,2]")
+    with pytest.raises(ValueError, match="winner 4 exceeds player count"):
+        call(x, y)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, y: prudent_compare(x, y, 1),
+        lambda x, y: prudent_compare(y, x, 2),
+        lambda x, y: preferences.prudent_less(x, y, 1),
+        lambda x, y: preferences.prudent_less(x, y, 4),
+        lambda x, y: prudent_simplify(x, 1),
+    ],
+    ids=["compare", "compare-swapped", "less", "less-four", "simplify"],
+)
+def test_prudent_entry_points_refuse_values_of_other_games(call):
+    # prudent_compare once answered GREATER on this pair, and
+    # prudent_less(x, y, 4) False, where prudent_simplify refused x.
+    x = parse_value("[1,[4,2]]", players=4)
+    y = parse_value("[[4,3],2]", players=4)
+    with pytest.raises(ValueError):
+        call(x, y)
 
 
 def test_base_relation_on_leaves():

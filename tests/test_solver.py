@@ -15,6 +15,7 @@ from helpers import (
     VALUE_12223,
     VALUE_213,
     VALUE_1232132321,
+    evaluate_all_starts,
     next_active_player,
     reference_eval_graph,
     reference_evaluate,
@@ -32,7 +33,6 @@ from nclobber.solver import (
     Raw,
     Simple,
     evaluate,
-    evaluate_all_starts,
     evaluate_runs,
     evaluate_text,
     fold_raw,
@@ -479,14 +479,17 @@ def test_folds_match_the_reference_on_random_grids():
 # prudent and indifferent walks against folding the raw value
 
 
+def _position_walk(state, kind, mover, cache, mode="raw"):
+    """The position walk's result under mode's fold on a state of kind."""
+    fold, memo = solver._WALKS[mode], cache.entries
+    return memo.get((fold, mover, state)) or walk(state, mover, fold, kind, memo, cache.players)
+
+
 def _grid_walk(shape, occ, mover, cache, mode="raw"):
     """The position walk's result on a grid occupancy, any shape, even
     1xn, which evaluate would walk as a line."""
     state = (shape[1] + 1, *grid_masks(shape, occ, cache.players))
-    fold, memo = solver._WALKS[mode], cache.entries
-    return memo.get((fold, mover, state)) or walk(
-        state, mover, fold, solver._GRID, memo, cache.players
-    )
+    return _position_walk(state, solver._GRID, mover, cache, mode)
 
 
 def _folded(raw, mover, mode, players, cache, memo):
@@ -516,7 +519,7 @@ def test_line_walks_match_folding_the_raw_value(players, max_n, walks):
         for key in keys:
             raw = evaluate_runs(key, mover, cache)
             for mode in walks:
-                got = evaluate_runs(key, mover, cache, mode)
+                got = _position_walk(key, cache.line, mover, cache, mode)
                 want = _folded(raw, mover, mode, players, cache, memo)
                 if got != want:
                     bad.append(f"{key} mover={mover} {mode}: {got} != {want}")

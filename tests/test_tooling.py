@@ -1,8 +1,9 @@
 """The benchmark's worker and tracer still find what they use of the
 package, committed benchmark records are correct, importing the package
 loads no standard-library module it does not use, the installed command
-resolves, the scripts run as scripts, and the table script agrees with
-the table command."""
+resolves, the scripts run as scripts, the table script agrees with
+the table command, and every public name of the package has a caller
+outside the tests."""
 
 import ast
 import importlib
@@ -56,6 +57,61 @@ def test_every_worker_import_resolves_on_the_package():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert wanted and not missing, missing
+
+
+def _defined(statement):
+    """The names a top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else [
+        getattr(statement, "target", None)
+    ]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _referenced(statement):
+    """The names a statement reads: names, attributes and imports."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+# Public names that no program file reads, each kept for a user.
+KEPT_FOR_USERS = {
+    # The paper's closed form of the prudent order on simple values; the
+    # README documents it and C08 checks it against the recursion.
+    "preferences.simple_compare",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A name counts as used when a program file reads it outside its own
+    # definition: src/, scripts/ and bench/, never tests/.
+    package = ROOT / "src" / "nclobber"
+    files = [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *BENCH.glob("*.py")]
+    public, used = set(), set()
+    for path in files:
+        module = path.stem if path.parent == package else None
+        for statement in ast.parse(path.read_text()).body:
+            own = _defined(statement) if module else set()
+            public |= {f"{module}.{name}" for name in own if not name.startswith("_")}
+            used |= _referenced(statement) - own
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and _defined(node) == {"TRACED"}
+    ]
+    traced = {f"{module}.{name}" for module, names in traced.items() for name in names}
+    unused = sorted(
+        name for name in public - traced - KEPT_FOR_USERS if name.partition(".")[2] not in used
+    )
+    assert not unused, unused
 
 
 def test_committed_bench_records_are_correct():
