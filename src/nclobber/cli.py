@@ -110,7 +110,8 @@ def _cmd_simplify(args: argparse.Namespace) -> str:
     else:
         value = normalize(value, args.profile, args.players)
         if args.mode != "raw" and value.children is not None:
-            value = pruning_fold(args.mode, args.profile, args.players).step(value.children, p)
+            fold = pruning_fold(args.mode, args.profile, args.players)
+            value = fold.step(value.children, p, {})
         result = Raw(value)
     rendered = render_result(result, args.render, args.players)
     if args.format == "text":

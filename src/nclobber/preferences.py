@@ -77,6 +77,14 @@ pair of leaves before it builds a memo key, and its loops probe the
 memo before they recurse.  Rewriting keeps outcome sets, so prune drops
 every option below the top class for the player uncompared.
 
+The relations memoize in the caller's memo, a dict that leq, compare,
+prudent_less, prudent_compare and prune take as memo, and that walk
+hands to pruning_fold's step: a census regime's or a solve's entries
+are freed with its EvalCache.  Each relation keeps its own table there,
+under the relation's function as the key, for _leq and _pless both key
+on (x, y, p).  A call without a memo starts afresh, so nothing it
+memoized outlives it.
+
 The prudent order is the OR of four clauses, each a pure function of
 (x, y, p): option against whole, whole against option, option against
 option, and the strict selfish clause, x <= y and not y <= x.  The
@@ -148,19 +156,30 @@ class ChainError(RuntimeError):
     """A set of simples straddled chain coordinates; an internal bug."""
 
 
-def _check_perspective(p: int, top: int = 9) -> None:
+def _check_perspective(p: int, players: int) -> None:
     # ranks[0] reads every value as a loss and ranks stops at 9, so any
-    # other p would read a wrong class or raise IndexError.
+    # other p would read a wrong class or raise IndexError; a p above the
+    # player count is no player of the game.
+    top = min(players, 9)
     if not isinstance(p, int) or not 1 <= p <= top:
         raise ValueError(f"perspective must be a player id 1..{top}, got {p!r}")
 
 
-def _check_winners(x: GameValue, y: GameValue, players: int) -> None:
+def _check_winners(players: int, *values: GameValue) -> None:
     # The rewrites take the player count's rules, so a value with a
     # winner beyond it would be compared as a value of another game.
-    top = max(max(x.outcomes), max(y.outcomes))
+    top = max(max(v.outcomes) for v in values)
     if top > players:
         raise ValueError(f"winner {top} exceeds player count {players}")
+
+
+def _table(memo: dict, relation: Callable) -> dict:
+    # One relation's entries in the caller's memo, under the relation
+    # itself: _leq and _pless both key on (x, y, p).
+    got = memo.get(relation)
+    if got is None:
+        got = memo[relation] = {}
+    return got
 
 
 def _prepare(v: GameValue, players: int = 3) -> GameValue:
@@ -174,10 +193,7 @@ def _prepare(v: GameValue, players: int = 3) -> GameValue:
 # the selfish relation
 
 
-_LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
-
-
-def _leq(x: GameValue, y: GameValue, p: int) -> bool:
+def _leq(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
     if x is y:
         return True
     cx, cy = x.ranks[p], y.ranks[p]
@@ -186,7 +202,6 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     xs, ys = x.children, y.children
     if xs is None:
         return False
-    memo = _LEQ_CACHE
     key = (x, y, p)
     got = memo.get(key)
     if got is not None:
@@ -195,7 +210,7 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
         ca = a.ranks[p]
         if ca == cy:
             got = memo.get((a, y, p))
-            if not (_leq(a, y, p) if got is None else got):
+            if not (_leq(a, y, p, memo) if got is None else got):
                 break
         elif ca > cy:
             break
@@ -208,7 +223,7 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
             ca, cb = a.ranks[p], b.ranks[p]
             if ca == cb:
                 got = memo.get((a, b, p))
-                if not (_leq(a, b, p) if got is None else got):
+                if not (_leq(a, b, p, memo) if got is None else got):
                     result = False
                     break
             elif ca > cb:
@@ -218,39 +233,58 @@ def _leq(x: GameValue, y: GameValue, p: int) -> bool:
     return result
 
 
-def leq(x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3) -> bool:
+def leq(
+    x: GameValue,
+    y: GameValue,
+    p: int,
+    base: str = "selfish",
+    players: int = 3,
+    memo: Optional[dict] = None,
+) -> bool:
     """Whether x <= y for player p under the selfish or indifferent base,
-    both values of a game of `players` players."""
-    _check_perspective(p)
-    _check_winners(x, y, players)
+    both values of a game of `players` players.  memo is the caller's
+    (module docstring); a call without one starts afresh."""
+    _check_perspective(p, players)
+    _check_winners(players, x, y)
+    if memo is None:
+        memo = {}
+    x, y = _prepare(x, players), _prepare(y, players)
     if base == "selfish":
-        return _leq(_prepare(x, players), _prepare(y, players), p)
-    if base == "indifferent":
-        return _ext_leq(
-            _quotient(_prepare(x, players), p), _quotient(_prepare(y, players), p)
-        )
-    raise ValueError(f"unknown comparison base {base!r}")
+        return _leq(x, y, p, _table(memo, _leq))
+    if base != "indifferent":
+        raise ValueError(f"unknown comparison base {base!r}")
+    quotients = _table(memo, _quotient)
+    return _ext_leq(_quotient(x, p, quotients), _quotient(y, p, quotients), _table(memo, _ext_leq))
 
 
 def compare(
-    x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3
+    x: GameValue,
+    y: GameValue,
+    p: int,
+    base: str = "selfish",
+    players: int = 3,
+    memo: Optional[dict] = None,
 ) -> Comparison:
     """Full comparison under the given base relation, both values of a
-    game of `players` players."""
-    _check_perspective(p)
-    _check_winners(x, y, players)
+    game of `players` players.  memo is the caller's, as for leq."""
+    _check_perspective(p, players)
+    _check_winners(players, x, y)
+    if memo is None:
+        memo = {}
     x, y = _prepare(x, players), _prepare(y, players)
     if base == "selfish":
         # Antisymmetry (module docstring): only identical values are equal.
         if x is y:
             return Comparison.EQUAL
-        if _leq(x, y, p):
+        table = _table(memo, _leq)
+        if _leq(x, y, p, table):
             return Comparison.LESS
-        return Comparison.GREATER if _leq(y, x, p) else Comparison.INCOMPARABLE
+        return Comparison.GREATER if _leq(y, x, p, table) else Comparison.INCOMPARABLE
     if base != "indifferent":
         raise ValueError(f"unknown comparison base {base!r}")
-    x, y = _quotient(x, p), _quotient(y, p)
-    fwd, bwd = _ext_leq(x, y), _ext_leq(y, x)
+    quotients, table = _table(memo, _quotient), _table(memo, _ext_leq)
+    x, y = _quotient(x, p, quotients), _quotient(y, p, quotients)
+    fwd, bwd = _ext_leq(x, y, table), _ext_leq(y, x, table)
     if fwd and bwd:
         return Comparison.EQUAL
     if fwd:
@@ -264,50 +298,51 @@ def compare(
 # the prudent relation
 
 
-_PLESS_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
-
-
-def _pless(x: GameValue, y: GameValue, p: int) -> bool:
+def _pless(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) -> bool:
+    # memo is _pless's table, selfish _leq's.
     if x is y:
         return False
     cx, cy = x.ranks[p], y.ranks[p]
     if cx != cy:
         return cx < cy  # the class-gap lemma of the module docstring
+    got = memo.get((x, y, p))
+    return _pless_new(x, y, p, memo, selfish) if got is None else got
+
+
+def _pless_new(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) -> bool:
+    # _pless of distinct values of one class that memo does not hold.
     xs, ys = x.children, y.children
     if xs is None and ys is None:
         return False  # distinct leaves of one class
-    memo = _PLESS_CACHE
-    key = (x, y, p)
-    got = memo.get(key)
-    if got is not None:
-        return got
     # The option clauses first, the strict selfish clause last, and that
     # only for x = [y] (the option lemma of the module docstring).
-    result = xs is not None and _pless_options(xs, (y,), p, memo)
+    result = xs is not None and _pless_options(xs, (y,), p, memo, selfish)
     if not result and ys is not None:
-        result = _pless_options((x,), ys, p, memo)
+        result = _pless_options((x,), ys, p, memo, selfish)
     if not result and xs is not None and ys is not None:
-        result = _pless_options(xs, ys, p, memo)
+        result = _pless_options(xs, ys, p, memo, selfish)
     if not result and xs == (y,):
-        result = not _leq(y, x, p)  # [y] <= y always holds
-    memo[key] = result
+        result = not _leq(y, x, p, selfish)  # [y] <= y always holds
+    memo[x, y, p] = result
     return result
 
 
 def _pless_options(
-    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, memo: dict
+    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, memo: dict, selfish: dict
 ) -> bool:
     # Every pairing weaker or incomparable, at least one strictly weaker.
     witness = False
     for a, b in product(xs, ys):
         ca, cb = a.ranks[p], b.ranks[p]
         if ca == cb:
+            if a is b:  # neither is below the other
+                continue
             got = memo.get((a, b, p))
-            if _pless(a, b, p) if got is None else got:
+            if _pless_new(a, b, p, memo, selfish) if got is None else got:
                 witness = True
                 continue
             got = memo.get((b, a, p))
-            if _pless(b, a, p) if got is None else got:
+            if _pless_new(b, a, p, memo, selfish) if got is None else got:
                 return False
         elif ca > cb:  # b < a and not a < b, by the class-gap lemma
             return False
@@ -316,31 +351,39 @@ def _pless_options(
     return witness
 
 
-def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
+def prudent_less(x: GameValue, y: GameValue, p: int, memo: Optional[dict] = None) -> bool:
     """Whether a prudent player p discards x when y is available; the
-    prudent order is defined for three players."""
+    prudent order is defined for three players.  memo is the caller's,
+    as for leq."""
     _check_perspective(p, 3)
-    _check_winners(x, y, 3)
-    return _pless(_prepare(x), _prepare(y), p)
+    _check_winners(3, x, y)
+    if memo is None:
+        memo = {}
+    return _pless(_prepare(x), _prepare(y), p, _table(memo, _pless), _table(memo, _leq))
 
 
-def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
+def prudent_compare(
+    x: GameValue, y: GameValue, p: int, memo: Optional[dict] = None
+) -> Comparison:
     """Full comparison of x and y under player p's prudent order.
 
     Both values, of a three-player game, are fully rewritten first.  LESS
     means p discards x when y is available, GREATER the reverse, EQUAL
     that they rewrite to one value, and INCOMPARABLE anything else: the
     order is not asymmetric (module docstring), so a pair below each
-    other is incomparable.
+    other is incomparable.  memo is the caller's, as for leq.
     """
     _check_perspective(p, 3)
-    _check_winners(x, y, 3)
+    _check_winners(3, x, y)
     x = _prepare(x)
     y = _prepare(y)
     if x is y:
         return Comparison.EQUAL
-    fwd = _pless(x, y, p)
-    bwd = _pless(y, x, p)
+    if memo is None:
+        memo = {}
+    table, selfish = _table(memo, _pless), _table(memo, _leq)
+    fwd = _pless(x, y, p, table, selfish)
+    bwd = _pless(y, x, p, table, selfish)
     if fwd and not bwd:
         return Comparison.LESS
     if bwd and not fwd:
@@ -427,7 +470,9 @@ class Fold:
     """How one regime folds a game, one node at a time.
 
     leaf maps the winner of a finished game to its result, and step maps
-    the results of a node's options and its mover to the node's result.
+    the results of a node's options, its mover and walk's memo (for the
+    relation memos, which only the pruning folds read) to the node's
+    result.
     cutoff says that leaf(mover) among the options decides the step, so
     walk stops there (solver module docstring).  A record is its own memo
     tag, hashed by identity, so one memo serves many folds.  Slots, not a
@@ -463,10 +508,11 @@ def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: in
     it: bottom-up, the turn rotating one player per move.
 
     memo maps (fold, mover, state) to results; callers probe it first,
-    and pass the same dict to share work between walks.  A mover with no
-    move passes, one option under the next mover, unless the game is
-    over.  The step sees its options' results in move order: prune fills
-    the relation memos in the order it gets options.
+    and pass the same dict to share work between walks.  The step gets
+    it too, for the relation memos of prune (module docstring).  A mover
+    with no move passes, one option under the next mover, unless the
+    game is over.  The step sees its options' results in move order:
+    prune fills the relation memos in the order it gets options.
     """
     children = kind.moves(state, mover)
     after = mover % players + 1
@@ -487,15 +533,15 @@ def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: in
             memo[fold, mover, state] = got
             return got
         results[got] = None
-    got = memo[fold, mover, state] = fold.step(results, mover)
+    got = memo[fold, mover, state] = fold.step(results, mover, memo)
     return got
 
 
-def prudent_step(simples: Iterable[SimpleValue], mover: int) -> SimpleValue:
+def prudent_step(simples: Iterable[SimpleValue], mover: int, memo: Any = None) -> SimpleValue:
     """The simple value a prudent mover reaches from options that have
     collapsed to the given simples: one pass with the integer rank e of
     the module docstring.  Two options at the best e differ when their
-    bases do, and then merge to p_e.
+    bases do, and then merge to p_e.  It reads no memo.
     """
     best = -1  # below every rank
     tie = False
@@ -514,14 +560,14 @@ def prudent_step(simples: Iterable[SimpleValue], mover: int) -> SimpleValue:
 
 
 # Raw play: a game's value is the canonical choice over its options'.
-RAW = Fold(leaf, lambda options, mover: choice(options), False)
+RAW = Fold(leaf, lambda options, mover, memo: choice(options), False)
 # Prudent play (three players): a finished game is the simple w_0, one
 # shared value per winner, read by index.
 _PRUDENT_LEAVES = (None, *(SimpleValue(w, 0) for w in (1, 2, 3)))
 PRUDENT = Fold(_PRUDENT_LEAVES.__getitem__, prudent_step, True)
 # Indifferent play, by the leaf lemma (solver module docstring): the
 # mover's own win if an option gives it, else the least option winner.
-INDIFFERENT = Fold(lambda w: w, lambda ws, mover: mover if mover in ws else min(ws), True)
+INDIFFERENT = Fold(lambda w: w, lambda ws, mover, memo: mover if mover in ws else min(ws), True)
 
 
 # One record per (mode, profile, players), of which there are a few dozen:
@@ -531,11 +577,12 @@ def pruning_fold(mode: str, profile: NormalizationProfile, players: int) -> Fold
     """The fold of selfish or indifferent play over value trees: at each
     level prune drops the options the mover discards, and the choice over
     the survivors is rewritten with the profile.  A pass is a singleton
-    level, which prune leaves alone.
+    level, which prune leaves alone.  The step takes walk's memo for
+    prune's relation memos, and trusts walk for the checks prune makes.
     """
 
-    def step(options: Collection[GameValue], mover: int) -> GameValue:
-        return normalize(choice(prune(options, mover, mode, players)), profile, players)
+    def step(options: Collection[GameValue], mover: int, memo: dict) -> GameValue:
+        return normalize(choice(_prune(options, mover, mode, players, memo)), profile, players)
 
     return Fold(leaf, step, False)
 
@@ -585,29 +632,26 @@ def prudent_simplify(
 _WIN = 1
 _LOSS = 2
 
-_QUOT_CACHE: dict[tuple[GameValue, int], GameValue] = {}
 
-
-def _quotient(v: GameValue, p: int) -> GameValue:
+def _quotient(v: GameValue, p: int, memo: dict) -> GameValue:
     """Relabel leaves to p's eye: own wins stay 1, every loss becomes 2.
 
     Collapsing makes sibling losses merge, so the result is again
-    canonical and all downstream comparisons can fix perspective 1.
+    canonical and all downstream comparisons can fix perspective 1.  A
+    guaranteed win or loss for p, a leaf among them, collapses to one
+    leaf, since a choice over one leaf is that leaf.
     """
-    if v.children is None:
-        return leaf(_WIN) if v.winner == p else leaf(_LOSS)
+    rank = v.ranks[p]
+    if rank != 1:
+        return leaf(_WIN) if rank else leaf(_LOSS)
     key = (v, p)
-    got = _QUOT_CACHE.get(key)
+    got = memo.get(key)
     if got is None:
-        got = choice(_quotient(c, p) for c in v.children)
-        _QUOT_CACHE[key] = got
+        got = memo[key] = choice(_quotient(c, p, memo) for c in v.children)
     return got
 
 
-_EXT_CACHE: dict[tuple[GameValue, GameValue], bool] = {}
-
-
-def _ext_leq(x: GameValue, y: GameValue) -> bool:
+def _ext_leq(x: GameValue, y: GameValue, memo: dict) -> bool:
     # Option against whole and its mirror, whole against option: x below
     # every option of y also puts x below y.  Without the mirror, wrappers
     # block the equalities an indifferent player is supposed to see.  The
@@ -620,7 +664,6 @@ def _ext_leq(x: GameValue, y: GameValue) -> bool:
     xs, ys = x.children, y.children
     if xs is None and ys is None:
         return False
-    memo = _EXT_CACHE
     key = (x, y)
     got = memo.get(key)
     if got is not None:
@@ -629,14 +672,14 @@ def _ext_leq(x: GameValue, y: GameValue) -> bool:
     if xs is not None:  # every option of x below y
         for a in xs:
             got = memo.get((a, y))
-            if not (_ext_leq(a, y) if got is None else got):
+            if not (_ext_leq(a, y, memo) if got is None else got):
                 break
         else:
             result = True
     if not result and ys is not None:  # x below every option of y
         for b in ys:
             got = memo.get((x, b))
-            if not (_ext_leq(x, b) if got is None else got):
+            if not (_ext_leq(x, b, memo) if got is None else got):
                 break
         else:
             result = True
@@ -649,7 +692,11 @@ def _ext_leq(x: GameValue, y: GameValue) -> bool:
 
 
 def prune(
-    options: Iterable[GameValue], p: int, mode: str = "selfish", players: int = 3
+    options: Iterable[GameValue],
+    p: int,
+    mode: str = "selfish",
+    players: int = 3,
+    memo: Optional[dict] = None,
 ) -> set[GameValue]:
     """Drop options a selfish or indifferent player would never pick.
 
@@ -661,37 +708,51 @@ def prune(
     some option always survives.  In indifferent mode, options the
     player cannot tell apart additionally collapse to the least in
     `order`, which is text order: loss-blind players take the least
-    winner, so among losses the player labels decide.
+    winner, so among losses the player labels decide.  memo is the
+    caller's, as for leq.
     """
     opts = list(dict.fromkeys(options))
     if not opts:
         raise ValueError("cannot prune an empty set of options")
     if mode not in ("selfish", "indifferent"):
         raise ValueError(f"unknown preference mode {mode!r}")
-    _check_perspective(p)
+    _check_perspective(p, players)
+    _check_winners(players, *opts)
+    return _prune(opts, p, mode, players, {} if memo is None else memo)
+
+
+def _prune(
+    opts: Collection[GameValue], p: int, mode: str, players: int, memo: dict
+) -> set[GameValue]:
+    # prune without its checks, over distinct options.
     top = max(v.ranks[p] for v in opts)
     best = [v for v in opts if v.ranks[p] == top]
     if len(best) == 1:
         return set(best)
     if mode == "selfish":
         # Antisymmetry: for distinct rewritten values, < is <= alone.
+        table = _table(memo, _leq)
         proxy = {v: _prepare(v, players) for v in best}
         return {
             v
             for v, a in proxy.items()
-            if not any(b is not a and _leq(a, b, p) for b in proxy.values())
+            if not any(b is not a and _leq(a, b, p, table) for b in proxy.values())
         }
-    proxy = {v: _quotient(_prepare(v, players), p) for v in best}
+    quotients, table = _table(memo, _quotient), _table(memo, _ext_leq)
+    proxy = {v: _quotient(_prepare(v, players), p, quotients) for v in best}
     survivors = [
         v
         for v, a in proxy.items()
         if not any(
-            b is not a and _ext_leq(a, b) and not _ext_leq(b, a) for b in proxy.values()
+            b is not a and _ext_leq(a, b, table) and not _ext_leq(b, a, table)
+            for b in proxy.values()
         )
     ]
     merged: list[GameValue] = []
     for v in sorted(survivors, key=lambda v: v.order):
         a = proxy[v]
-        if not any(_ext_leq(a, proxy[r]) and _ext_leq(proxy[r], a) for r in merged):
+        if not any(
+            _ext_leq(a, proxy[r], table) and _ext_leq(proxy[r], a, table) for r in merged
+        ):
             merged.append(v)
     return set(merged)

@@ -1,7 +1,10 @@
-"""Suite-wide configuration: hypothesis profile and the criteria summary.
+"""Suite-wide configuration: hypothesis profile, the slow marker and
+the criteria summary.
 
-Acceptance tests append one verdict line each; the terminal summary
-prints them together so a single pytest run reads as a checklist.
+Tests marked slow take minutes alone and are skipped unless pytest is
+given --run-slow.  Acceptance tests append one verdict line each; the
+terminal summary prints them together so a single pytest run reads as a
+checklist.
 """
 
 import pytest
@@ -21,8 +24,21 @@ settings.register_profile(
 settings.load_profile("repo")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", help="also run tests marked slow")
+
+
 def pytest_configure(config):
     config._criterion_lines = []
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: run with --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

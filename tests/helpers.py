@@ -346,15 +346,16 @@ def indifferent_class(v: GameValue, p: int, max_exponent: int) -> Optional[Ladde
     Returns None if no tier up to max_exponent matches, which evaluation
     of a three-player game can never produce.
     """
-    _check_perspective(p)
-    q = _quotient(_prepare(v), p)
+    _check_perspective(p, 9)
+    q = quotient(_prepare(v), p)
     win = leaf(_WIN)
-    if _ext_leq(q, win) and _ext_leq(win, q):
+    memo: dict = {}
+    if _ext_leq(q, win, memo) and _ext_leq(win, q, memo):
         return Ladder(True, 0)
     tier = leaf(_LOSS)  # an opposing leaf: exponent 0
     mine = win
     for j in range(max_exponent + 1):
-        if _ext_leq(q, tier) and _ext_leq(tier, q):
+        if _ext_leq(q, tier, memo) and _ext_leq(tier, q, memo):
             return Ladder(False, j)
         # Next loss tier: an option into the mover's tier and one staying put.
         mine, tier = tier, choice((mine, tier))
@@ -485,6 +486,7 @@ def _class_rank(v: GameValue, p: int) -> int:
 _REFERENCE_LEQ_CACHE: dict[tuple[GameValue, GameValue, int], bool] = {}
 _REFERENCE_PLESS_CACHE: dict[tuple[GameValue, GameValue, int, bool], bool] = {}
 _REFERENCE_EXT_CACHE: dict[tuple[GameValue, GameValue], bool] = {}
+_REFERENCE_QUOT_CACHE: dict[tuple[GameValue, int], GameValue] = {}
 
 
 def reference_selfish_leq(x: GameValue, y: GameValue, p: int) -> bool:
@@ -603,15 +605,20 @@ def reference_ext_leq(x: GameValue, y: GameValue) -> bool:
     return result
 
 
+def quotient(v: GameValue, p: int) -> GameValue:
+    """preferences._quotient, through a memo the reference kernels keep."""
+    return _quotient(v, p, _REFERENCE_QUOT_CACHE)
+
+
 def _reference_indifferent_strict(x: GameValue, y: GameValue, p: int) -> bool:
-    qx = _quotient(x, p)
-    qy = _quotient(y, p)
+    qx = quotient(x, p)
+    qy = quotient(y, p)
     return reference_ext_leq(qx, qy) and not reference_ext_leq(qy, qx)
 
 
 def _reference_indifferent_equal(x: GameValue, y: GameValue, p: int) -> bool:
-    qx = _quotient(x, p)
-    qy = _quotient(y, p)
+    qx = quotient(x, p)
+    qy = quotient(y, p)
     return reference_ext_leq(qx, qy) and reference_ext_leq(qy, qx)
 
 
@@ -621,7 +628,7 @@ def reference_leq(x: GameValue, y: GameValue, p: int, base: str = "selfish") -> 
     y = _reference_prepare(y)
     if base == "selfish":
         return reference_selfish_leq(x, y, p)
-    return reference_ext_leq(_quotient(x, p), _quotient(y, p))
+    return reference_ext_leq(quotient(x, p), quotient(y, p))
 
 
 def reference_compare(x: GameValue, y: GameValue, p: int, base: str = "selfish") -> Comparison:

@@ -575,3 +575,66 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run(capsys, "solve", "12223") == (0, "[[1,3]]\n", "")
     assert len(built) == 0
+
+
+# Runs in a fresh interpreter: two batches of 100 simplify and 100
+# compare requests through main, then the length of every module-level
+# dict, set and list of nclobber after each batch, as JSON.
+CONTAINER_PROBE = """
+import contextlib, io, json, random, sys
+from nclobber.cli import main
+
+def text(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice("123")
+    width = rng.choice((1, 2, 2, 3))
+    return "[" + ",".join(text(rng, depth - 1) for _ in range(width)) + "]"
+
+def batch(rng):
+    with contextlib.redirect_stdout(io.StringIO()):
+        for i in range(100):
+            p = str(rng.randint(1, 3))
+            mode = ("selfish", "indifferent", "prudent", "raw")[i % 4]
+            main(["simplify", text(rng, rng.randint(3, 7)), "--mode", mode, "--perspective", p])
+            relation = ("base", "indifferent", "prudent")[i % 3]
+            left, right = text(rng, rng.randint(2, 6)), text(rng, rng.randint(2, 6))
+            main(["compare", left, right, "-p", p, "--relation", relation])
+
+def sizes():
+    return {
+        f"{name}.{attr}": len(table)
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "nclobber"
+        for attr, table in vars(module).items()
+        if isinstance(table, (dict, set, list))
+    }
+
+rng = random.Random(0)
+batch(rng)
+first = sizes()
+batch(rng)
+print(json.dumps([first, sizes()]))
+"""
+
+# Interned values and the shared normalize memo live as long as the
+# process, by design; nothing else may keep what a request built.
+PROCESS_TABLES = {
+    f"nclobber.values.{name}"
+    for name in ("_LEAVES", "_CHOICES", "_OUTCOMES", "_EXPANSIONS", "_NORMAL_CACHE")
+}
+
+
+def test_requests_leave_nothing_behind_but_interned_values():
+    proc = subprocess.run(
+        [sys.executable, "-c", CONTAINER_PROBE],
+        env=_buffered_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
+    assert set(first) == set(second)
+    assert any(second[name] > first[name] for name in PROCESS_TABLES)
+    grown = {name for name in first if second[name] != first[name]}
+    assert grown <= PROCESS_TABLES, {n: (first[n], second[n]) for n in grown - PROCESS_TABLES}

@@ -198,6 +198,26 @@ def test_census_small_lengths_match_the_reference():
             )
 
 
+@pytest.mark.slow
+def test_the_n12_count_census():
+    # About 74 s at a 611 MB peak alone in a process.  The selfish fold
+    # here fills the largest relation memo of any test.  Games,
+    # unsimplified and prudent are the published counts; the syntactic
+    # and selfish columns are pinned as computed, since both follow the
+    # stated rules past the published ones (434,274 and 30,378; see
+    # reports/syntactic_discrepancy.md).
+    report = enumerate_values(12, collect_inventory=False)
+    assert report.games_analysed == PUBLISHED_COUNTS["games"][12] == 2_878_512
+    assert report.unique_values == {
+        "unsimplified": 434_571,
+        "syntactic": 433_427,
+        "selfish": 24_363,
+        "prudent": 13,
+    }
+    for mode in ("unsimplified", "prudent"):
+        assert report.unique_values[mode] == PUBLISHED_COUNTS[mode][12], mode
+
+
 def test_prudent_census_n4_contains_1_bar_but_not_2_bar():
     inventory = enumerate_values(4, ("prudent",)).value_inventory["prudent"]
     assert "1_1" in inventory

@@ -16,6 +16,7 @@ from helpers import (
     closed_form_disagreements,
     indifferent_class,
     indifferent_collapse_disagreements,
+    quotient,
     reference_compare,
     reference_ext_leq,
     reference_leq,
@@ -77,14 +78,17 @@ def test_outcome_class_goldens():
 @pytest.mark.parametrize(
     "call, top",
     [
-        (lambda p: leq(leaf(1), leaf(2), p), 9),
-        (lambda p: leq(leaf(1), leaf(2), p, "indifferent"), 9),
-        (lambda p: compare(leaf(1), leaf(2), p), 9),
-        (lambda p: compare(leaf(1), leaf(2), p, "indifferent"), 9),
+        (lambda p: leq(leaf(1), leaf(2), p), 3),
+        (lambda p: leq(leaf(1), leaf(2), p, "indifferent"), 3),
+        (lambda p: compare(leaf(1), leaf(2), p), 3),
+        (lambda p: compare(leaf(1), leaf(2), p, "indifferent"), 3),
         (lambda p: preferences.prudent_less(leaf(1), leaf(2), p), 3),
         (lambda p: prudent_compare(leaf(1), leaf(2), p), 3),
-        (lambda p: prune({leaf(1), leaf(2)}, p), 9),
-        (lambda p: prune({leaf(1), leaf(2)}, p, "indifferent"), 9),
+        (lambda p: prune({leaf(1), leaf(2)}, p), 3),
+        (lambda p: prune({leaf(1), leaf(2)}, p, "indifferent"), 3),
+        (lambda p: leq(leaf(1), leaf(2), p, players=9), 9),
+        (lambda p: compare(leaf(1), leaf(2), p, "indifferent", players=9), 9),
+        (lambda p: prune({leaf(1), leaf(2)}, p, players=9), 9),
     ],
     ids=[
         "leq",
@@ -95,12 +99,16 @@ def test_outcome_class_goldens():
         "prudent_compare",
         "prune",
         "prune-indifferent",
+        "leq-nine-players",
+        "compare-nine-players",
+        "prune-nine-players",
     ],
 )
 def test_entry_points_refuse_a_perspective_outside_the_players(call, top):
     # ranks has an entry per player id 1..9; before the check, p = 0 read
-    # every value as a loss and p = 10 raised IndexError.  The prudent
-    # order is defined for three players.
+    # every value as a loss and p = 10 raised IndexError.  A p above the
+    # player count is no player of the game, and the prudent order is
+    # defined for three players.
     call(top)
     for p in (0, top + 1, -1, 1.0):
         with pytest.raises(ValueError):
@@ -125,10 +133,24 @@ def test_relations_answer_for_the_player_count_they_are_given():
         lambda x, y: compare(x, y, 1),
         lambda x, y: compare(x, y, 1, "indifferent"),
         lambda x, y: compare(y, x, 1, players=2),
+        lambda x, y: prune({x, y}, 1),
+        lambda x, y: prune({y, x}, 1, "indifferent"),
+        lambda x, y: prune({y, leaf(4)}, 1),
     ],
-    ids=["leq", "leq-indifferent", "compare", "compare-indifferent", "compare-two-players"],
+    ids=[
+        "leq",
+        "leq-indifferent",
+        "compare",
+        "compare-indifferent",
+        "compare-two-players",
+        "prune",
+        "prune-indifferent",
+        "prune-a-losing-leaf",
+    ],
 )
 def test_relations_refuse_a_winner_above_the_player_count(call):
+    # prune({[1,2], 4}, 1) once kept [1,2] alone: the leaf 4 sits below
+    # the top class for player 1 and dropped uncompared.
     x = parse_value("[[[[1,4]]]]", players=4)
     y = parse_value("[1,2]")
     with pytest.raises(ValueError, match="winner 4 exceeds player count"):
@@ -431,28 +453,43 @@ def _prepared_subterms(roots):
 
 RELATION_POOL = _prepared_subterms(raw_values(key for n in range(1, 7) for key in run_keys(n)))
 RELATION_TRIPLES = [(x, y, p) for x in RELATION_POOL for y in RELATION_POOL for p in (1, 2, 3)]
-RELATION_MEMOS = ("_LEQ_CACHE", "_PLESS_CACHE", "_EXT_CACHE", "_QUOT_CACHE")
+RELATIONS = (preferences._leq, preferences._pless, preferences._ext_leq, preferences._quotient)
 
 
-def _library_relations(triples):
-    q = preferences._quotient
+def _tables(memo):
+    """The relation tables in memo, as the public relations fetch them."""
+    return [preferences._table(memo, relation) for relation in RELATIONS]
+
+
+def _pless(x, y, p, memo):
+    """preferences._pless through its tables in memo."""
+    selfish, pless, _, _ = _tables(memo)
+    return preferences._pless(x, y, p, pless, selfish)
+
+
+def _library_relations(triples, memo):
+    # Every public relation and every kernel through one memo.
+    selfish, pless, ext, quotients = _tables(memo)
+
+    def q(v, p):
+        return preferences._quotient(v, p, quotients)
+
     return [
         (
-            leq(x, y, p),
-            leq(x, y, p, "indifferent"),
-            compare(x, y, p),
-            compare(x, y, p, "indifferent"),
-            prudent_compare(x, y, p),
-            preferences._leq(x, y, p),
-            preferences._pless(x, y, p),
-            preferences._ext_leq(q(x, p), q(y, p)),
+            leq(x, y, p, memo=memo),
+            leq(x, y, p, "indifferent", memo=memo),
+            compare(x, y, p, memo=memo),
+            compare(x, y, p, "indifferent", memo=memo),
+            prudent_compare(x, y, p, memo),
+            preferences._leq(x, y, p, selfish),
+            preferences._pless(x, y, p, pless, selfish),
+            preferences._ext_leq(q(x, p), q(y, p), ext),
         )
         for x, y, p in triples
     ]
 
 
 def _reference_relations(triples):
-    q = preferences._quotient
     return [
         (
             reference_leq(x, y, p),
@@ -462,7 +499,7 @@ def _reference_relations(triples):
             reference_prudent_compare(x, y, p),
             reference_selfish_leq(x, y, p),
             reference_pless(x, y, p),
-            reference_ext_leq(q(x, p), q(y, p)),
+            reference_ext_leq(quotient(x, p), quotient(y, p)),
         )
         for x, y, p in triples
     ]
@@ -471,19 +508,48 @@ def _reference_relations(triples):
 def test_relations_equal_their_reference_on_every_pool_pair():
     assert len(RELATION_POOL) == 57
     want = _reference_relations(RELATION_TRIPLES)
-    # From empty memos, forwards and then backwards: a memo entry written
-    # before its answer was complete would show in one order or the other.
+    # From an empty memo, one shared by every relation, forwards and then
+    # backwards: a memo entry written before its answer was complete
+    # would show in one order or the other.
     for order in (1, -1):
-        for name in RELATION_MEMOS:
-            getattr(preferences, name).clear()
-        got = _library_relations(RELATION_TRIPLES[::order])[::order]
+        got = _library_relations(RELATION_TRIPLES[::order], {})[::order]
         bad = [t for t, g, w in zip(RELATION_TRIPLES, got, want) if g != w]
         assert not bad, [(x.text, y.text, p) for x, y, p in bad[:5]]
 
 
+def test_one_memo_keeps_each_relation_apart():
+    # _leq and _pless both key on (x, y, p), and for this pair they
+    # differ; one table for both would answer the later call from the
+    # earlier one's entry, in one call order or the other.
+    x, y = parse_value("[1,2]"), parse_value("[1,[1,2]]")
+    assert preferences._prepare(x) is x and preferences._prepare(y) is y
+    assert not reference_selfish_leq(x, y, 1) and reference_pless(x, y, 1)
+    calls = [
+        (lambda memo: leq(x, y, 1, memo=memo), False),
+        (lambda memo: preferences.prudent_less(x, y, 1, memo), True),
+        (lambda memo: compare(x, y, 1, memo=memo), reference_compare(x, y, 1)),
+        (
+            lambda memo: compare(x, y, 1, "indifferent", memo=memo),
+            reference_compare(x, y, 1, "indifferent"),
+        ),
+        (lambda memo: prudent_compare(x, y, 1, memo), reference_prudent_compare(x, y, 1)),
+        (lambda memo: prune([x, y], 1, memo=memo), reference_prune({x, y}, 1)),
+        (
+            lambda memo: prune([x, y], 1, "indifferent", memo=memo),
+            reference_prune({x, y}, 1, "indifferent"),
+        ),
+    ]
+    want = [answer for _, answer in calls]
+    for order in (1, -1):
+        memo = {}
+        got = [call(memo) for call, _ in calls[::order]][::order]
+        assert got == want, order
+        assert set(memo) == set(RELATIONS)
+
+
 @given(value_trees(), value_trees(), st.integers(1, 3))
 def test_relations_equal_their_reference_on_random_pairs(x, y, p):
-    assert _library_relations([(x, y, p)]) == _reference_relations([(x, y, p)])
+    assert _library_relations([(x, y, p)], {}) == _reference_relations([(x, y, p)])
 
 
 def test_no_known_pair_needs_the_prudent_option_against_option_clause():
@@ -492,28 +558,24 @@ def test_no_known_pair_needs_the_prudent_option_against_option_clause():
     # 8.  The library keeps the clause until a proof says it may go.
     simples = [preferences._prepare(expand_simple(s)) for s in all_simples(8)]
     pairs = [(x, y) for pool in (RELATION_POOL, simples) for x in pool for y in pool]
+    memo = {}
     bad = [
         (x.text, y.text, p)
         for x, y in pairs
         for p in (1, 2, 3)
-        if reference_pless(x, y, p, option_against_option=False) != preferences._pless(x, y, p)
+        if reference_pless(x, y, p, option_against_option=False) != _pless(x, y, p, memo)
     ]
     assert len(pairs) == 57**2 + 27**2
     assert not bad, bad[:5]
 
 
-def _clear_relation_memos():
-    for name in RELATION_MEMOS:
-        getattr(preferences, name).clear()
-
-
 def test_prudent_compare_walks_the_selfish_order_only_for_wrappers():
     # _pless runs its strict selfish clause only for x = [y], so a prudent
     # pass over the pool fills few selfish memo entries.
-    _clear_relation_memos()
+    memo = {}
     for x, y, p in RELATION_TRIPLES:
-        prudent_compare(x, y, p)
-    assert len(preferences._LEQ_CACHE) == 38
+        prudent_compare(x, y, p, memo)
+    assert len(memo[preferences._leq]) == 38
 
 
 @pytest.mark.parametrize("x, y", [("[[1,2,3]]", "[1,2,3]"), ("[[1,[1,2]]]", "[1,[1,2]]")])
@@ -540,11 +602,11 @@ def test_prudent_compare_equals_the_reference_on_a_sample_of_n7_pairs():
     pairs += [rng.choice(related)[:: rng.choice((1, -1))] for _ in range(400)]
     triples = [(x, y, p) for x, y in pairs for p in (1, 2, 3)]
     assert any(strict_clause_decides(x, y, p) for x, y, p in triples)
-    _clear_relation_memos()
+    memo = {}
     bad = [
         (x, y, p)
         for x, y, p in triples
-        if prudent_compare(x, y, p) is not reference_prudent_compare(x, y, p)
+        if prudent_compare(x, y, p, memo) is not reference_prudent_compare(x, y, p)
     ]
     assert not bad, [(x.text, y.text, p) for x, y, p in bad[:5]]
 
@@ -575,7 +637,7 @@ def test_the_strict_clause_decides_alone_only_for_a_wrapper(pair, p):
     for x, y in (pair, pair[::-1]):
         if strict_clause_decides(x, y, p):
             assert x.children == (y,)
-        assert preferences._pless(x, y, p) is reference_pless(x, y, p)
+        assert _pless(x, y, p, {}) is reference_pless(x, y, p)
 
 
 def test_a_class_gap_settles_the_reference_prudent_order():
@@ -626,7 +688,7 @@ def test_the_selfish_order_is_transitive_on_the_pool(p):
 
 @pytest.mark.parametrize("p", (1, 2, 3))
 def test_the_indifferent_order_is_transitive_on_the_pool(p):
-    quotients = list(dict.fromkeys(preferences._quotient(v, p) for v in RELATION_POOL))
+    quotients = list(dict.fromkeys(quotient(v, p) for v in RELATION_POOL))
     premises, bad = _transitivity_violations(quotients, reference_ext_leq)
     assert premises and not bad, bad[:5]
 
@@ -654,8 +716,7 @@ def test_the_orders_are_transitive_on_related_triples(triple, p, order):
     x, y, z = (triple[i] for i in order)
     if reference_selfish_leq(x, y, p) and reference_selfish_leq(y, z, p):
         assert reference_selfish_leq(x, z, p)
-    q = preferences._quotient
-    qx, qy, qz = q(x, p), q(y, p), q(z, p)
+    qx, qy, qz = quotient(x, p), quotient(y, p), quotient(z, p)
     if reference_ext_leq(qx, qy) and reference_ext_leq(qy, qz):
         assert reference_ext_leq(qx, qz)
 
@@ -673,15 +734,15 @@ def test_the_prudent_order_is_not_asymmetric():
 
 
 # Runs in a fresh interpreter: allocate argv[1] throwaway objects, which
-# moves every later value to other addresses, then simplify and fold a
-# fixed input set, and print the sizes of the four relation memos.
+# moves every later value to other addresses, then simplify as the CLI
+# does and fold a fixed input set, all through one memo, and print the
+# sizes of the four relation tables in it.
 MEMO_SIZE_PROBE = """
-import contextlib, io, random, sys
+import random, sys
 padding = [object() for _ in range(int(sys.argv[1]))]
 from nclobber import preferences
-from nclobber.cli import main
 from nclobber.enumeration import raw_values, run_keys
-from nclobber.values import NormalizationProfile
+from nclobber.values import DEFAULT_PROFILE, NormalizationProfile, normalize, parse_value
 
 def text(rng, depth):
     if depth == 0 or rng.random() < 0.3:
@@ -689,18 +750,19 @@ def text(rng, depth):
     width = rng.choice((1, 2, 2, 3))
     return "[" + ",".join(text(rng, depth - 1) for _ in range(width)) + "]"
 
-rng = random.Random(0)
-with contextlib.redirect_stdout(io.StringIO()):
-    for i in range(600):
-        mode = ("selfish", "indifferent")[i % 2]
-        p = str(rng.randint(1, 3))
-        main(["simplify", text(rng, rng.randint(3, 7)), "--mode", mode, "--perspective", p])
+rng, memo = random.Random(0), {}
+for i in range(600):
+    mode = ("selfish", "indifferent")[i % 2]
+    p = rng.randint(1, 3)
+    v = normalize(parse_value(text(rng, rng.randint(3, 7))), DEFAULT_PROFILE)
+    if v.children is not None:
+        preferences.pruning_fold(mode, DEFAULT_PROFILE, 3).step(v.children, p, memo)
 for mode in ("selfish", "indifferent"):
-    fold, memo = preferences.pruning_fold(mode, NormalizationProfile.L1, 3), {}
+    fold = preferences.pruning_fold(mode, NormalizationProfile.L1, 3)
     for v in raw_values(run_keys(7)):
         memo.get((fold, 1, v)) or preferences.walk(v, 1, fold, preferences.TREE, memo, 3)
-names = ("_LEQ_CACHE", "_PLESS_CACHE", "_EXT_CACHE", "_QUOT_CACHE")
-print(*(len(getattr(preferences, name)) for name in names))
+relations = (preferences._leq, preferences._pless, preferences._ext_leq, preferences._quotient)
+print(*(len(memo.get(relation, ())) for relation in relations))
 """
 
 

@@ -21,7 +21,7 @@ from helpers import (
     reference_evaluate,
 )
 import nclobber
-from nclobber import solver
+from nclobber import preferences, solver
 from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
 from nclobber.game_core import Position, grid_masks, movers_mask, parse_board
 from nclobber.preferences import PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
@@ -389,10 +389,14 @@ def test_fold_memos_in_one_cache_do_not_leak_between_modes():
                     assert got == fresh, (board, start, mode)
         # Prudent walks positions; selfish walks the raw walk's values.
         # (At n = 3 every raw value is a leaf, which leaves no selfish entry.)
+        # Beside the walks' entries, the memo holds only the table of the
+        # selfish relation, which the selfish fold's prune fills.
         selfish = pruning_fold("selfish", L1, 3)
-        tags = {key[0] for key in cache.entries}
+        walks = [key for key in cache.entries if isinstance(key, tuple)]
+        assert set(cache.entries).difference(walks) <= {preferences._leq}
+        tags = {key[0] for key in walks}
         assert tags == {PRUDENT, RAW} | ({selfish} if n > 3 else set()), n
-        for fold, _, state in cache.entries:
+        for fold, _, state in walks:
             assert isinstance(state, GameValue) == (fold is selfish), (fold, state)
 
 
