@@ -33,6 +33,10 @@ from nclobber.preferences import leq, prudent_less
 from nclobber.values import render_value
 
 
+def _strict_selfish(x, y, p):
+    return leq(x, y, p) and not leq(y, x, p)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6, help="largest board length")
@@ -54,16 +58,8 @@ def main(argv=None) -> int:
     exhaustive = total <= args.sample
     print("triples:", "exhaustive" if exhaustive else f"sampling {args.sample} of {total}")
 
-    memo: dict = {}  # one relation memo for the whole probe
-
-    def strict_selfish(x, y, p):
-        return leq(x, y, p, memo=memo) and not leq(y, x, p, memo=memo)
-
-    def strict_prudent(x, y, p):
-        return prudent_less(x, y, p, memo)
-
     violations = 0
-    for name, strict in (("selfish", strict_selfish), ("prudent", strict_prudent)):
+    for name, strict in (("selfish", _strict_selfish), ("prudent", prudent_less)):
         for p in (1, 2, 3):
             for x in values:
                 if strict(x, x, p):

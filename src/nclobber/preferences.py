@@ -77,13 +77,13 @@ pair of leaves before it builds a memo key, and its loops probe the
 memo before they recurse.  Rewriting keeps outcome sets, so prune drops
 every option below the top class for the player uncompared.
 
-The relations memoize in the caller's memo, a dict that leq, compare,
-prudent_less, prudent_compare and prune take as memo, and that walk
-hands to pruning_fold's step: a census regime's or a solve's entries
-are freed with its EvalCache.  Each relation keeps its own table there,
-under the relation's function as the key, for _leq and _pless both key
-on (x, y, p).  A call without a memo starts afresh, so nothing it
-memoized outlives it.
+No relation memo outlives its caller.  leq, compare, prudent_less and
+prudent_compare memoize in dicts of their own, freed when they return.
+prune memoizes in the memo it is given, which walk hands to
+pruning_fold's step, so a census regime's or a solve's relation entries
+are freed with its EvalCache.  There each relation keeps its own table,
+under the relation's function as the key; without a memo prune starts
+afresh.
 
 The prudent order is the OR of four clauses, each a pure function of
 (x, y, p): option against whole, whole against option, option against
@@ -174,8 +174,8 @@ def _check_winners(players: int, *values: GameValue) -> None:
 
 
 def _table(memo: dict, relation: Callable) -> dict:
-    # One relation's entries in the caller's memo, under the relation
-    # itself: _leq and _pless both key on (x, y, p).
+    # One relation's entries in prune's memo, under the relation itself:
+    # the memo also holds walk's entries.
     got = memo.get(relation)
     if got is None:
         got = memo[relation] = {}
@@ -233,58 +233,42 @@ def _leq(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
     return result
 
 
-def leq(
-    x: GameValue,
-    y: GameValue,
-    p: int,
-    base: str = "selfish",
-    players: int = 3,
-    memo: Optional[dict] = None,
-) -> bool:
+def leq(x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3) -> bool:
     """Whether x <= y for player p under the selfish or indifferent base,
-    both values of a game of `players` players.  memo is the caller's
-    (module docstring); a call without one starts afresh."""
+    both values of a game of `players` players."""
     _check_perspective(p, players)
     _check_winners(players, x, y)
-    if memo is None:
-        memo = {}
     x, y = _prepare(x, players), _prepare(y, players)
     if base == "selfish":
-        return _leq(x, y, p, _table(memo, _leq))
+        return _leq(x, y, p, {})
     if base != "indifferent":
         raise ValueError(f"unknown comparison base {base!r}")
-    quotients = _table(memo, _quotient)
-    return _ext_leq(_quotient(x, p, quotients), _quotient(y, p, quotients), _table(memo, _ext_leq))
+    quotients: dict = {}
+    return _ext_leq(_quotient(x, p, quotients), _quotient(y, p, quotients), {})
 
 
 def compare(
-    x: GameValue,
-    y: GameValue,
-    p: int,
-    base: str = "selfish",
-    players: int = 3,
-    memo: Optional[dict] = None,
+    x: GameValue, y: GameValue, p: int, base: str = "selfish", players: int = 3
 ) -> Comparison:
     """Full comparison under the given base relation, both values of a
-    game of `players` players.  memo is the caller's, as for leq."""
+    game of `players` players."""
     _check_perspective(p, players)
     _check_winners(players, x, y)
-    if memo is None:
-        memo = {}
     x, y = _prepare(x, players), _prepare(y, players)
     if base == "selfish":
         # Antisymmetry (module docstring): only identical values are equal.
         if x is y:
             return Comparison.EQUAL
-        table = _table(memo, _leq)
-        if _leq(x, y, p, table):
+        memo: dict = {}
+        if _leq(x, y, p, memo):
             return Comparison.LESS
-        return Comparison.GREATER if _leq(y, x, p, table) else Comparison.INCOMPARABLE
+        return Comparison.GREATER if _leq(y, x, p, memo) else Comparison.INCOMPARABLE
     if base != "indifferent":
         raise ValueError(f"unknown comparison base {base!r}")
-    quotients, table = _table(memo, _quotient), _table(memo, _ext_leq)
+    quotients: dict = {}
     x, y = _quotient(x, p, quotients), _quotient(y, p, quotients)
-    fwd, bwd = _ext_leq(x, y, table), _ext_leq(y, x, table)
+    memo = {}
+    fwd, bwd = _ext_leq(x, y, memo), _ext_leq(y, x, memo)
     if fwd and bwd:
         return Comparison.EQUAL
     if fwd:
@@ -305,15 +289,13 @@ def _pless(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) -> boo
     cx, cy = x.ranks[p], y.ranks[p]
     if cx != cy:
         return cx < cy  # the class-gap lemma of the module docstring
-    got = memo.get((x, y, p))
-    return _pless_new(x, y, p, memo, selfish) if got is None else got
-
-
-def _pless_new(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) -> bool:
-    # _pless of distinct values of one class that memo does not hold.
     xs, ys = x.children, y.children
     if xs is None and ys is None:
         return False  # distinct leaves of one class
+    key = (x, y, p)
+    got = memo.get(key)
+    if got is not None:
+        return got
     # The option clauses first, the strict selfish clause last, and that
     # only for x = [y] (the option lemma of the module docstring).
     result = xs is not None and _pless_options(xs, (y,), p, memo, selfish)
@@ -323,7 +305,7 @@ def _pless_new(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) ->
         result = _pless_options(xs, ys, p, memo, selfish)
     if not result and xs == (y,):
         result = not _leq(y, x, p, selfish)  # [y] <= y always holds
-    memo[x, y, p] = result
+    memo[key] = result
     return result
 
 
@@ -335,14 +317,12 @@ def _pless_options(
     for a, b in product(xs, ys):
         ca, cb = a.ranks[p], b.ranks[p]
         if ca == cb:
-            if a is b:  # neither is below the other
-                continue
             got = memo.get((a, b, p))
-            if _pless_new(a, b, p, memo, selfish) if got is None else got:
+            if _pless(a, b, p, memo, selfish) if got is None else got:
                 witness = True
                 continue
             got = memo.get((b, a, p))
-            if _pless_new(b, a, p, memo, selfish) if got is None else got:
+            if _pless(b, a, p, memo, selfish) if got is None else got:
                 return False
         elif ca > cb:  # b < a and not a < b, by the class-gap lemma
             return False
@@ -351,27 +331,22 @@ def _pless_options(
     return witness
 
 
-def prudent_less(x: GameValue, y: GameValue, p: int, memo: Optional[dict] = None) -> bool:
+def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
     """Whether a prudent player p discards x when y is available; the
-    prudent order is defined for three players.  memo is the caller's,
-    as for leq."""
+    prudent order is defined for three players."""
     _check_perspective(p, 3)
     _check_winners(3, x, y)
-    if memo is None:
-        memo = {}
-    return _pless(_prepare(x), _prepare(y), p, _table(memo, _pless), _table(memo, _leq))
+    return _pless(_prepare(x), _prepare(y), p, {}, {})
 
 
-def prudent_compare(
-    x: GameValue, y: GameValue, p: int, memo: Optional[dict] = None
-) -> Comparison:
+def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
     """Full comparison of x and y under player p's prudent order.
 
     Both values, of a three-player game, are fully rewritten first.  LESS
     means p discards x when y is available, GREATER the reverse, EQUAL
     that they rewrite to one value, and INCOMPARABLE anything else: the
     order is not asymmetric (module docstring), so a pair below each
-    other is incomparable.  memo is the caller's, as for leq.
+    other is incomparable.
     """
     _check_perspective(p, 3)
     _check_winners(3, x, y)
@@ -379,11 +354,10 @@ def prudent_compare(
     y = _prepare(y)
     if x is y:
         return Comparison.EQUAL
-    if memo is None:
-        memo = {}
-    table, selfish = _table(memo, _pless), _table(memo, _leq)
-    fwd = _pless(x, y, p, table, selfish)
-    bwd = _pless(y, x, p, table, selfish)
+    memo: dict = {}
+    selfish: dict = {}
+    fwd = _pless(x, y, p, memo, selfish)
+    bwd = _pless(y, x, p, memo, selfish)
     if fwd and not bwd:
         return Comparison.LESS
     if bwd and not fwd:
@@ -509,7 +483,8 @@ def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: in
 
     memo maps (fold, mover, state) to results; callers probe it first,
     and pass the same dict to share work between walks.  The step gets
-    it too, for the relation memos of prune (module docstring).  A mover
+    it too: the pruning folds' prune keeps its relation tables there,
+    each under its relation's function (module docstring).  A mover
     with no move passes, one option under the next mover, unless the
     game is over.  The step sees its options' results in move order:
     prune fills the relation memos in the order it gets options.
@@ -537,7 +512,7 @@ def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: in
     return got
 
 
-def prudent_step(simples: Iterable[SimpleValue], mover: int, memo: Any = None) -> SimpleValue:
+def prudent_step(simples: Iterable[SimpleValue], mover: int, memo: dict) -> SimpleValue:
     """The simple value a prudent mover reaches from options that have
     collapsed to the given simples: one pass with the integer rank e of
     the module docstring.  Two options at the best e differ when their
@@ -577,12 +552,12 @@ def pruning_fold(mode: str, profile: NormalizationProfile, players: int) -> Fold
     """The fold of selfish or indifferent play over value trees: at each
     level prune drops the options the mover discards, and the choice over
     the survivors is rewritten with the profile.  A pass is a singleton
-    level, which prune leaves alone.  The step takes walk's memo for
-    prune's relation memos, and trusts walk for the checks prune makes.
+    level, which prune leaves alone.  The step hands walk's memo to prune
+    for its relation tables.
     """
 
     def step(options: Collection[GameValue], mover: int, memo: dict) -> GameValue:
-        return normalize(choice(_prune(options, mover, mode, players, memo)), profile, players)
+        return normalize(choice(prune(options, mover, mode, players, memo)), profile, players)
 
     return Fold(leaf, step, False)
 
@@ -637,13 +612,10 @@ def _quotient(v: GameValue, p: int, memo: dict) -> GameValue:
     """Relabel leaves to p's eye: own wins stay 1, every loss becomes 2.
 
     Collapsing makes sibling losses merge, so the result is again
-    canonical and all downstream comparisons can fix perspective 1.  A
-    guaranteed win or loss for p, a leaf among them, collapses to one
-    leaf, since a choice over one leaf is that leaf.
+    canonical and all downstream comparisons can fix perspective 1.
     """
-    rank = v.ranks[p]
-    if rank != 1:
-        return leaf(_WIN) if rank else leaf(_LOSS)
+    if v.children is None:
+        return leaf(_WIN) if v.winner == p else leaf(_LOSS)
     key = (v, p)
     got = memo.get(key)
     if got is None:
@@ -708,8 +680,9 @@ def prune(
     some option always survives.  In indifferent mode, options the
     player cannot tell apart additionally collapse to the least in
     `order`, which is text order: loss-blind players take the least
-    winner, so among losses the player labels decide.  memo is the
-    caller's, as for leq.
+    winner, so among losses the player labels decide.  The relations
+    memoize in memo, which may hold other entries too (module
+    docstring); without one the call starts afresh.
     """
     opts = list(dict.fromkeys(options))
     if not opts:
@@ -718,13 +691,8 @@ def prune(
         raise ValueError(f"unknown preference mode {mode!r}")
     _check_perspective(p, players)
     _check_winners(players, *opts)
-    return _prune(opts, p, mode, players, {} if memo is None else memo)
-
-
-def _prune(
-    opts: Collection[GameValue], p: int, mode: str, players: int, memo: dict
-) -> set[GameValue]:
-    # prune without its checks, over distinct options.
+    if memo is None:
+        memo = {}
     top = max(v.ranks[p] for v in opts)
     best = [v for v in opts if v.ranks[p] == top]
     if len(best) == 1:

@@ -119,7 +119,7 @@ Beside its fold, a position's key holds only ints and bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .game_core import (
     Position,
@@ -194,21 +194,23 @@ class EvalCache:
     entries is the walks' memo (preferences.walk), keyed on (fold,
     mover, state), where a line's state is its live runs, a grid's is
     (stride, live bitboards) and a tree's is its value; see the module
-    docstring for why the position keys are exact.  runs holds, per live
-    run and player, the runs that player's moves there leave
-    (game_core.run_moves), for the runs that share a position with
-    another run; a lone run's moves are computed where its position is
-    expanded, at most once per walk and mover, and not kept.  line is
-    the line kind that reads and fills runs.  Every board shape, mode and
-    profile may share a cache; reusing it with another player count is
-    an error.
+    docstring for why the position keys are exact.  The selfish fold's
+    prune keeps its relation tables there too, one per relation under
+    the relation's function (preferences module docstring), so they are
+    freed with the cache.  runs holds, per live run and player, the runs
+    that player's moves there leave (game_core.run_moves), for the runs
+    that share a position with another run; a lone run's moves are
+    computed where its position is expanded, at most once per walk and
+    mover, and not kept.  line is the line kind that reads and fills
+    runs.  Every board shape, mode and profile may share a cache;
+    reusing it with another player count is an error.
     """
 
     __slots__ = ("players", "entries", "runs", "line")
 
     def __init__(self, players: int = 3) -> None:
         self.players = players
-        self.entries: dict[tuple, WalkResult] = {}
+        self.entries: dict[Union[tuple, Callable], Union[WalkResult, dict]] = {}
         self.runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
         self.line = _line_kind(self.runs)
 

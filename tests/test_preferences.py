@@ -453,34 +453,23 @@ def _prepared_subterms(roots):
 
 RELATION_POOL = _prepared_subterms(raw_values(key for n in range(1, 7) for key in run_keys(n)))
 RELATION_TRIPLES = [(x, y, p) for x in RELATION_POOL for y in RELATION_POOL for p in (1, 2, 3)]
-RELATIONS = (preferences._leq, preferences._pless, preferences._ext_leq, preferences._quotient)
 
 
-def _tables(memo):
-    """The relation tables in memo, as the public relations fetch them."""
-    return [preferences._table(memo, relation) for relation in RELATIONS]
-
-
-def _pless(x, y, p, memo):
-    """preferences._pless through its tables in memo."""
-    selfish, pless, _, _ = _tables(memo)
-    return preferences._pless(x, y, p, pless, selfish)
-
-
-def _library_relations(triples, memo):
-    # Every public relation and every kernel through one memo.
-    selfish, pless, ext, quotients = _tables(memo)
+def _library_relations(triples):
+    # Every public relation, each call afresh, and every kernel through
+    # one table per relation that all the triples share.
+    selfish, pless, ext, quotients = {}, {}, {}, {}
 
     def q(v, p):
         return preferences._quotient(v, p, quotients)
 
     return [
         (
-            leq(x, y, p, memo=memo),
-            leq(x, y, p, "indifferent", memo=memo),
-            compare(x, y, p, memo=memo),
-            compare(x, y, p, "indifferent", memo=memo),
-            prudent_compare(x, y, p, memo),
+            leq(x, y, p),
+            leq(x, y, p, "indifferent"),
+            compare(x, y, p),
+            compare(x, y, p, "indifferent"),
+            prudent_compare(x, y, p),
             preferences._leq(x, y, p, selfish),
             preferences._pless(x, y, p, pless, selfish),
             preferences._ext_leq(q(x, p), q(y, p), ext),
@@ -508,48 +497,17 @@ def _reference_relations(triples):
 def test_relations_equal_their_reference_on_every_pool_pair():
     assert len(RELATION_POOL) == 57
     want = _reference_relations(RELATION_TRIPLES)
-    # From an empty memo, one shared by every relation, forwards and then
-    # backwards: a memo entry written before its answer was complete
-    # would show in one order or the other.
+    # From empty tables, forwards and then backwards: a memo entry written
+    # before its answer was complete would show in one order or the other.
     for order in (1, -1):
-        got = _library_relations(RELATION_TRIPLES[::order], {})[::order]
+        got = _library_relations(RELATION_TRIPLES[::order])[::order]
         bad = [t for t, g, w in zip(RELATION_TRIPLES, got, want) if g != w]
         assert not bad, [(x.text, y.text, p) for x, y, p in bad[:5]]
 
 
-def test_one_memo_keeps_each_relation_apart():
-    # _leq and _pless both key on (x, y, p), and for this pair they
-    # differ; one table for both would answer the later call from the
-    # earlier one's entry, in one call order or the other.
-    x, y = parse_value("[1,2]"), parse_value("[1,[1,2]]")
-    assert preferences._prepare(x) is x and preferences._prepare(y) is y
-    assert not reference_selfish_leq(x, y, 1) and reference_pless(x, y, 1)
-    calls = [
-        (lambda memo: leq(x, y, 1, memo=memo), False),
-        (lambda memo: preferences.prudent_less(x, y, 1, memo), True),
-        (lambda memo: compare(x, y, 1, memo=memo), reference_compare(x, y, 1)),
-        (
-            lambda memo: compare(x, y, 1, "indifferent", memo=memo),
-            reference_compare(x, y, 1, "indifferent"),
-        ),
-        (lambda memo: prudent_compare(x, y, 1, memo), reference_prudent_compare(x, y, 1)),
-        (lambda memo: prune([x, y], 1, memo=memo), reference_prune({x, y}, 1)),
-        (
-            lambda memo: prune([x, y], 1, "indifferent", memo=memo),
-            reference_prune({x, y}, 1, "indifferent"),
-        ),
-    ]
-    want = [answer for _, answer in calls]
-    for order in (1, -1):
-        memo = {}
-        got = [call(memo) for call, _ in calls[::order]][::order]
-        assert got == want, order
-        assert set(memo) == set(RELATIONS)
-
-
 @given(value_trees(), value_trees(), st.integers(1, 3))
 def test_relations_equal_their_reference_on_random_pairs(x, y, p):
-    assert _library_relations([(x, y, p)], {}) == _reference_relations([(x, y, p)])
+    assert _library_relations([(x, y, p)]) == _reference_relations([(x, y, p)])
 
 
 def test_no_known_pair_needs_the_prudent_option_against_option_clause():
@@ -558,12 +516,13 @@ def test_no_known_pair_needs_the_prudent_option_against_option_clause():
     # 8.  The library keeps the clause until a proof says it may go.
     simples = [preferences._prepare(expand_simple(s)) for s in all_simples(8)]
     pairs = [(x, y) for pool in (RELATION_POOL, simples) for x in pool for y in pool]
-    memo = {}
+    pless, selfish = {}, {}
     bad = [
         (x.text, y.text, p)
         for x, y in pairs
         for p in (1, 2, 3)
-        if reference_pless(x, y, p, option_against_option=False) != _pless(x, y, p, memo)
+        if reference_pless(x, y, p, option_against_option=False)
+        != preferences._pless(x, y, p, pless, selfish)
     ]
     assert len(pairs) == 57**2 + 27**2
     assert not bad, bad[:5]
@@ -571,11 +530,13 @@ def test_no_known_pair_needs_the_prudent_option_against_option_clause():
 
 def test_prudent_compare_walks_the_selfish_order_only_for_wrappers():
     # _pless runs its strict selfish clause only for x = [y], so a prudent
-    # pass over the pool fills few selfish memo entries.
-    memo = {}
+    # pass over the pool, both ways round as prudent_compare runs it, fills
+    # few selfish memo entries.
+    pless, selfish = {}, {}
     for x, y, p in RELATION_TRIPLES:
-        prudent_compare(x, y, p, memo)
-    assert len(memo[preferences._leq]) == 38
+        preferences._pless(x, y, p, pless, selfish)
+        preferences._pless(y, x, p, pless, selfish)
+    assert len(selfish) == 38
 
 
 @pytest.mark.parametrize("x, y", [("[[1,2,3]]", "[1,2,3]"), ("[[1,[1,2]]]", "[1,[1,2]]")])
@@ -602,11 +563,10 @@ def test_prudent_compare_equals_the_reference_on_a_sample_of_n7_pairs():
     pairs += [rng.choice(related)[:: rng.choice((1, -1))] for _ in range(400)]
     triples = [(x, y, p) for x, y in pairs for p in (1, 2, 3)]
     assert any(strict_clause_decides(x, y, p) for x, y, p in triples)
-    memo = {}
     bad = [
         (x, y, p)
         for x, y, p in triples
-        if prudent_compare(x, y, p, memo) is not reference_prudent_compare(x, y, p)
+        if prudent_compare(x, y, p) is not reference_prudent_compare(x, y, p)
     ]
     assert not bad, [(x.text, y.text, p) for x, y, p in bad[:5]]
 
@@ -637,7 +597,7 @@ def test_the_strict_clause_decides_alone_only_for_a_wrapper(pair, p):
     for x, y in (pair, pair[::-1]):
         if strict_clause_decides(x, y, p):
             assert x.children == (y,)
-        assert _pless(x, y, p, {}) is reference_pless(x, y, p)
+        assert preferences._pless(x, y, p, {}, {}) is reference_pless(x, y, p)
 
 
 def test_a_class_gap_settles_the_reference_prudent_order():
