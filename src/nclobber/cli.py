@@ -1,6 +1,9 @@
 """Command-line front end: solve boards, simplify and compare values,
 and run the 1xn censuses, with text, csv, and json output.
 
+A request makes one argparse pass: `main` parses the arguments after
+the subcommand name with that subcommand's parser alone.
+
 Exit codes: 0 on success (also when the reader of stdout stops early),
 2 on usage errors (bad flags or arguments), 3 on domain errors
 (unparseable board or value, no opening move, an --out file or stdout
@@ -199,8 +202,15 @@ def _add_common(
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and, by name, its subcommands' parsers,
+    built once per process.
+
+    The parser's parse_args classifies every argument, then hands them
+    all to the subcommand's parser, which parses them again.  A request
+    makes one argparse pass instead: `main` hands argv[1:] straight to
+    the parser of the subcommand that argv[0] names.
+    """
     parser = argparse.ArgumentParser(
         prog="nclobber",
         description="Game values for N-player Clobber under normal play.",
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(table, formats=("csv", "json"))
     table.set_defaults(handler=_cmd_table)
 
-    return parser
+    return parser, sub.choices
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -289,8 +299,17 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or a flag first
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     _validate(parser, args)
     try:
         _emit(args.handler(args), args.out)

@@ -325,10 +325,9 @@ def match_simple(v: GameValue) -> Optional[SimpleValue]:
 # text form: digits, brackets, and bar atoms like 2_1
 
 
-# Bounds on value text.  The parser, normalize and the relations recurse
-# once per level, so nesting must stay well inside the interpreter's
-# recursion limit; and the printed form of a_j has about 2**(j+2)
-# characters.
+# Bounds on value text.  normalize and the relations recurse once per
+# level, so nesting must stay well inside the interpreter's recursion
+# limit; and the printed form of a_j has about 2**(j+2) characters.
 MAX_DEPTH = 128
 MAX_EXPONENT = 16
 # Error messages quote at most this many characters of the input text.
@@ -347,71 +346,77 @@ def parse_value(text: str, players: int = 3) -> GameValue:
 
     Grammar: value = atom | '[' value (',' value)* ']'; an atom is a
     player digit, optionally followed by '_' and an exponent, which
-    denotes the expansion of that simple value.  Whitespace is ignored.
-    The parsed tree is canonicalized.  Brackets may nest at most
-    MAX_DEPTH deep and exponents may be at most MAX_EXPONENT.
+    denotes the expansion of that simple value.  Whitespace is ignored
+    between tokens, not inside an atom.  The parsed tree is
+    canonicalized.  Brackets may nest at most MAX_DEPTH deep and
+    exponents may be at most MAX_EXPONENT.
+
+    One scan, left to right: `stack` holds the item lists of the open
+    brackets, and a closing bracket turns the innermost into a choice.
     """
-    s = text
-    n = len(s)
+    n = len(text)
+    spaced = text.split() != [text]  # else no whitespace test per token
+    stack: list[list[GameValue]] = []
     pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def fail(msg: str) -> ValueSyntaxError:
-        return ValueSyntaxError(f"{msg} at offset {pos} in {quote(text)}")
-
-    def parse_one(depth: int) -> GameValue:
-        nonlocal pos
-        skip_ws()
+    while True:
+        # A value starts here.
+        if spaced:
+            while pos < n and text[pos].isspace():
+                pos += 1
         if pos >= n:
-            raise fail("unexpected end of input")
-        ch = s[pos]
+            raise _syntax_error("unexpected end of input", pos, text)
+        ch = text[pos]
         if ch == "[":
-            if depth == MAX_DEPTH:
-                raise fail(f"brackets nest deeper than {MAX_DEPTH}")
+            if len(stack) == MAX_DEPTH:
+                raise _syntax_error(f"brackets nest deeper than {MAX_DEPTH}", pos, text)
+            stack.append([])
             pos += 1
-            items = [parse_one(depth + 1)]
-            skip_ws()
-            while pos < n and s[pos] == ",":
+            continue
+        if not "0" <= ch <= "9":
+            raise _syntax_error(f"unexpected character {ch!r}", pos, text)
+        base = ord(ch) - 48
+        if base == 0 or base > players:
+            raise _syntax_error(f"player digit must be 1..{players}", pos, text)
+        pos += 1
+        v = leaf(base)
+        if pos < n and text[pos] == "_":
+            pos += 1
+            start = pos
+            exponent = 0
+            while pos < n and "0" <= text[pos] <= "9":
+                exponent = 10 * exponent + ord(text[pos]) - 48
+                if exponent > MAX_EXPONENT:
+                    raise _syntax_error(f"bar exponent above {MAX_EXPONENT}", pos, text)
                 pos += 1
-                items.append(parse_one(depth + 1))
-                skip_ws()
-            if pos >= n or s[pos] != "]":
-                raise fail("expected ',' or ']'")
-            pos += 1
-            return choice(items)
-        if "0" <= ch <= "9":
-            base = int(ch)
-            if base == 0 or base > players:
-                raise fail(f"player digit must be 1..{players}")
-            pos += 1
-            if pos < n and s[pos] == "_":
-                pos += 1
-                start = pos
-                exponent = 0
-                while pos < n and "0" <= s[pos] <= "9":
-                    exponent = 10 * exponent + int(s[pos])
-                    if exponent > MAX_EXPONENT:
-                        raise fail(f"bar exponent above {MAX_EXPONENT}")
+            if start == pos:
+                raise _syntax_error("expected an exponent after '_'", pos, text)
+            if exponent > 0:
+                if players != 3:
+                    raise _syntax_error("bar values need a 3-player game", pos, text)
+                v = expand_simple(SimpleValue(base, exponent))
+        # The value v ends here: close every bracket that ends with it.
+        while True:
+            if spaced:
+                while pos < n and text[pos].isspace():
                     pos += 1
-                if start == pos:
-                    raise fail("expected an exponent after '_'")
-                if exponent > 0 and players != 3:
-                    raise fail("bar values need a 3-player game")
-                if exponent == 0:
-                    return leaf(base)
-                return expand_simple(SimpleValue(base, exponent))
-            return leaf(base)
-        raise fail(f"unexpected character {ch!r}")
+            if not stack:
+                if pos != n:
+                    raise _syntax_error("trailing input", pos, text)
+                return v
+            items = stack[-1]
+            items.append(v)
+            ch = text[pos] if pos < n else ""
+            pos += 1
+            if ch == ",":
+                break
+            if ch != "]":
+                raise _syntax_error("expected ',' or ']'", pos - 1, text)
+            stack.pop()
+            v = choice(items)
 
-    v = parse_one(0)
-    skip_ws()
-    if pos != n:
-        raise fail("trailing input")
-    return v
+
+def _syntax_error(msg: str, pos: int, text: str) -> ValueSyntaxError:
+    return ValueSyntaxError(f"{msg} at offset {pos} in {quote(text)}")
 
 
 def render_value(v: GameValue, style: str = "brackets", players: int = 3) -> str:

@@ -42,14 +42,18 @@ from nclobber.preferences import (
 )
 from nclobber.solver import Class, EvalCache, EvalResult, Raw, Simple, evaluate
 from nclobber.values import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
     GameValue,
     NormalizationProfile,
     SimpleValue,
+    ValueSyntaxError,
     choice,
     expand_simple,
     leaf,
     match_simple,
     normalize,
+    quote,
 )
 
 # ---------------------------------------------------------------------------
@@ -660,8 +664,73 @@ def reference_prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
 
 
 # ---------------------------------------------------------------------------
-# reference folds and run moves: the straightforward versions the library's
-# fast paths replaced, kept to check those board for board
+# reference parser, folds and run moves: the straightforward versions the
+# library's fast paths replaced, kept to check those input for input
+
+
+def reference_parse_value(text: str, players: int = 3) -> GameValue:
+    """values.parse_value as a recursive descent, one call per node."""
+    s = text
+    n = len(s)
+    pos = 0
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < n and s[pos].isspace():
+            pos += 1
+
+    def fail(msg: str) -> ValueSyntaxError:
+        return ValueSyntaxError(f"{msg} at offset {pos} in {quote(text)}")
+
+    def parse_one(depth: int) -> GameValue:
+        nonlocal pos
+        skip_ws()
+        if pos >= n:
+            raise fail("unexpected end of input")
+        ch = s[pos]
+        if ch == "[":
+            if depth == MAX_DEPTH:
+                raise fail(f"brackets nest deeper than {MAX_DEPTH}")
+            pos += 1
+            items = [parse_one(depth + 1)]
+            skip_ws()
+            while pos < n and s[pos] == ",":
+                pos += 1
+                items.append(parse_one(depth + 1))
+                skip_ws()
+            if pos >= n or s[pos] != "]":
+                raise fail("expected ',' or ']'")
+            pos += 1
+            return choice(items)
+        if "0" <= ch <= "9":
+            base = int(ch)
+            if base == 0 or base > players:
+                raise fail(f"player digit must be 1..{players}")
+            pos += 1
+            if pos < n and s[pos] == "_":
+                pos += 1
+                start = pos
+                exponent = 0
+                while pos < n and "0" <= s[pos] <= "9":
+                    exponent = 10 * exponent + int(s[pos])
+                    if exponent > MAX_EXPONENT:
+                        raise fail(f"bar exponent above {MAX_EXPONENT}")
+                    pos += 1
+                if start == pos:
+                    raise fail("expected an exponent after '_'")
+                if exponent > 0 and players != 3:
+                    raise fail("bar values need a 3-player game")
+                if exponent == 0:
+                    return leaf(base)
+                return expand_simple(SimpleValue(base, exponent))
+            return leaf(base)
+        raise fail(f"unexpected character {ch!r}")
+
+    v = parse_one(0)
+    skip_ws()
+    if pos != n:
+        raise fail("trailing input")
+    return v
 
 
 def _reference_unwrap_exact(v: GameValue, levels: int) -> Optional[GameValue]:

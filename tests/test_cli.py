@@ -577,6 +577,103 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     assert len(built) == 0
 
 
+def test_a_request_makes_one_argparse_pass(capsys, monkeypatch):
+    run(capsys, "solve", "12223")
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, "compare", "2", "3", "-p", "1") == (0, "incomparable\n", "")
+    assert passes == ["nclobber compare"]
+
+
+# Every subcommand with each of its flags, help, then the usage errors.
+DISPATCH_CORPUS = [
+    ["solve", "12223"],
+    ["solve", "12223", "--start", "2"],
+    ["solve", "12223", "--mode", "prudent"],
+    ["solve", "123213", "--mode", "selfish", "--render", "bar"],
+    ["solve", "123213", "--grid", "2x3"],
+    ["solve", "1212", "--players", "2"],
+    ["solve", "123213", "--mode", "syntactic", "--profile", "L2"],
+    ["solve", "12223", "--format", "json"],
+    ["solve", "12223", "--out", "{out}"],
+    ["simplify", "[[1,3],[1,2]]"],
+    ["simplify", "[[1,3],[1,2]]", "--mode", "selfish", "--perspective", "1"],
+    ["simplify", "[[1,3],[1,2]]", "--render", "bar"],
+    ["simplify", "[[4,1]]", "--players", "4"],
+    ["simplify", "[[1,3]]", "--profile", "L2", "--format", "json"],
+    ["simplify", "[1,2]", "--out", "{out}"],
+    ["compare", "2", "3", "-p", "1"],
+    ["compare", "2_1", "2_2", "--perspective", "2", "--relation", "prudent"],
+    ["compare", "[1,2]", "3", "-p", "3", "--relation", "indifferent"],
+    ["compare", "[1,4]", "4", "-p", "4", "--players", "4", "--format", "json"],
+    ["compare", "1", "2", "-p", "1", "--out", "{out}"],
+    ["enumerate", "4"],
+    ["enumerate", "4", "--modes", "selfish,prudent", "--jobs", "1", "--inventory"],
+    ["enumerate", "4", "--players", "2", "--profile", "L0", "--format", "csv"],
+    ["enumerate", "4", "--format", "json", "--out", "{out}"],
+    ["table", "4"],
+    ["table", "4", "--modes", "all", "--jobs", "1", "--profile", "L2"],
+    ["table", "3", "--players", "2", "--format", "json", "--out", "{out}"],
+    ["solve", "12", "--st", "2"],  # an abbreviated flag
+    ["simplify", "--", "1"],
+    ["-h"],
+    ["solve", "-h"],
+    [],
+    ["bogus"],
+    ["--players", "3", "solve", "12"],
+    ["solve", "12", "--bogus"],
+    ["solve", "12", "34"],
+    ["solve"],
+    ["compare", "1", "2"],
+    ["solve", "12", "--grid", "oops"],
+    ["solve", "12", "--players", "x"],
+    ["solve", "12", "--players", "10"],
+]
+FIRST_USAGE_ERROR = DISPATCH_CORPUS.index([])
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _take(path):
+    """The text of the file at path, which is removed, or None if none."""
+    if not path.exists():
+        return None
+    text = path.read_text()
+    path.unlink()
+    return text
+
+
+def test_one_pass_dispatch_answers_as_the_top_level_parser_does(tmp_path, monkeypatch):
+    parser, _ = cli.build_parser()
+    out = tmp_path / "out.txt"
+    codes = []
+    for template in DISPATCH_CORPUS:
+        argv = [arg.format(out=out) for arg in template]
+        one_pass = _outcome(argv), _take(out)
+        with monkeypatch.context() as patch:
+            # No subcommand map: main sends every argv to parser.parse_args.
+            patch.setattr(cli, "build_parser", lambda: (parser, {}))
+            two_pass = _outcome(argv), _take(out)
+        assert one_pass == two_pass, argv
+        codes.append(one_pass[0][0])
+    assert codes == [0] * FIRST_USAGE_ERROR + [2] * (len(codes) - FIRST_USAGE_ERROR)
+
+
 # Runs in a fresh interpreter: two batches of 100 simplify and 100
 # compare requests through main, then the length of every module-level
 # dict, set and list of nclobber after each batch, as JSON.

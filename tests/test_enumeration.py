@@ -216,6 +216,8 @@ def test_the_n12_count_census():
     }
     for mode in ("unsimplified", "prudent"):
         assert report.unique_values[mode] == PUBLISHED_COUNTS[mode][12], mode
+    for mode in ("syntactic", "selfish"):  # short, never over (ROADMAP item 7)
+        assert report.unique_values[mode] <= PUBLISHED_COUNTS[mode][12], mode
 
 
 def test_prudent_census_n4_contains_1_bar_but_not_2_bar():

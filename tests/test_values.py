@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from helpers import canonicalize, value_trees
+from helpers import canonicalize, reference_parse_value, value_trees
 from nclobber import values
 from nclobber.enumeration import raw_values, run_keys
 from nclobber.values import (
@@ -209,6 +209,66 @@ def test_parse_respects_player_count():
         parse_value("4")  # players defaults to 3
     with pytest.raises(ValueSyntaxError):
         parse_value("2_1", players=4)  # bar atoms are a 3-player notation
+
+
+def _parsed(parse, text, players):
+    """The value parse reads from text, or its error message."""
+    try:
+        return parse(text, players)
+    except ValueSyntaxError as exc:
+        return str(exc)
+
+
+PARSE_CASES = {
+    "depth 128": "[" * 128 + "1" + "]" * 128,
+    "depth 129": "[" * 129 + "1" + "]" * 129,
+    "depth 3000": "[" * 3000 + "1" + "]" * 3000,
+    "exponent 16": "1_16",
+    "exponent 17": "1_17",
+    "leading zeros": "1_00017",
+    "no exponent": "2_",
+    "trailing input": "3 _3",
+    "spaces": "[1_2 , 3 ]  ",
+    "empty": "",
+    "all space": " \t\xa0 ",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_the_flat_parser_matches_the_recursive_one_at_the_edges(text):
+    for players in range(1, 10):
+        assert _parsed(parse_value, text, players) == _parsed(
+            reference_parse_value, text, players
+        )
+
+
+def test_the_depth_bound_accepts_128_brackets_and_refuses_129():
+    assert parse_value(PARSE_CASES["depth 128"]) is leaf(1)
+    with pytest.raises(ValueSyntaxError, match="nest deeper than 128 at offset 128"):
+        parse_value(PARSE_CASES["depth 129"])
+
+
+# ASCII and non-ASCII whitespace, a non-ASCII digit and a stray letter
+# beside the grammar's own characters.
+PARSE_ALPHABET = "[],_0123456789 \t\xa0\u0661x"
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.text(PARSE_ALPHABET, max_size=24),
+        st.text("[],123_ ", max_size=40),
+        st.builds(
+            lambda v, i, ch: v.text[:i] + ch + v.text[i:],
+            value_trees(max_players=9),
+            st.integers(0, 200),
+            st.sampled_from(PARSE_ALPHABET),
+        ),
+    ),
+    st.integers(1, 9),
+)
+def test_the_flat_parser_matches_the_recursive_one(text, players):
+    assert _parsed(parse_value, text, players) == _parsed(reference_parse_value, text, players)
 
 
 def test_render_rejects_unknown_style():
