@@ -88,21 +88,20 @@ afresh.
 The prudent order is the OR of four clauses, each a pure function of
 (x, y, p): option against whole, whole against option, option against
 option, and the strict selfish clause, x <= y and not y <= x.  The
-order in which they run changes no result, so the option clauses run
-first and the strict clause last: its selfish walk is the costly
-part of a memo miss, and once the option clauses fail it almost never
-holds.  It runs only when x = [y], whose one option is y; there [y] <= y
-holds by the option-against-whole rule, so the clause is not y <= x.
-The option lemma shows that nothing is lost: if the strict clause holds
-and no option clause does, then x = [y].  A leaf is <= only itself
-within its class, so x has options.  Pairing a value with itself gives
-neither a < b nor b < a, and a pairing a <= b of distinct values is, by
-antisymmetry, strict and so a prudent witness.  If every option of x is
-<= every option of y, no pairing defeats option against option and it
-fails only if every pairing is of one value with itself, which makes
-x = y.  Otherwise every option of x is <= y, every option other than y
-is a witness for option against whole, and that clause fails only when
-y is x's one option.
+strict clause holds exactly when x = [y], the wrapper whose one option
+is y, so the relation needs no selfish walk.  If x = [y], then x <= y
+by the option-against-whole rule, and y <= x fails by antisymmetry,
+since x is not y.  The converse is the option lemma: if the strict
+clause holds and no option clause does, then x = [y].  A leaf is <=
+only itself within its class, so x has options.  Pairing a value with
+itself gives neither a < b nor b < a, and a pairing a <= b of distinct
+values is, by antisymmetry, strict and so a prudent witness.  If every
+option of x is <= every option of y, no pairing defeats option against
+option and it fails only if every pairing is of one value with itself,
+which makes x = y.  Otherwise every option of x is <= y, every option
+other than y is a witness for option against whole, and that clause
+fails only when y is x's one option.  So _pless tests x = [y] right
+after its class-gap and leaf exits, and then runs the option clauses.
 
 An indifferent player does not care which opponent wins.  That collapses
 every losing leaf into one symbol; comparisons run over the collapsed
@@ -126,6 +125,9 @@ a <= z.  Otherwise x is <= every option b of y: either every b is <= z,
 and x <= b <= z, or y is <= every option c of z, and x <= y <= c gives
 x <= c.  It is not antisymmetric, so a strict comparison still walks
 both ways; with no dominance cycles, prune keeps an option here too.
+An option v equivalent to an unbeaten option u is unbeaten: were w
+strictly above v, then u <= v <= w, and w <= u would give w <= v, so w
+would be strictly above u.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ from .values import (
     GameValue,
     NormalizationProfile,
     SimpleValue,
+    check_simple,
     choice,
     leaf,
     normalize,
@@ -183,8 +186,9 @@ def _table(memo: dict, relation: Callable) -> dict:
 
 
 def _prepare(v: GameValue, players: int = 3) -> GameValue:
-    # Comparisons are defined on fully rewritten values.
-    if players == 3 and v.outcomes <= {1, 2, 3}:
+    # Comparisons are defined on fully rewritten values; every caller has
+    # refused a winner above the player count.
+    if players == 3:
         return normalize(v, NormalizationProfile.L2, 3)
     return normalize(v, NormalizationProfile.L1, players)
 
@@ -282,8 +286,7 @@ def compare(
 # the prudent relation
 
 
-def _pless(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) -> bool:
-    # memo is _pless's table, selfish _leq's.
+def _pless(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
     if x is y:
         return False
     cx, cy = x.ranks[p], y.ranks[p]
@@ -292,25 +295,23 @@ def _pless(x: GameValue, y: GameValue, p: int, memo: dict, selfish: dict) -> boo
     xs, ys = x.children, y.children
     if xs is None and ys is None:
         return False  # distinct leaves of one class
+    if xs == (y,):
+        return True  # [y] < y, the strict selfish clause (module docstring)
     key = (x, y, p)
     got = memo.get(key)
     if got is not None:
         return got
-    # The option clauses first, the strict selfish clause last, and that
-    # only for x = [y] (the option lemma of the module docstring).
-    result = xs is not None and _pless_options(xs, (y,), p, memo, selfish)
+    result = xs is not None and _pless_options(xs, (y,), p, memo)
     if not result and ys is not None:
-        result = _pless_options((x,), ys, p, memo, selfish)
+        result = _pless_options((x,), ys, p, memo)
     if not result and xs is not None and ys is not None:
-        result = _pless_options(xs, ys, p, memo, selfish)
-    if not result and xs == (y,):
-        result = not _leq(y, x, p, selfish)  # [y] <= y always holds
+        result = _pless_options(xs, ys, p, memo)
     memo[key] = result
     return result
 
 
 def _pless_options(
-    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, memo: dict, selfish: dict
+    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, memo: dict
 ) -> bool:
     # Every pairing weaker or incomparable, at least one strictly weaker.
     witness = False
@@ -318,11 +319,11 @@ def _pless_options(
         ca, cb = a.ranks[p], b.ranks[p]
         if ca == cb:
             got = memo.get((a, b, p))
-            if _pless(a, b, p, memo, selfish) if got is None else got:
+            if _pless(a, b, p, memo) if got is None else got:
                 witness = True
                 continue
             got = memo.get((b, a, p))
-            if _pless(b, a, p, memo, selfish) if got is None else got:
+            if _pless(b, a, p, memo) if got is None else got:
                 return False
         elif ca > cb:  # b < a and not a < b, by the class-gap lemma
             return False
@@ -336,7 +337,7 @@ def prudent_less(x: GameValue, y: GameValue, p: int) -> bool:
     prudent order is defined for three players."""
     _check_perspective(p, 3)
     _check_winners(3, x, y)
-    return _pless(_prepare(x), _prepare(y), p, {}, {})
+    return _pless(_prepare(x), _prepare(y), p, {})
 
 
 def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
@@ -355,9 +356,8 @@ def prudent_compare(x: GameValue, y: GameValue, p: int) -> Comparison:
     if x is y:
         return Comparison.EQUAL
     memo: dict = {}
-    selfish: dict = {}
-    fwd = _pless(x, y, p, memo, selfish)
-    bwd = _pless(y, x, p, memo, selfish)
+    fwd = _pless(x, y, p, memo)
+    bwd = _pless(y, x, p, memo)
     if fwd and not bwd:
         return Comparison.LESS
     if bwd and not fwd:
@@ -395,7 +395,8 @@ def _chain_rank(s: SimpleValue, p: int) -> int:
 
 def chain_coordinate(s: SimpleValue, p: int) -> ChainCoordinate:
     """Where the simple value s sits in player p's prudent chain."""
-    e = _chain_rank(s, p)
+    _check_perspective(p, 3)
+    e = _chain_rank(check_simple(s), p)
     if e == 0:
         return ChainCoordinate("top", 0)
     return ChainCoordinate("asc" if e % 2 else "desc", e // 2)
@@ -403,8 +404,8 @@ def chain_coordinate(s: SimpleValue, p: int) -> ChainCoordinate:
 
 def simple_compare(a: SimpleValue, b: SimpleValue, p: int) -> Comparison:
     """Closed-form prudent comparison of two simple values."""
-    a = SimpleValue(*a)
-    b = SimpleValue(*b)
+    _check_perspective(p, 3)
+    a, b = check_simple(a), check_simple(b)
     if a == b:
         return Comparison.EQUAL
     ca = chain_coordinate(a, p)
@@ -421,7 +422,8 @@ def merge_incomparable_simples(simples: Iterable[SimpleValue], p: int) -> Simple
     coordinate; the merge is player p's own member of that group: for
     asc(k) the value p_(2k+1), for desc(k) the value p_(2k).
     """
-    got = {SimpleValue(*s) for s in simples}
+    _check_perspective(p, 3)
+    got = {check_simple(s) for s in simples}
     if not got:
         raise ValueError("cannot merge an empty set of simples")
     if len(got) == 1:
@@ -486,8 +488,9 @@ def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: in
     it too: the pruning folds' prune keeps its relation tables there,
     each under its relation's function (module docstring).  A mover
     with no move passes, one option under the next mover, unless the
-    game is over.  The step sees its options' results in move order:
-    prune fills the relation memos in the order it gets options.
+    game is over.  The step sees its options' results in move order,
+    which fixes the order in which selfish prune fills its relation
+    memos; indifferent prune compares in text order.
     """
     children = kind.moves(state, mover)
     after = mover % players + 1
@@ -516,7 +519,9 @@ def prudent_step(simples: Iterable[SimpleValue], mover: int, memo: dict) -> Simp
     """The simple value a prudent mover reaches from options that have
     collapsed to the given simples: one pass with the integer rank e of
     the module docstring.  Two options at the best e differ when their
-    bases do, and then merge to p_e.  It reads no memo.
+    bases do, and then merge to p_e.  It reads no memo, and checks
+    neither the mover nor the simples: it is the PRUDENT fold's step, run
+    once per position on the fold's own results.
     """
     best = -1  # below every rank
     tie = False
@@ -673,9 +678,10 @@ def prune(
     """Drop options a selfish or indifferent player would never pick.
 
     Keeps every option not strictly below another.  Options below the
-    top class for p drop uncompared, and the rest are compared in the
-    order given, as their fully rewritten forms (loss-collapsed for an
-    indifferent player); the options themselves stay as given, for the
+    top class for p drop uncompared, and the rest are compared as their
+    fully rewritten forms (loss-collapsed for an indifferent player), in
+    the order given for a selfish player and in `order` for an
+    indifferent one; the options themselves stay as given, for the
     caller owns them.  Both orders are transitive (module docstring), so
     some option always survives.  In indifferent mode, options the
     player cannot tell apart additionally collapse to the least in
@@ -706,21 +712,17 @@ def prune(
             for v, a in proxy.items()
             if not any(b is not a and _leq(a, b, p, table) for b in proxy.values())
         }
+    # An option equivalent to an unbeaten one is unbeaten, by transitivity
+    # (module docstring), so one pass in `order` keeps the least of each
+    # class of unbeaten options.
     quotients, table = _table(memo, _quotient), _table(memo, _ext_leq)
-    proxy = {v: _quotient(_prepare(v, players), p, quotients) for v in best}
-    survivors = [
+    ranked = sorted(best, key=lambda v: v.order)
+    proxies = [_quotient(_prepare(v, players), p, quotients) for v in ranked]
+    return {
         v
-        for v, a in proxy.items()
+        for i, (v, a) in enumerate(zip(ranked, proxies))
         if not any(
-            b is not a and _ext_leq(a, b, table) and not _ext_leq(b, a, table)
-            for b in proxy.values()
+            _ext_leq(a, b, table) and (j < i or not _ext_leq(b, a, table))
+            for j, b in enumerate(proxies)
         )
-    ]
-    merged: list[GameValue] = []
-    for v in sorted(survivors, key=lambda v: v.order):
-        a = proxy[v]
-        if not any(
-            _ext_leq(a, proxy[r], table) and _ext_leq(proxy[r], a, table) for r in merged
-        ):
-            merged.append(v)
-    return set(merged)
+    }

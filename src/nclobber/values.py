@@ -274,13 +274,20 @@ def _normalize(v: GameValue, level: int, players: int) -> GameValue:
 _EXPANSIONS: dict[SimpleValue, GameValue] = {}
 
 
-def expand_simple(s: SimpleValue) -> GameValue:
-    """The game value written s.base with s.exponent bars (3 players)."""
+def check_simple(s: SimpleValue) -> SimpleValue:
+    """s as a SimpleValue, refused with ValueError when no three-player
+    game has it: a base outside 1..3 or a negative exponent."""
     s = SimpleValue(*s)
     if s.base not in (1, 2, 3):
         raise ValueError(f"simple values are defined for players 1..3, got base {s.base}")
     if s.exponent < 0:
         raise ValueError("simple value exponent must be >= 0")
+    return s
+
+
+def expand_simple(s: SimpleValue) -> GameValue:
+    """The game value written s.base with s.exponent bars (3 players)."""
+    s = check_simple(s)
     got = _EXPANSIONS.get(s)
     if got is not None:
         return got

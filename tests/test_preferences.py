@@ -78,6 +78,9 @@ def test_outcome_class_goldens():
 @pytest.mark.parametrize(
     "call, top",
     [
+        (lambda p: chain_coordinate(S(1, 2), p), 3),
+        (lambda p: simple_compare(S(1, 0), S(2, 0), p), 3),
+        (lambda p: merge_incomparable_simples([S(1, 0), S(2, 0)], p), 3),
         (lambda p: leq(leaf(1), leaf(2), p), 3),
         (lambda p: leq(leaf(1), leaf(2), p, "indifferent"), 3),
         (lambda p: compare(leaf(1), leaf(2), p), 3),
@@ -91,6 +94,9 @@ def test_outcome_class_goldens():
         (lambda p: prune({leaf(1), leaf(2)}, p, players=9), 9),
     ],
     ids=[
+        "chain_coordinate",
+        "simple_compare",
+        "merge_incomparable_simples",
         "leq",
         "leq-indifferent",
         "compare",
@@ -107,12 +113,26 @@ def test_outcome_class_goldens():
 def test_entry_points_refuse_a_perspective_outside_the_players(call, top):
     # ranks has an entry per player id 1..9; before the check, p = 0 read
     # every value as a loss and p = 10 raised IndexError.  A p above the
-    # player count is no player of the game, and the prudent order is
-    # defined for three players.
+    # player count is no player of the game, and the prudent order and
+    # its closed form on simples are defined for three players.
     call(top)
     for p in (0, top + 1, -1, 1.0):
         with pytest.raises(ValueError):
             call(p)
+
+
+@pytest.mark.parametrize("bad", [S(5, 0), S(0, 1), S(1, -1)], ids=str)
+def test_the_chain_entry_points_refuse_a_simple_of_no_three_player_game(bad):
+    # simple_compare((5,0), (1,0), 1) once answered LESS.
+    for call in (
+        lambda: chain_coordinate(bad, 1),
+        lambda: simple_compare(bad, S(1, 0), 1),
+        lambda: simple_compare(S(1, 0), bad, 1),
+        lambda: merge_incomparable_simples([bad], 1),
+        lambda: merge_incomparable_simples([S(1, 0), bad], 1),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_relations_answer_for_the_player_count_they_are_given():
@@ -323,6 +343,19 @@ def test_prune_indifferent_merges_indistinguishable_losses():
     assert len(kept) == 1
 
 
+@pytest.mark.parametrize(
+    "options, kept",
+    [(["[1,3]", "[1,2]"], "[1,2]"), (["[2,[1,3]]", "[3,[1,2]]", "2"], "[2,[1,3]]")],
+    ids=["one-quotient", "one-quotient-beside-a-loss"],
+)
+def test_prune_indifferent_keeps_the_least_of_options_it_cannot_tell_apart(options, kept):
+    # Both options collapse to one loss-blind value, so prune keeps the
+    # least in text order, whatever order it is given them in.
+    values = [parse_value(text) for text in options]
+    for order in (1, -1):
+        assert prune(values[::order], 1, "indifferent") == {parse_value(kept)}
+
+
 def test_prune_keeps_the_original_presentation():
     fancy = parse_value("[1,[[[2,3]]]]")
     plain = parse_value("[1,2,3]")
@@ -441,8 +474,8 @@ def test_the_indifferent_fold_is_a_leaf_the_mover_wins_when_they_can(args):
 # the relation kernels against their reference versions
 
 
-def _prepared_subterms(roots):
-    seen, stack = set(), [preferences._prepare(v) for v in roots]
+def _subterms(roots):
+    seen, stack = set(), list(roots)
     while stack:
         v = stack.pop()
         if v not in seen:
@@ -451,7 +484,9 @@ def _prepared_subterms(roots):
     return sorted(seen, key=lambda v: v.text)
 
 
-RELATION_POOL = _prepared_subterms(raw_values(key for n in range(1, 7) for key in run_keys(n)))
+RELATION_POOL = _subterms(
+    preferences._prepare(v) for v in raw_values(key for n in range(1, 7) for key in run_keys(n))
+)
 RELATION_TRIPLES = [(x, y, p) for x in RELATION_POOL for y in RELATION_POOL for p in (1, 2, 3)]
 
 
@@ -471,7 +506,7 @@ def _library_relations(triples):
             compare(x, y, p, "indifferent"),
             prudent_compare(x, y, p),
             preferences._leq(x, y, p, selfish),
-            preferences._pless(x, y, p, pless, selfish),
+            preferences._pless(x, y, p, pless),
             preferences._ext_leq(q(x, p), q(y, p), ext),
         )
         for x, y, p in triples
@@ -516,27 +551,51 @@ def test_no_known_pair_needs_the_prudent_option_against_option_clause():
     # 8.  The library keeps the clause until a proof says it may go.
     simples = [preferences._prepare(expand_simple(s)) for s in all_simples(8)]
     pairs = [(x, y) for pool in (RELATION_POOL, simples) for x in pool for y in pool]
-    pless, selfish = {}, {}
+    pless = {}
     bad = [
         (x.text, y.text, p)
         for x, y in pairs
         for p in (1, 2, 3)
         if reference_pless(x, y, p, option_against_option=False)
-        != preferences._pless(x, y, p, pless, selfish)
+        != preferences._pless(x, y, p, pless)
     ]
     assert len(pairs) == 57**2 + 27**2
     assert not bad, bad[:5]
 
 
-def test_prudent_compare_walks_the_selfish_order_only_for_wrappers():
-    # _pless runs its strict selfish clause only for x = [y], so a prudent
-    # pass over the pool, both ways round as prudent_compare runs it, fills
-    # few selfish memo entries.
-    pless, selfish = {}, {}
-    for x, y, p in RELATION_TRIPLES:
-        preferences._pless(x, y, p, pless, selfish)
-        preferences._pless(y, x, p, pless, selfish)
-    assert len(selfish) == 38
+def test_the_prudent_relation_walks_no_selfish_order(monkeypatch):
+    # The strict selfish clause is the test x = [y] (module docstring),
+    # so the prudent entry points never reach the selfish kernel.
+    def refuse(*args):
+        raise AssertionError("the prudent relation walked the selfish order")
+
+    def answers():
+        return [
+            (prudent_compare(x, y, p), preferences.prudent_less(x, y, p))
+            for x, y, p in RELATION_TRIPLES
+        ]
+
+    want = answers()  # equal to the reference, by the pool test above
+    monkeypatch.setattr(preferences, "_leq", refuse)
+    assert answers() == want
+
+
+def test_a_wrapper_is_strictly_below_its_option_on_every_census_subterm():
+    # The strict selfish clause holds for ([y], y): [y] <= y by option
+    # against whole, and y <= [y] fails by antisymmetry.  Checked on every
+    # choice a raw census value up to n = 8 holds.
+    roots = raw_values(key for n in range(1, 9) for key in run_keys(n))
+    subterms = [v for v in _subterms(roots) if v.children is not None]
+    assert len(subterms) == 3021
+    selfish, pless = {}, {}
+    bad = []
+    for y in subterms:
+        x = choice([y])
+        assert x.children == (y,)
+        for p in (1, 2, 3):
+            if not preferences._pless(x, y, p, pless) or preferences._leq(y, x, p, selfish):
+                bad.append((y.text, p))
+    assert not bad, bad[:5]
 
 
 @pytest.mark.parametrize("x, y", [("[[1,2,3]]", "[1,2,3]"), ("[[1,[1,2]]]", "[1,[1,2]]")])
@@ -597,7 +656,7 @@ def test_the_strict_clause_decides_alone_only_for_a_wrapper(pair, p):
     for x, y in (pair, pair[::-1]):
         if strict_clause_decides(x, y, p):
             assert x.children == (y,)
-        assert preferences._pless(x, y, p, {}, {}) is reference_pless(x, y, p)
+        assert preferences._pless(x, y, p, {}) is reference_pless(x, y, p)
 
 
 def test_a_class_gap_settles_the_reference_prudent_order():

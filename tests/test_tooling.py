@@ -1,9 +1,9 @@
 """The benchmark's worker and tracer still find what they use of the
 package, committed benchmark records are correct, importing the package
 loads no standard-library module it does not use, the installed command
-resolves, the scripts run as scripts, the table script agrees with
-the table command, and every public name of the package has a caller
-outside the tests."""
+resolves, the scripts run as scripts, the transitivity probe finds its
+documented witness, the table script agrees with the table command,
+and every public name of the package has a caller outside the tests."""
 
 import ast
 import importlib
@@ -182,6 +182,24 @@ def test_every_script_runs_with_only_src_on_the_path(script):
         [sys.executable, str(script), "--help"], env=env, capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_the_transitivity_probe_finds_its_documented_witness():
+    # The probe reaches the prudent relation through prudent_less, so this
+    # pins that relation end to end on the pair the script's docstring names.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = ROOT / "scripts" / "transitivity_probe.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--max-n", "6", "--sample", "1000"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "asymmetry broken (prudent, p=2): [1,[[1,[1,3]]]] / [3,[1,3],[[1,[1,3]]]]" in lines
+    assert "1 violation(s) found" in lines
 
 
 def test_the_table_script_and_the_table_command_write_the_same_csv(tmp_path, capsys):
