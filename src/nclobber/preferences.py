@@ -39,14 +39,8 @@ A prudent player refines this with a strict order that also discards an
 option when every comparison between the two option sets is weaker-or-
 incomparable with at least one strictly weaker witness.  The recursion
 compares option against option, option against whole, and whole against
-option.  Whether the first shape is needed is open.  Without it, the
-relation agrees with this one on every pair of the tests' relation
-pool, and on every pair of simples up to exponent 8, where the closed
-form below is checked against the recursion.  A random search over
-about 25 million pairs of small trees found no pair it decides: of 5.46
-million pairs where it held, whole against option also held in all but
-6, and option against whole in those 6.  It stays until a proof shows
-it may go.  The relation is not an order: for p = 2,
+option.  Whether the first shape is needed is open; it stays until a
+proof shows it may go.  The relation is not an order: for p = 2,
 [1,[[1,[1,3]]]] and [3,[1,3],[[1,[1,3]]]] are each below the other, so
 prudent_compare calls such a pair incomparable.
 
@@ -162,9 +156,10 @@ class ChainError(RuntimeError):
 def _check_perspective(p: int, players: int) -> None:
     # ranks[0] reads every value as a loss and ranks stops at 9, so any
     # other p would read a wrong class or raise IndexError; a p above the
-    # player count is no player of the game.
+    # player count is no player of the game, and True, though it equals 1,
+    # is no player id.
     top = min(players, 9)
-    if not isinstance(p, int) or not 1 <= p <= top:
+    if type(p) is not int or not 1 <= p <= top:
         raise ValueError(f"perspective must be a player id 1..{top}, got {p!r}")
 
 
@@ -446,9 +441,9 @@ class Fold:
     """How one regime folds a game, one node at a time.
 
     leaf maps the winner of a finished game to its result, and step maps
-    the results of a node's options, its mover and walk's memo (for the
-    relation memos, which only the pruning folds read) to the node's
-    result.
+    the list of a node's option results (walk), its mover and walk's memo
+    (for the relation memos, which only the pruning folds read) to the
+    node's result.
     cutoff says that leaf(mover) among the options decides the step, so
     walk stops there (solver module docstring).  A record is its own memo
     tag, hashed by identity, so one memo serves many folds.  Slots, not a
@@ -461,56 +456,47 @@ class Fold:
         self.leaf, self.step, self.cutoff = leaf, step, cutoff
 
 
-class Kind:
-    """A kind of game, as walk sees it: moves gives a sequence of the
-    states the mover's moves leave; when it is empty, end gives the
-    winner of the finished game from the player who moved last, or None
-    when the mover passes."""
-
-    __slots__ = ("moves", "end")
-
-    def __init__(self, moves: Callable, end: Callable) -> None:
-        self.moves, self.end = moves, end
+# A value tree, as a kind of game (walk): a choice's options are the
+# mover's moves, a leaf names its winner, and a singleton is a pass, its
+# one option under the next mover.
+def TREE(v: GameValue, mover: int, last: int) -> Any:
+    return v.children or v.winner
 
 
-# A value tree: a choice's options are the mover's moves, a leaf names
-# its winner, and a singleton is a pass, its one option under the next
-# mover.
-TREE = Kind(lambda v, mover: v.children or (), lambda v, last: v.winner)
-
-
-def walk(state: Any, mover: int, fold: Fold, kind: Kind, memo: dict, players: int) -> Any:
+def walk(state: Any, mover: int, fold: Fold, kind: Callable, memo: dict, players: int) -> Any:
     """Fold the game at state, mover to move, the way fold's regime plays
     it: bottom-up, the turn rotating one player per move.
+
+    kind(state, mover, last), with last the player who moved before the
+    mover, is the kind of game.  It returns the states the mover's moves
+    leave, empty when the mover must pass, or, when the game is over, its
+    winner as an int: last for a position, a leaf's own winner for a value
+    tree (TREE).  A pass is one option, the same state under the next
+    mover.
 
     memo maps (fold, mover, state) to results; callers probe it first,
     and pass the same dict to share work between walks.  The step gets
     it too: the pruning folds' prune keeps its relation tables there,
-    each under its relation's function (module docstring).  A mover
-    with no move passes, one option under the next mover, unless the
-    game is over.  The step sees its options' results in move order,
-    which fixes the order in which selfish prune fills its relation
-    memos; indifferent prune compares in text order.
+    each under its relation's function (module docstring).  The step sees
+    its options' results as a list in move order, repeats included.  Each
+    step reads only their set, but the order fixes the order in which
+    selfish prune fills its relation memos; indifferent prune compares in
+    text order.
     """
-    children = kind.moves(state, mover)
+    children = kind(state, mover, (mover - 2) % players + 1)
+    if isinstance(children, int):
+        return fold.leaf(children)
     after = mover % players + 1
-    if not children:
-        # The game is over, won by the player before the mover, who moved
-        # last; or the mover passes: a forced continuation, one level.
-        winner = kind.end(state, (mover - 2) % players + 1)
-        if winner is not None:
-            return fold.leaf(winner)
-        children = (state,)
     cutoff = fold.cutoff
     win = fold.leaf(mover) if cutoff else None
-    results = {}  # an ordered set
-    for child in children:
+    results = []
+    for child in children or (state,):
         # Every result is truthy: a value, a simple or a player id.
         got = memo.get((fold, after, child)) or walk(child, after, fold, kind, memo, players)
         if cutoff and got == win:  # the cutoff (solver module docstring)
             memo[fold, mover, state] = got
             return got
-        results[got] = None
+        results.append(got)
     got = memo[fold, mover, state] = fold.step(results, mover, memo)
     return got
 
@@ -596,7 +582,7 @@ def prudent_simplify(
     a tie at that rank merges to p_e either way.  So an L0 or L1 rewrite
     collapses as the value itself does.
     """
-    if not 1 <= mover <= 3:
+    if type(mover) is not int or not 1 <= mover <= 3:
         raise ValueError(f"mover {mover} out of range for three players")
     if not v.outcomes <= {1, 2, 3}:
         raise ValueError("prudent simplification is defined for three players")

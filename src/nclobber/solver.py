@@ -25,16 +25,16 @@ records live in preferences:
                 (selfish play; indifferent play for the tests)
 
 One function, preferences.walk, runs every fold over three kinds of
-game (preferences.Kind): lines and grids, whose states are positions,
-and value trees (preferences.TREE), whose states are values.  A kind
-gives the walk the states the mover's moves leave and, when there are
-none, the winner of the finished game, or that the mover passes.  The
-walk holds the memo probe, the cutoff, the forced pass and the leaf of
-a finished game once.  evaluate walks positions under RAW, PRUDENT and
-INDIFFERENT.  fold_raw walks the raw value as a tree under PRUDENT
-(preferences.prudent_simplify) and the selfish pruning_fold, the turn
-rotating one player per level down; the syntactic result is the raw
-value rewritten with the profile.
+game: lines and grids, whose states are positions, and value trees
+(preferences.TREE), whose states are values.  A kind is one function of
+the state, the mover and the player who moved last: it gives the walk
+the states the mover's moves leave, none when the mover passes, or the
+finished game's winner as an int.  The walk holds the memo probe, the
+cutoff, the forced pass and the leaf of a finished game once.  evaluate
+walks positions under RAW, PRUDENT and INDIFFERENT.  fold_raw walks the
+raw value as a tree under PRUDENT (preferences.prudent_simplify) and the
+selfish pruning_fold, the turn rotating one player per level down; the
+syntactic result is the raw value rewritten with the profile.
 
 The indifferent step is the leaf lemma: folding a raw value the way
 indifferent players play it (pruning_fold) always lands on a leaf, so
@@ -55,11 +55,12 @@ step reads only the set of its options' results and maps a lone leaf
 option to that leaf's result, as RAW, PRUDENT and INDIFFERENT do.  A
 position's raw value is choice over its children's raw values, and by
 induction each child's walk result is the fold of its raw value.
-Choice drops duplicates, which the step does not see.  Choice
-identifies a singleton leaf with that leaf, which the step maps alike.
-A forced pass is one option, as it is in choice.  So the walk applies
-the same step to a DAG of which the raw DAG is a quotient, and gets the
-same result as walking the raw value as a tree.
+Choice drops duplicates; the step sees them but reads only the set of
+its options' results, so they change nothing.  Choice identifies a
+singleton leaf with that leaf, which the step maps alike.  A forced pass
+is one option, as it is in choice.  So the walk applies the same step to
+a DAG of which the raw DAG is a quotient, and gets the same result as
+walking the raw value as a tree.
 
 The cutoff.  The walk returns as soon as an option's result is
 leaf(mover), the mover's own win, and visits no more options: the
@@ -130,7 +131,7 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import INDIFFERENT, PRUDENT, RAW, TREE, Kind, prudent_simplify, pruning_fold, walk
+from .preferences import INDIFFERENT, PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -201,9 +202,10 @@ class EvalCache:
     that player's moves there leave (game_core.run_moves), for the runs
     that share a position with another run; a lone run's moves are
     computed where its position is expanded, at most once per walk and
-    mover, and not kept.  line is the line kind that reads and fills
-    runs.  Every board shape, mode and profile may share a cache;
-    reusing it with another player count is an error.
+    mover, and not kept.  line is the kind of line positions
+    (preferences.walk), a function that reads and fills runs.  Every
+    board shape, mode and profile may share a cache; reusing it with
+    another player count is an error.
     """
 
     __slots__ = ("players", "entries", "runs", "line")
@@ -226,7 +228,7 @@ def evaluate(
     (rows, cols), occupancy, mover = position
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not 1 <= mover <= players:
+    if type(mover) is not int or not 1 <= mover <= players:
         raise ValueError(f"mover {mover} out of range for {players} players")
     if mode == "prudent" and players != 3:
         raise ValueError("prudent evaluation is defined for exactly three players")
@@ -242,8 +244,8 @@ def evaluate(
     if rows == 1:
         state, kind = line_runs(occupancy), cache.line
     else:
-        state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _GRID
-    if kind.end(state, mover) is not None:  # nobody can move
+        state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _grid
+    if isinstance(kind(state, mover, mover), int):  # nobody can move
         digits = "".join(map(str, occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
     fold, memo = _WALKS.get(mode, _WALKS["raw"]), cache.entries
@@ -307,13 +309,15 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
     return memo.get((RAW, mover, parts)) or walk(parts, mover, RAW, cache.line, memo, cache.players)
 
 
-def _line_kind(runs: dict) -> Kind:
-    """The kind of line positions, keyed on their live runs, that keeps
-    run moves in the run table runs."""
+def _line_kind(runs: dict) -> Callable:
+    """The kind of line positions (preferences.walk), keyed on their live
+    runs, that keeps run moves in the run table runs."""
 
-    def line_moves(parts: tuple[bytes, ...], mover: int) -> Iterable[tuple]:
+    def line(parts: tuple[bytes, ...], mover: int, last: int) -> Union[Iterable[tuple], int]:
         # The live-run keys the mover's moves leave; runs stores a run's
         # moves only when the run shares the position.
+        if not parts:  # nobody can move, and the last mover won
+            return last
         if len(parts) == 1:  # each child key is one of the run's moves
             (run,) = parts
             moves = runs.get((run, mover))
@@ -330,13 +334,14 @@ def _line_kind(runs: dict) -> Kind:
                 children.append(tuple(sorted(rest + replacement)))
         return children
 
-    # Nobody can move when the key is empty; then the last mover won.
-    return Kind(line_moves, lambda parts, last: None if parts else last)
+    return line
 
 
-def _grid_moves(state: tuple, mover: int) -> list[tuple]:
-    """The grid states the mover's moves leave.  game_core.adjacent is
-    inlined where it runs per move.
+def _grid(state: tuple, mover: int, last: int) -> Union[list[tuple], int]:
+    """The kind of grid positions (preferences.walk): the grid states the
+    mover's moves leave, or last, who won, when nobody can move, which is
+    when no token touches another colour (a live token may touch only its
+    own).  game_core.adjacent is inlined where it runs per move.
     """
     stride = state[0]
     mine = state[mover]
@@ -359,18 +364,9 @@ def _grid_moves(state: tuple, mover: int) -> list[tuple]:
             child[0] = stride
             child[mover] = (mine ^ src | dst) & live
             children.append(tuple(child))
+    if not children and not any(m & adjacent(occ ^ m, stride) for m in state[1:]):
+        return last
     return children
-
-
-def _grid_end(state: tuple, last: int) -> Optional[int]:
-    """last, who won, when nobody can move: no token touches another
-    colour (a live token may touch only its own); else None."""
-    stride = state[0]
-    occ = sum(state) - stride  # the masks are disjoint
-    return None if any(m & adjacent(occ ^ m, stride) for m in state[1:]) else last
-
-
-_GRID = Kind(_grid_moves, _grid_end)
 
 
 def evaluate_text(

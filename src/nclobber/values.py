@@ -151,7 +151,8 @@ def leaf(winner: int) -> GameValue:
     got = _LEAVES.get(winner)
     if got is not None:
         return got
-    if not isinstance(winner, int) or not 1 <= winner <= 9:
+    # Not isinstance: True equals 1, and would intern a leaf printed True.
+    if type(winner) is not int or not 1 <= winner <= 9:
         raise ValueError(f"leaf winner must be a player id 1..9, got {winner!r}")
     v = GameValue(winner, None, frozenset((winner,)), (0, winner), str(winner))
     _LEAVES[winner] = v
@@ -202,6 +203,7 @@ def _unwrap_exact(v: GameValue, levels: int) -> Optional[GameValue]:
 
 
 _NORMAL_CACHE: dict[tuple[GameValue, int, int], GameValue] = {}
+_PROFILES = frozenset(NormalizationProfile)
 
 
 def normalize(
@@ -213,11 +215,15 @@ def normalize(
 
     Rules are applied bottom-up, at each node in the order rule 2, rule 3,
     then (at L2) rule 1, until nothing changes.  The result is idempotent
-    and has the same outcome set as v.
+    and has the same outcome set as v.  A profile that equals none of L0,
+    L1 and L2 is refused.
     """
+    if profile not in _PROFILES:
+        raise ValueError(f"unknown normalization profile {profile!r}")
     if profile == NormalizationProfile.L2 and players != 3:
         raise ValueError("rule1 needs simple values, which are defined for 3 players")
-    if v.children is None:
+    # L0 only canonicalizes, which interning has done: v is its own rewrite.
+    if v.children is None or profile == NormalizationProfile.L0:
         return v
     level = int(profile)
     got = _NORMAL_CACHE.get((v, level, players))
@@ -225,7 +231,8 @@ def normalize(
 
 
 def _normalize(v: GameValue, level: int, players: int) -> GameValue:
-    # normalize on a choice node, at profile level; callers probe the memo.
+    # normalize on a choice node, at profile level 1 or 2; callers probe
+    # the memo.
     kids = v.children
     normed = []
     for c in kids:
@@ -236,33 +243,32 @@ def _normalize(v: GameValue, level: int, players: int) -> GameValue:
     # A node whose children all rewrite to themselves is its own canonical
     # rebuild: skip the sort in choice.
     node = v if all(map(operator.is_, normed, kids)) else choice(normed)
-    if level >= 1:
-        while node.children is not None:
-            inner = _unwrap_exact(node, players) if len(node.children) == 1 else None
-            if inner is not None:
-                node = inner
+    while node.children is not None:
+        inner = _unwrap_exact(node, players) if len(node.children) == 1 else None
+        if inner is not None:
+            node = inner
+            continue
+        spliced: list[GameValue] = []
+        changed = False
+        for c in node.children:
+            # players - 1 >= 1 wrappers start with a singleton.
+            mid = None
+            if players == 1 or c.children is not None and len(c.children) == 1:
+                mid = _unwrap_exact(c, players - 1)
+            if mid is not None and mid.children is not None:
+                spliced.extend(mid.children)
+                changed = True
+            else:
+                spliced.append(c)
+        if changed:
+            node = choice(spliced)
+            continue
+        if level == 2 and len(node.children) == 1:
+            only = node.children[0]
+            if match_simple(only) is not None:
+                node = only
                 continue
-            spliced: list[GameValue] = []
-            changed = False
-            for c in node.children:
-                # players - 1 >= 1 wrappers start with a singleton.
-                mid = None
-                if players == 1 or c.children is not None and len(c.children) == 1:
-                    mid = _unwrap_exact(c, players - 1)
-                if mid is not None and mid.children is not None:
-                    spliced.extend(mid.children)
-                    changed = True
-                else:
-                    spliced.append(c)
-            if changed:
-                node = choice(spliced)
-                continue
-            if level == 2 and len(node.children) == 1:
-                only = node.children[0]
-                if match_simple(only) is not None:
-                    node = only
-                    continue
-            break
+        break
     _NORMAL_CACHE[v, level, players] = node
     return node
 
@@ -276,8 +282,11 @@ _EXPANSIONS: dict[SimpleValue, GameValue] = {}
 
 def check_simple(s: SimpleValue) -> SimpleValue:
     """s as a SimpleValue, refused with ValueError when no three-player
-    game has it: a base outside 1..3 or a negative exponent."""
+    game has it: a base outside 1..3 or a negative exponent.  A bool or a
+    float, for either, is refused too."""
     s = SimpleValue(*s)
+    if type(s.base) is not int or type(s.exponent) is not int:
+        raise ValueError(f"a simple value holds two ints, got {s!r}")
     if s.base not in (1, 2, 3):
         raise ValueError(f"simple values are defined for players 1..3, got base {s.base}")
     if s.exponent < 0:

@@ -114,16 +114,21 @@ def test_entry_points_refuse_a_perspective_outside_the_players(call, top):
     # ranks has an entry per player id 1..9; before the check, p = 0 read
     # every value as a loss and p = 10 raised IndexError.  A p above the
     # player count is no player of the game, and the prudent order and
-    # its closed form on simples are defined for three players.
+    # its closed form on simples are defined for three players.  True
+    # equals 1 but is no player id; compare(x, y, True) once answered as
+    # player 1.
     call(top)
-    for p in (0, top + 1, -1, 1.0):
+    for p in (0, top + 1, -1, 1.0, True):
         with pytest.raises(ValueError):
             call(p)
 
 
-@pytest.mark.parametrize("bad", [S(5, 0), S(0, 1), S(1, -1)], ids=str)
+@pytest.mark.parametrize(
+    "bad", [S(5, 0), S(0, 1), S(1, -1), S(True, 0), S(1, True), S(1, 1.0)], ids=str
+)
 def test_the_chain_entry_points_refuse_a_simple_of_no_three_player_game(bad):
-    # simple_compare((5,0), (1,0), 1) once answered LESS.
+    # simple_compare((5,0), (1,0), 1) once answered LESS, and
+    # check_simple((True, 0)) printed as True.
     for call in (
         lambda: chain_coordinate(bad, 1),
         lambda: simple_compare(bad, S(1, 0), 1),
@@ -847,8 +852,10 @@ def test_prudent_simplify_is_invariant_under_the_wrapper_rewrites(v, mover):
 
 
 def test_prudent_simplify_validates_input():
-    with pytest.raises(ValueError):
-        prudent_simplify(leaf(1), 0)
+    # prudent_simplify([2,3], True) once answered True_1.
+    for mover in (0, 4, True, 1.0):
+        with pytest.raises(ValueError):
+            prudent_simplify(parse_value("[2,3]"), mover)
     with pytest.raises(ValueError):
         prudent_simplify(parse_value("[4,5]", players=5), 1)
 

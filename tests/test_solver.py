@@ -322,6 +322,13 @@ def test_modes_are_validated():
     # Indifferent results come from the walk, not from a raw value.
     with pytest.raises(ValueError, match="no fold of the raw value"):
         fold_raw(parse_value("[1,2]"), 1, "indifferent", L1, EvalCache())
+    # Nor a mover of no player: True equals 1, and a prudent solve of 1321
+    # with mover True once answered True_1, and cached it for mover 1; a
+    # walk from mover 1.0 reads its finished games' float winners as
+    # states.
+    for mover in (0, 4, True, 1.0):
+        with pytest.raises(ValueError, match="out of range for 3 players"):
+            evaluate(Position((1, 4), b"\1\3\2\1", mover), "prudent")
     # A position built by hand may hold a token of no player.
     with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
         evaluate(Position((1, 3), b"\5\1\2"))
@@ -480,6 +487,34 @@ def test_folds_match_the_reference_on_random_grids():
 
 
 # ---------------------------------------------------------------------------
+# the kinds of game that walk folds
+
+
+def test_each_kind_gives_the_moves_or_the_winner_of_a_finished_game():
+    line = EvalCache().line
+
+    def grid(board, shape, mover, last):
+        _, occ = parse_board(board, shape=shape)
+        return solver._grid((shape[1] + 1, *grid_masks(shape, occ, 3)), mover, last)
+
+    # A finished game is its winner, as an int: a leaf's own winner, and
+    # the last mover on a line with no live run or on a grid where no two
+    # colours touch, though one colour may touch itself.
+    assert TREE(leaf(2), 1, 3) == 2
+    assert line((), 1, 3) == 3
+    assert grid("110002", (2, 3), 1, 2) == 2
+    # A mover with no move in a live game gets an empty sequence: a pass.
+    for got in (line((b"\1\2",), 3, 2), grid("1200", (2, 2), 3, 2)):
+        assert not isinstance(got, int) and len(got) == 0
+    # Otherwise the states the mover's moves leave.
+    v = parse_value("[1,[2,3]]")
+    assert TREE(v, 1, 3) == v.children
+    assert list(line((b"\1\2",), 1, 3)) == [()]
+    assert list(line((b"\2\1", b"\2\1"), 2, 1)) == [(b"\2\1",)]
+    assert grid("1200", (2, 2), 1, 3) == [(3, 0, 0, 0)]
+
+
+# ---------------------------------------------------------------------------
 # prudent and indifferent walks against folding the raw value
 
 
@@ -493,7 +528,7 @@ def _grid_walk(shape, occ, mover, cache, mode="raw"):
     """The position walk's result on a grid occupancy, any shape, even
     1xn, which evaluate would walk as a line."""
     state = (shape[1] + 1, *grid_masks(shape, occ, cache.players))
-    return _position_walk(state, solver._GRID, mover, cache, mode)
+    return _position_walk(state, solver._grid, mover, cache, mode)
 
 
 def _folded(raw, mover, mode, players, cache, memo):

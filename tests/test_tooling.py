@@ -3,9 +3,11 @@ package, committed benchmark records are correct, importing the package
 loads no standard-library module it does not use, the installed command
 resolves, the scripts run as scripts, the transitivity probe finds its
 documented witness, the table script agrees with the table command,
+the solve digests and the n = 9 inventory keep their pinned outputs,
 and every public name of the package has a caller outside the tests."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -18,6 +20,7 @@ import pytest
 import nclobber
 import nclobber.cli  # the package does not import its CLI module
 import reproduce_table
+import solve_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -208,3 +211,48 @@ def test_the_table_script_and_the_table_command_write_the_same_csv(tmp_path, cap
     assert nclobber.cli.main(["table", "5", "--format", "csv", "--out", str(command)]) == 0
     capsys.readouterr()
     assert script.read_text() == command.read_text()
+
+
+# What scripts/solve_digest.py prints for --max-n 7 and for --players 2 4
+# --max-n 5: every solve of the novel lines and of a grid sample, in every
+# mode, hashed (the script's docstring).
+PINNED_DIGESTS = """\
+players=3 mode=raw max_n=7 solves=5985 sha256=3a290eccbd26bef826f795ea5917a2c9c37654e150d614bb09e2a94086a44c5e
+players=3 mode=raw grids=280 solves=840 sha256=711b3395687d98656fb8ce9d1ffd5ae4b715f4e2917a68989afdb6baae3c6008
+players=3 mode=syntactic max_n=7 solves=5985 sha256=4c79dcb6e2cb04fc1afdc65e9cd6ac3c0db6172f89b9dcea697ae68c81719679
+players=3 mode=syntactic grids=280 solves=840 sha256=cb2e4c1703a630ac97d3c0e9988bbf45df43dbba99443db4662d7ae1b82777c8
+players=3 mode=selfish max_n=7 solves=5985 sha256=966eea1623173fb293c0c62ea2339730f30c5f6e71dcf3f5a9967b8a8a586036
+players=3 mode=selfish grids=280 solves=840 sha256=25711db4b3b30683a562018c9e86ad887d3db38d8da7b7f2b2a4afe6f4e12df0
+players=3 mode=indifferent max_n=7 solves=5985 sha256=4561abf2ed41cabd20c3da509037b8cbf06e28ad6831ea701bf84f3ef655079c
+players=3 mode=indifferent grids=280 solves=840 sha256=457be14a4392d2fc18f51f0c07af725d4e686c7db9bdcacf3d1cc4f6673f82ad
+players=3 mode=prudent max_n=7 solves=5985 sha256=a312382502b077212beaf46702a1b918b5f8c3a5ad9957b1653716c341617029
+players=3 mode=prudent grids=280 solves=840 sha256=1e363bf6aa1ccf7107c65d4361ad61401479f9e00a70b4f7684606077f41331f
+players=2 mode=raw max_n=5 solves=64 sha256=3add9afc093fcb8078c88ee6e8d7e2d5a9b5ff24102736256e1b34724c764052
+players=2 mode=raw grids=280 solves=560 sha256=341d603b54044e8253f2e019f60ce644d0d87d9f0a2ed1e84903d147ed709512
+players=2 mode=syntactic max_n=5 solves=64 sha256=3add9afc093fcb8078c88ee6e8d7e2d5a9b5ff24102736256e1b34724c764052
+players=2 mode=syntactic grids=280 solves=560 sha256=e03c8beb08f079f91cfbd5916dd9c1ccebcf59147467d82d2058540abd5562a9
+players=2 mode=selfish max_n=5 solves=64 sha256=a4a82ec9372682f40fc909969d770a8ba9774686a9382c95a11f055dd29efc24
+players=2 mode=selfish grids=280 solves=560 sha256=7ed9b9a1fc2d9db0cbf2b3ac90a11ec3404a27ecdfc207c10302966ba8aef370
+players=2 mode=indifferent max_n=5 solves=64 sha256=39a195d15ccdbaf9e268e9ba2573f9d73ec0ec5510f2539eb935a48f6190c23c
+players=2 mode=indifferent grids=280 solves=560 sha256=6132749939a33c73fac064605392bc9a3ebaea6243ecd6cb6e825a8750669e79
+players=4 mode=raw max_n=5 solves=2940 sha256=05f127e6703be148987454a86605ec859965ed8c24759d624bff13bd64fd018f
+players=4 mode=raw grids=280 solves=1120 sha256=4e95e43d78b80fb9079618040ce4dd1cd795b50be2ece4e846aa8833d5b0d8d2
+players=4 mode=syntactic max_n=5 solves=2940 sha256=05f127e6703be148987454a86605ec859965ed8c24759d624bff13bd64fd018f
+players=4 mode=syntactic grids=280 solves=1120 sha256=bf02fcbb129e29fdb0c3f920bf29b648d0b7ea3f10bca867bf04a9db9c374bba
+players=4 mode=selfish max_n=5 solves=2940 sha256=826b98ade4f39be391bf12435908a744b59b21c90cad1a22ea7a9011c265b117
+players=4 mode=selfish grids=280 solves=1120 sha256=1930df7f36a1daae9e2385bbc4b8cbfbeac760d9986de8d26df1531092b25eef
+players=4 mode=indifferent max_n=5 solves=2940 sha256=1c9f611b7d9a7cfa8280547f28dc5f20ae7154301df3cb76222fb80c7a4c0614
+players=4 mode=indifferent grids=280 solves=1120 sha256=ea46818a8a330bf8ed73125a951824531e7b5c9a43829974373d4c37ae99ec75
+"""
+# The sha256 of what nclobber enumerate 9 --inventory --format json prints.
+PINNED_INVENTORY_9 = "36ca253a10094cbfe1713f7ae9edbffc18690514f5f9a820fafecc7456835b25"
+
+
+def test_the_solve_digests_and_the_n9_inventory_keep_their_pinned_outputs(capsys):
+    # A refactor must change no solve result and no census value string.
+    assert solve_digest.main(["--max-n", "7"]) == 0
+    assert solve_digest.main(["--players", "2", "4", "--max-n", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == PINNED_DIGESTS.splitlines()
+    assert nclobber.cli.main(["enumerate", "9", "--inventory", "--format", "json"]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == PINNED_INVENTORY_9

@@ -53,6 +53,32 @@ def test_leaf_winners_are_player_ids_1_to_9():
             leaf(winner)
 
 
+# Runs in a fresh interpreter, where leaf 1 is not yet interned: leaf(True)
+# once interned a leaf printed True, which every later 1 then printed as.
+LEAF_BOOL_PROBE = """
+from nclobber.values import leaf, parse_value
+for winner in (True, False):
+    try:
+        leaf(winner)
+    except ValueError:
+        print("refused", end=" ")
+print(parse_value("[1,2]").text)
+"""
+
+
+def test_a_bool_is_no_leaf_winner():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAF_BOOL_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused refused [1,2]\n"
+
+
 def test_choice_orders_children_lexicographically_and_dedups():
     v = choice([leaf(3), leaf(1), leaf(3)])
     assert v.text == "[1,3]"
@@ -345,6 +371,24 @@ def test_normalize_runs_to_a_fixed_point():
     v = parse_value("[[[[1,[[[2,3]]]]]]]")
     got = normalize(v, L1)
     assert got is parse_value("[1,2,3]")
+
+
+def test_normalize_refuses_what_is_no_profile():
+    # int(profile) once read 7 and "1" as L1 and -1 as L0, and cached
+    # the rewrites under those levels.
+    v = parse_value("[1,[[[2,3]]]]")
+    for bad in (7, "1", -1, 3, None):
+        with pytest.raises(ValueError, match="unknown normalization profile"):
+            normalize(v, bad)
+
+
+def test_l0_returns_the_value_and_caches_nothing():
+    # L0 only canonicalizes, which interning has done; it once stored one
+    # entry per choice node, 5 for this value.
+    v = parse_value("[[[[1,[2,3]]]]]")
+    before = len(values._NORMAL_CACHE)
+    assert normalize(v, L0) is v
+    assert len(values._NORMAL_CACHE) == before
 
 
 def test_l2_needs_three_players():
