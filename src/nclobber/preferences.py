@@ -75,9 +75,10 @@ No relation memo outlives its caller.  leq, compare, prudent_less and
 prudent_compare memoize in dicts of their own, freed when they return.
 prune memoizes in the memo it is given, which walk hands to
 pruning_fold's step, so a census regime's or a solve's relation entries
-are freed with its EvalCache.  There each relation keeps its own table,
-under the relation's function as the key; without a memo prune starts
-afresh.
+are freed with its EvalCache.  That memo is a dict of tables: walk keeps
+one per (fold, mover), keyed on the state, each relation one under its
+function, and the line kind one of run moves under game_core.run_moves.
+Without a memo prune starts afresh.
 
 The prudent order is the OR of four clauses, each a pure function of
 (x, y, p): option against whole, whole against option, option against
@@ -129,7 +130,7 @@ from __future__ import annotations
 import enum
 import functools
 from itertools import product
-from typing import Any, Callable, Collection, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Collection, Hashable, Iterable, NamedTuple, Optional
 
 from .values import (
     GameValue,
@@ -171,12 +172,12 @@ def _check_winners(players: int, *values: GameValue) -> None:
         raise ValueError(f"winner {top} exceeds player count {players}")
 
 
-def _table(memo: dict, relation: Callable) -> dict:
-    # One relation's entries in prune's memo, under the relation itself:
-    # the memo also holds walk's entries.
-    got = memo.get(relation)
+def _table(memo: dict, tag: Hashable) -> dict:
+    # One table of the memo: a walk's results under (fold, mover), a
+    # relation's entries under the relation, run moves under run_moves.
+    got = memo.get(tag)
     if got is None:
-        got = memo[relation] = {}
+        got = memo[tag] = {}
     return got
 
 
@@ -192,7 +193,7 @@ def _prepare(v: GameValue, players: int = 3) -> GameValue:
 # the selfish relation
 
 
-def _leq(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
+def _leq(x: GameValue, y: GameValue, p: int, table: dict) -> bool:
     if x is y:
         return True
     cx, cy = x.ranks[p], y.ranks[p]
@@ -202,33 +203,33 @@ def _leq(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
     if xs is None:
         return False
     key = (x, y, p)
-    got = memo.get(key)
+    got = table.get(key)
     if got is not None:
         return got
     for a in xs:  # every option of x below y
         ca = a.ranks[p]
         if ca == cy:
-            got = memo.get((a, y, p))
-            if not (_leq(a, y, p, memo) if got is None else got):
+            got = table.get((a, y, p))
+            if not (_leq(a, y, p, table) if got is None else got):
                 break
         elif ca > cy:
             break
     else:
-        memo[key] = True
+        table[key] = True
         return True
     result = ys is not None
     if result:  # every option of x below every option of y
         for a, b in product(xs, ys):
             ca, cb = a.ranks[p], b.ranks[p]
             if ca == cb:
-                got = memo.get((a, b, p))
-                if not (_leq(a, b, p, memo) if got is None else got):
+                got = table.get((a, b, p))
+                if not (_leq(a, b, p, table) if got is None else got):
                     result = False
                     break
             elif ca > cb:
                 result = False
                 break
-    memo[key] = result
+    table[key] = result
     return result
 
 
@@ -281,7 +282,7 @@ def compare(
 # the prudent relation
 
 
-def _pless(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
+def _pless(x: GameValue, y: GameValue, p: int, table: dict) -> bool:
     if x is y:
         return False
     cx, cy = x.ranks[p], y.ranks[p]
@@ -293,32 +294,32 @@ def _pless(x: GameValue, y: GameValue, p: int, memo: dict) -> bool:
     if xs == (y,):
         return True  # [y] < y, the strict selfish clause (module docstring)
     key = (x, y, p)
-    got = memo.get(key)
+    got = table.get(key)
     if got is not None:
         return got
-    result = xs is not None and _pless_options(xs, (y,), p, memo)
+    result = xs is not None and _pless_options(xs, (y,), p, table)
     if not result and ys is not None:
-        result = _pless_options((x,), ys, p, memo)
+        result = _pless_options((x,), ys, p, table)
     if not result and xs is not None and ys is not None:
-        result = _pless_options(xs, ys, p, memo)
-    memo[key] = result
+        result = _pless_options(xs, ys, p, table)
+    table[key] = result
     return result
 
 
 def _pless_options(
-    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, memo: dict
+    xs: tuple[GameValue, ...], ys: tuple[GameValue, ...], p: int, table: dict
 ) -> bool:
     # Every pairing weaker or incomparable, at least one strictly weaker.
     witness = False
     for a, b in product(xs, ys):
         ca, cb = a.ranks[p], b.ranks[p]
         if ca == cb:
-            got = memo.get((a, b, p))
-            if _pless(a, b, p, memo) if got is None else got:
+            got = table.get((a, b, p))
+            if _pless(a, b, p, table) if got is None else got:
                 witness = True
                 continue
-            got = memo.get((b, a, p))
-            if _pless(b, a, p, memo) if got is None else got:
+            got = table.get((b, a, p))
+            if _pless(b, a, p, table) if got is None else got:
                 return False
         elif ca > cb:  # b < a and not a < b, by the class-gap lemma
             return False
@@ -445,9 +446,10 @@ class Fold:
     (for the relation memos, which only the pruning folds read) to the
     node's result.
     cutoff says that leaf(mover) among the options decides the step, so
-    walk stops there (solver module docstring).  A record is its own memo
-    tag, hashed by identity, so one memo serves many folds.  Slots, not a
-    tuple: walk reads the fields and hashes the record per node.
+    walk stops there (solver module docstring).  A record and a mover tag
+    one walk table in the memo, the record hashed by identity, so one
+    memo serves many folds.  Slots, not a tuple: walk reads the fields
+    and hashes the record per node.
     """
 
     __slots__ = ("leaf", "step", "cutoff")
@@ -459,7 +461,7 @@ class Fold:
 # A value tree, as a kind of game (walk): a choice's options are the
 # mover's moves, a leaf names its winner, and a singleton is a pass, its
 # one option under the next mover.
-def TREE(v: GameValue, mover: int, last: int) -> Any:
+def TREE(v: GameValue, mover: int, last: int, memo: dict) -> Any:
     return v.children or v.winner
 
 
@@ -467,23 +469,30 @@ def walk(state: Any, mover: int, fold: Fold, kind: Callable, memo: dict, players
     """Fold the game at state, mover to move, the way fold's regime plays
     it: bottom-up, the turn rotating one player per move.
 
-    kind(state, mover, last), with last the player who moved before the
-    mover, is the kind of game.  It returns the states the mover's moves
-    leave, empty when the mover must pass, or, when the game is over, its
-    winner as an int: last for a position, a leaf's own winner for a value
-    tree (TREE).  A pass is one option, the same state under the next
-    mover.
+    kind(state, mover, last, memo), with last the player who moved before
+    the mover, is the kind of game.  It returns the states the mover's
+    moves leave, empty when the mover must pass, or, when the game is
+    over, its winner as an int: last for a position, a leaf's own winner
+    for a value tree (TREE).  A pass is one option, the same state under
+    the next mover.  The line kind keeps its run moves in memo.
 
-    memo maps (fold, mover, state) to results; callers probe it first,
-    and pass the same dict to share work between walks.  The step gets
-    it too: the pruning folds' prune keeps its relation tables there,
+    memo is a dict of tables.  walk keeps its results in one table per
+    (fold, mover), keyed on the state, and returns a stored result at
+    once; pass the same dict to share work between walks.  The step gets
+    memo too: the pruning folds' prune keeps its relation tables there,
     each under its relation's function (module docstring).  The step sees
     its options' results as a list in move order, repeats included.  Each
     step reads only their set, but the order fixes the order in which
     selfish prune fills its relation memos; indifferent prune compares in
     text order.
     """
-    children = kind(state, mover, (mover - 2) % players + 1)
+    table = memo.get((fold, mover))  # _table, inline: it runs per node
+    if table is None:
+        table = memo[fold, mover] = {}
+    got = table.get(state)
+    if got is not None:
+        return got
+    children = kind(state, mover, (mover - 2) % players + 1, memo)
     if isinstance(children, int):
         return fold.leaf(children)
     after = mover % players + 1
@@ -491,13 +500,12 @@ def walk(state: Any, mover: int, fold: Fold, kind: Callable, memo: dict, players
     win = fold.leaf(mover) if cutoff else None
     results = []
     for child in children or (state,):
-        # Every result is truthy: a value, a simple or a player id.
-        got = memo.get((fold, after, child)) or walk(child, after, fold, kind, memo, players)
+        got = walk(child, after, fold, kind, memo, players)
         if cutoff and got == win:  # the cutoff (solver module docstring)
-            memo[fold, mover, state] = got
+            table[state] = got
             return got
         results.append(got)
-    got = memo[fold, mover, state] = fold.step(results, mover, memo)
+    got = table[state] = fold.step(results, mover, memo)
     return got
 
 
@@ -586,9 +594,7 @@ def prudent_simplify(
         raise ValueError(f"mover {mover} out of range for three players")
     if not v.outcomes <= {1, 2, 3}:
         raise ValueError("prudent simplification is defined for three players")
-    if memo is None:
-        memo = {}
-    return memo.get((PRUDENT, mover, v)) or walk(v, mover, PRUDENT, TREE, memo, 3)
+    return walk(v, mover, PRUDENT, TREE, {} if memo is None else memo, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +605,7 @@ _WIN = 1
 _LOSS = 2
 
 
-def _quotient(v: GameValue, p: int, memo: dict) -> GameValue:
+def _quotient(v: GameValue, p: int, table: dict) -> GameValue:
     """Relabel leaves to p's eye: own wins stay 1, every loss becomes 2.
 
     Collapsing makes sibling losses merge, so the result is again
@@ -608,13 +614,13 @@ def _quotient(v: GameValue, p: int, memo: dict) -> GameValue:
     if v.children is None:
         return leaf(_WIN) if v.winner == p else leaf(_LOSS)
     key = (v, p)
-    got = memo.get(key)
+    got = table.get(key)
     if got is None:
-        got = memo[key] = choice(_quotient(c, p, memo) for c in v.children)
+        got = table[key] = choice(_quotient(c, p, table) for c in v.children)
     return got
 
 
-def _ext_leq(x: GameValue, y: GameValue, memo: dict) -> bool:
+def _ext_leq(x: GameValue, y: GameValue, table: dict) -> bool:
     # Option against whole and its mirror, whole against option: x below
     # every option of y also puts x below y.  Without the mirror, wrappers
     # block the equalities an indifferent player is supposed to see.  The
@@ -628,25 +634,25 @@ def _ext_leq(x: GameValue, y: GameValue, memo: dict) -> bool:
     if xs is None and ys is None:
         return False
     key = (x, y)
-    got = memo.get(key)
+    got = table.get(key)
     if got is not None:
         return got
     result = False
     if xs is not None:  # every option of x below y
         for a in xs:
-            got = memo.get((a, y))
-            if not (_ext_leq(a, y, memo) if got is None else got):
+            got = table.get((a, y))
+            if not (_ext_leq(a, y, table) if got is None else got):
                 break
         else:
             result = True
     if not result and ys is not None:  # x below every option of y
         for b in ys:
-            got = memo.get((x, b))
-            if not (_ext_leq(x, b, memo) if got is None else got):
+            got = table.get((x, b))
+            if not (_ext_leq(x, b, table) if got is None else got):
                 break
         else:
             result = True
-    memo[key] = result
+    table[key] = result
     return result
 
 

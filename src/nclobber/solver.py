@@ -27,14 +27,15 @@ records live in preferences:
 One function, preferences.walk, runs every fold over three kinds of
 game: lines and grids, whose states are positions, and value trees
 (preferences.TREE), whose states are values.  A kind is one function of
-the state, the mover and the player who moved last: it gives the walk
-the states the mover's moves leave, none when the mover passes, or the
-finished game's winner as an int.  The walk holds the memo probe, the
-cutoff, the forced pass and the leaf of a finished game once.  evaluate
-walks positions under RAW, PRUDENT and INDIFFERENT.  fold_raw walks the
-raw value as a tree under PRUDENT (preferences.prudent_simplify) and the
-selfish pruning_fold, the turn rotating one player per level down; the
-syntactic result is the raw value rewritten with the profile.
+the state, the mover, the player who moved last and the memo: it gives
+the walk the states the mover's moves leave, none when the mover passes,
+or the finished game's winner as an int.  The walk holds the memo probe,
+the cutoff, the forced pass and the leaf of a finished game once; its
+callers just call it.  evaluate walks positions under RAW, PRUDENT and
+INDIFFERENT.  fold_raw walks the raw value as a tree under PRUDENT
+(preferences.prudent_simplify) and the selfish pruning_fold, the turn
+rotating one player per level down; the syntactic result is the raw
+value rewritten with the profile.
 
 The indifferent step is the leaf lemma: folding a raw value the way
 indifferent players play it (pruning_fold) always lands on a leaf, so
@@ -78,13 +79,15 @@ result; evaluate, the census and the profile calibration all call it.
 The census reaches the raw walk through evaluate_runs, with a line
 position's live-run key and no board.  Results are wrapped in one of
 three variants: Raw carries a value tree, Simple a simple value, Class
-a loss-blind class.  A cache holds the walks' memo, over positions and
-values alike, and a run table; it serves every board shape, mode and
-profile for one player count, and its memos are freed with it.
+a loss-blind class.  A cache holds the walks' memo, a dict of tables
+over positions and values alike, the run table among them; it serves
+every board shape, mode and profile for one player count, and its
+tables are freed with it.
 
-Walks memoize under (fold, mover, state), led by the fold record itself
-so that one memo serves every fold.  A tree's state is its value, and
-values are interned.  A position's state depends on the board's kind:
+A walk memoizes in one table per (fold, mover), keyed on the state;
+the fold record tags the table, so that one memo serves every fold.  A
+tree's state is its value, and values are interned.  A position's state
+depends on the board's kind:
 
   line boards  the live runs: the sorted tuple of the position's runs
                between empty cells that hold two or more colours, each
@@ -94,14 +97,14 @@ values are interned.  A position's state depends on the board's kind:
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
                Nobody can move when the tuple is empty.  A run's moves
-               (game_core.run_moves) are kept in the cache's run table
-               only when the run shares a position with another run:
-               a position of one run is expanded at most once per walk
-               and mover, so its entry would be read at most once per
-               walk, while a run beside others recurs in many keys.
-               Two runs and the blank between them take at least
-               len(run) + 3 cells, so on n cells no run longer than
-               n - 3 is kept.  The table holds only moves, never
+               (game_core.run_moves) are kept in the memo's table
+               under run_moves only when the run shares a position with
+               another run: a position of one run is expanded at most
+               once per walk and mover, so its entry would be read at
+               most once per walk, while a run beside others recurs in
+               many keys.  Two runs and the blank between them take at
+               least len(run) + 3 cells, so on n cells no run longer
+               than n - 3 is kept.  The table holds only moves, never
                results, so what it keeps changes no result.
   grid boards  (stride, live bitboards): the stride cols + 1, then
                one int per player over the grid's cells
@@ -115,12 +118,12 @@ values are interned.  A position's state depends on the board's kind:
                their entries.  Nobody can move when no token touches
                another colour.  A move is three bit flips on the masks.
 
-Beside its fold, a position's key holds only ints and bytes.
+A position's state holds only ints and bytes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Hashable, Iterable, NamedTuple, Optional, Union
 
 from .game_core import (
     Position,
@@ -132,6 +135,7 @@ from .game_core import (
     run_moves,
 )
 from .preferences import INDIFFERENT, PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
+from .preferences import _table
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -180,8 +184,6 @@ class Class(NamedTuple):
 
 
 EvalResult = Union[Raw, Simple, Class]
-# A walk's result: a raw value, a prudent simple or an indifferent winner.
-WalkResult = Union[GameValue, SimpleValue, int]
 
 
 # The folds of the position walk (module docstring), by name.
@@ -192,29 +194,35 @@ class EvalCache:
     """Every walk's results, over positions and over the value trees
     fold_raw folds, for one player count.
 
-    entries is the walks' memo (preferences.walk), keyed on (fold,
-    mover, state), where a line's state is its live runs, a grid's is
-    (stride, live bitboards) and a tree's is its value; see the module
-    docstring for why the position keys are exact.  The selfish fold's
-    prune keeps its relation tables there too, one per relation under
-    the relation's function (preferences module docstring), so they are
-    freed with the cache.  runs holds, per live run and player, the runs
-    that player's moves there leave (game_core.run_moves), for the runs
-    that share a position with another run; a lone run's moves are
-    computed where its position is expanded, at most once per walk and
-    mover, and not kept.  line is the kind of line positions
-    (preferences.walk), a function that reads and fills runs.  Every
+    entries is the walks' memo (preferences.walk), a dict of tables.
+    Each walk keeps its results in the table under (fold, mover), keyed
+    on the state: a line's live runs, a grid's (stride, live bitboards)
+    or a tree's value; see the module docstring for why the position
+    keys are exact.  The selfish and indifferent folds' prune keeps its
+    relation tables there too, one per relation under the relation's
+    function (preferences module docstring).  The line kind keeps the
+    run-move table under game_core.run_moves: per live run and player,
+    the runs that player's moves there leave, for the runs that share a
+    position with another run.  All are freed with the cache.  Every
     board shape, mode and profile may share a cache; reusing it with
-    another player count is an error.
+    another player count is an error, and so is a player count outside
+    1..9.
     """
 
-    __slots__ = ("players", "entries", "runs", "line")
+    __slots__ = ("players", "entries")
 
     def __init__(self, players: int = 3) -> None:
+        if type(players) is not int or not 1 <= players <= 9:
+            raise ValueError(f"player count must be 1..9, got {players!r}")
         self.players = players
-        self.entries: dict[Union[tuple, Callable], Union[WalkResult, dict]] = {}
-        self.runs: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
-        self.line = _line_kind(self.runs)
+        self.entries: dict[Hashable, dict] = {}
+
+
+def _check_mover(mover: int, players: int) -> None:
+    # True and 1.0 equal 1 but are no player id, and a walk would answer
+    # for them as for 1, or rotate the turn through floats.
+    if type(mover) is not int or not 1 <= mover <= players:
+        raise ValueError(f"mover {mover!r} out of range for {players} players")
 
 
 def evaluate(
@@ -228,8 +236,7 @@ def evaluate(
     (rows, cols), occupancy, mover = position
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if type(mover) is not int or not 1 <= mover <= players:
-        raise ValueError(f"mover {mover} out of range for {players} players")
+    _check_mover(mover, players)
     if mode == "prudent" and players != 3:
         raise ValueError("prudent evaluation is defined for exactly three players")
     if rows < 1 or cols < 1 or len(occupancy) != rows * cols:
@@ -242,15 +249,15 @@ def evaluate(
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
     if rows == 1:
-        state, kind = line_runs(occupancy), cache.line
+        state, kind = line_runs(occupancy), _line
     else:
         state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _grid
-    if isinstance(kind(state, mover, mover), int):  # nobody can move
+    if isinstance(kind(state, mover, mover, cache.entries), int):  # nobody can move
         digits = "".join(map(str, occupancy))
         raise NoMoveError(f"no initial move on board {quote(digits)}")
-    fold, memo = _WALKS.get(mode, _WALKS["raw"]), cache.entries
+    fold = _WALKS.get(mode, _WALKS["raw"])
     try:
-        got = memo.get((fold, mover, state)) or walk(state, mover, fold, kind, memo, players)
+        got = walk(state, mover, fold, kind, cache.entries, players)
         if fold is PRUDENT:
             return Simple(got)
         if fold is INDIFFERENT:
@@ -270,17 +277,18 @@ def fold_raw(
     The folds walk the value as a tree through cache.entries; pass the
     same cache for many values to share work between them.
     """
-    players, memo = cache.players, cache.entries
+    players = cache.players
+    _check_mover(mover, players)
     if mode == "raw":
         return Raw(raw)
     if mode == "syntactic":
         return Raw(normalize(raw, profile, players))
     if mode == "prudent":
-        return Simple(prudent_simplify(raw, mover, memo))
+        return Simple(prudent_simplify(raw, mover, cache.entries))
     if mode != "selfish":
         raise ValueError(f"no fold of the raw value for mode {mode!r}")
     fold = pruning_fold(mode, profile, players)
-    return Raw(memo.get((fold, mover, raw)) or walk(raw, mover, fold, TREE, memo, players))
+    return Raw(walk(raw, mover, fold, TREE, cache.entries, players))
 
 
 def render_result(result: EvalResult, style: Optional[str] = None, players: int = 3) -> str:
@@ -305,39 +313,37 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
     (game_core.line_runs), mover to move: the census's entry point, which
     needs no board.  An empty key is the finished game.
     """
-    memo = cache.entries
-    return memo.get((RAW, mover, parts)) or walk(parts, mover, RAW, cache.line, memo, cache.players)
+    _check_mover(mover, cache.players)
+    return walk(parts, mover, RAW, _line, cache.entries, cache.players)
 
 
-def _line_kind(runs: dict) -> Callable:
+def _line(parts: tuple[bytes, ...], mover: int, last: int, memo: dict) -> Union[Iterable, int]:
     """The kind of line positions (preferences.walk), keyed on their live
-    runs, that keeps run moves in the run table runs."""
-
-    def line(parts: tuple[bytes, ...], mover: int, last: int) -> Union[Iterable[tuple], int]:
-        # The live-run keys the mover's moves leave; runs stores a run's
-        # moves only when the run shares the position.
-        if not parts:  # nobody can move, and the last mover won
-            return last
-        if len(parts) == 1:  # each child key is one of the run's moves
-            (run,) = parts
-            moves = runs.get((run, mover))
-            return run_moves(run, mover) if moves is None else moves
-        children = []
-        for j, run in enumerate(parts):
-            if j and run == parts[j - 1]:
-                continue  # the same run again: the same children
-            moves = runs.get((run, mover))
-            if moves is None:
-                moves = runs[run, mover] = run_moves(run, mover)
-            rest = parts[:j] + parts[j + 1 :]
-            for replacement in moves:
-                children.append(tuple(sorted(rest + replacement)))
-        return children
-
-    return line
+    runs: the live-run keys the mover's moves leave, or last, who won,
+    when no run is live.  memo's run_moves table stores a run's moves
+    only when the run shares the position.
+    """
+    if not parts:  # nobody can move, and the last mover won
+        return last
+    runs = _table(memo, run_moves)
+    if len(parts) == 1:  # each child key is one of the run's moves
+        (run,) = parts
+        moves = runs.get((run, mover))
+        return run_moves(run, mover) if moves is None else moves
+    children = []
+    for j, run in enumerate(parts):
+        if j and run == parts[j - 1]:
+            continue  # the same run again: the same children
+        moves = runs.get((run, mover))
+        if moves is None:
+            moves = runs[run, mover] = run_moves(run, mover)
+        rest = parts[:j] + parts[j + 1 :]
+        for replacement in moves:
+            children.append(tuple(sorted(rest + replacement)))
+    return children
 
 
-def _grid(state: tuple, mover: int, last: int) -> Union[list[tuple], int]:
+def _grid(state: tuple, mover: int, last: int, memo: dict) -> Union[list[tuple], int]:
     """The kind of grid positions (preferences.walk): the grid states the
     mover's moves leave, or last, who won, when nobody can move, which is
     when no token touches another colour (a live token may touch only its

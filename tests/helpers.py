@@ -901,12 +901,20 @@ def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...
     return tuple(sorted(found))
 
 
+def walk_entries(cache: EvalCache) -> int:
+    """How many results the walks keep in cache: the sizes of the memo's
+    walk tables, those under (fold, mover), summed."""
+    return sum(len(table) for tag, table in cache.entries.items() if isinstance(tag, tuple))
+
+
 def reference_eval_graph(shape: tuple[int, int], occupancy: bytes, mover: int, cache) -> GameValue:
     """The move-by-move position walk that grid bitboards replaced:
     raw value of (occupancy, mover) on any board, through the move-level
-    API, memoized in cache.entries on (shape, occupancy, mover)."""
+    API, memoized in a table of cache.entries of its own, under this
+    function, on (shape, occupancy, mover)."""
     key = (shape, occupancy, mover)
-    got = cache.entries.get(key)
+    table = cache.entries.setdefault(reference_eval_graph, {})
+    got = table.get(key)
     if got is not None:
         return got
     players = cache.players
@@ -922,6 +930,5 @@ def reference_eval_graph(shape: tuple[int, int], occupancy: bytes, mover: int, c
     else:
         # The mover passes: a forced continuation, one list level.
         options.add(reference_eval_graph(shape, occupancy, after, cache))
-    value = choice(options)
-    cache.entries[key] = value
+    value = table[key] = choice(options)
     return value

@@ -35,6 +35,7 @@ from nclobber import preferences
 from nclobber.enumeration import raw_values, run_keys
 from nclobber.preferences import (
     INDIFFERENT,
+    PRUDENT,
     TREE,
     ChainCoordinate,
     ChainError,
@@ -412,7 +413,7 @@ PROFILES = tuple(NormalizationProfile)
 def _walk_tree(v, mover, fold, players, memo):
     """fold's result over the value tree v, mover to move, as fold_raw
     walks it."""
-    return memo.get((fold, mover, v)) or walk(v, mover, fold, TREE, memo, players)
+    return walk(v, mover, fold, TREE, memo, players)
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=[p.name for p in PROFILES])
@@ -784,7 +785,7 @@ for i in range(600):
 for mode in ("selfish", "indifferent"):
     fold = preferences.pruning_fold(mode, NormalizationProfile.L1, 3)
     for v in raw_values(run_keys(7)):
-        memo.get((fold, 1, v)) or preferences.walk(v, 1, fold, preferences.TREE, memo, 3)
+        preferences.walk(v, 1, fold, preferences.TREE, memo, 3)
 relations = (preferences._leq, preferences._pless, preferences._ext_leq, preferences._quotient)
 print(*(len(memo.get(relation, ())) for relation in relations))
 """
@@ -833,7 +834,8 @@ def test_a_tree_fold_stops_at_the_movers_own_win():
     (inner,) = (c for c in v.children if c.children is not None)
     memo = {}
     assert str(prudent_simplify(v, 1, memo)) == "1"
-    assert memo and all(state is not inner for _, _, state in memo)
+    assert v in memo[PRUDENT, 1]
+    assert all(state is not inner for table in memo.values() for state in table)
 
 
 def test_prudent_simplify_rotates_the_mover_through_levels():

@@ -19,11 +19,12 @@ from helpers import (
     next_active_player,
     reference_eval_graph,
     reference_evaluate,
+    walk_entries,
 )
 import nclobber
 from nclobber import preferences, solver
-from nclobber.enumeration import EnumerationReport, generate_boards, run_keys
-from nclobber.game_core import Position, grid_masks, movers_mask, parse_board
+from nclobber.enumeration import EnumerationReport, generate_boards, raw_values, run_keys
+from nclobber.game_core import Position, grid_masks, movers_mask, parse_board, run_moves
 from nclobber.preferences import PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
 from nclobber.solver import (
     MODES,
@@ -197,8 +198,8 @@ def test_results_graphs_and_caches_keep_their_contract():
 
     one, two = EvalCache(), EvalCache()
     assert one.players == two.players == 3 and EvalCache(2).players == 2
-    for name in ("entries", "runs"):
-        assert getattr(one, name) == {} and getattr(one, name) is not getattr(two, name)
+    assert EvalCache.__slots__ == ("players", "entries")
+    assert one.entries == {} and one.entries is not two.entries
 
 
 def test_prudent_solver_matches_collapsing_the_raw_tree():
@@ -329,6 +330,21 @@ def test_modes_are_validated():
     for mover in (0, 4, True, 1.0):
         with pytest.raises(ValueError, match="out of range for 3 players"):
             evaluate(Position((1, 4), b"\1\3\2\1", mover), "prudent")
+    # The census entry points refuse them too: evaluate_runs once answered
+    # leaf 1 for movers 0, True and 1.0 and leaf 2 for mover 4, and
+    # fold_raw refused mover 1.0 only as the "2.0" one level down.
+    key, raw = (b"\1\2",), parse_value("[2,[1,3]]")
+    for mover in (0, 4, True, 1.0):
+        with pytest.raises(ValueError, match="out of range for 3 players"):
+            evaluate_runs(key, mover, EvalCache())
+        for mode in ("raw", "selfish"):
+            with pytest.raises(ValueError, match=f"^mover {mover!r} out of range"):
+                fold_raw(raw, mover, mode, L1, EvalCache())
+    # A cache is for a player count some game has: EvalCache(0) once
+    # raised ZeroDivisionError in a walk, and EvalCache(10) answered.
+    for players in (0, -1, 10, 1.5):
+        with pytest.raises(ValueError, match="^player count must be 1..9"):
+            EvalCache(players)
     # A position built by hand may hold a token of no player.
     with pytest.raises(ValueError, match="^token 5 exceeds player count 3$"):
         evaluate(Position((1, 3), b"\5\1\2"))
@@ -396,15 +412,17 @@ def test_fold_memos_in_one_cache_do_not_leak_between_modes():
                     assert got == fresh, (board, start, mode)
         # Prudent walks positions; selfish walks the raw walk's values.
         # (At n = 3 every raw value is a leaf, which leaves no selfish entry.)
-        # Beside the walks' entries, the memo holds only the table of the
-        # selfish relation, which the selfish fold's prune fills.
+        # Beside the walks' tables, the memo holds only the table of the
+        # selfish relation, which the selfish fold's prune fills, and the
+        # line kind's run moves.
         selfish = pruning_fold("selfish", L1, 3)
-        walks = [key for key in cache.entries if isinstance(key, tuple)]
-        assert set(cache.entries).difference(walks) <= {preferences._leq}
-        tags = {key[0] for key in walks}
+        walks = {tag: table for tag, table in cache.entries.items() if isinstance(tag, tuple)}
+        assert set(cache.entries).difference(walks) <= {preferences._leq, run_moves}
+        tags = {fold for (fold, _), table in walks.items() if table}
         assert tags == {PRUDENT, RAW} | ({selfish} if n > 3 else set()), n
-        for fold, _, state in walks:
-            assert isinstance(state, GameValue) == (fold is selfish), (fold, state)
+        for (fold, _), table in walks.items():
+            for state in table:
+                assert isinstance(state, GameValue) == (fold is selfish), (fold, state)
 
 
 def test_evaluate_all_starts_shares_one_cache_consistently():
@@ -491,16 +509,17 @@ def test_folds_match_the_reference_on_random_grids():
 
 
 def test_each_kind_gives_the_moves_or_the_winner_of_a_finished_game():
-    line = EvalCache().line
+    def line(parts, mover, last):
+        return solver._line(parts, mover, last, {})
 
     def grid(board, shape, mover, last):
         _, occ = parse_board(board, shape=shape)
-        return solver._grid((shape[1] + 1, *grid_masks(shape, occ, 3)), mover, last)
+        return solver._grid((shape[1] + 1, *grid_masks(shape, occ, 3)), mover, last, {})
 
     # A finished game is its winner, as an int: a leaf's own winner, and
     # the last mover on a line with no live run or on a grid where no two
     # colours touch, though one colour may touch itself.
-    assert TREE(leaf(2), 1, 3) == 2
+    assert TREE(leaf(2), 1, 3, {}) == 2
     assert line((), 1, 3) == 3
     assert grid("110002", (2, 3), 1, 2) == 2
     # A mover with no move in a live game gets an empty sequence: a pass.
@@ -508,7 +527,7 @@ def test_each_kind_gives_the_moves_or_the_winner_of_a_finished_game():
         assert not isinstance(got, int) and len(got) == 0
     # Otherwise the states the mover's moves leave.
     v = parse_value("[1,[2,3]]")
-    assert TREE(v, 1, 3) == v.children
+    assert TREE(v, 1, 3, {}) == v.children
     assert list(line((b"\1\2",), 1, 3)) == [()]
     assert list(line((b"\2\1", b"\2\1"), 2, 1)) == [(b"\2\1",)]
     assert grid("1200", (2, 2), 1, 3) == [(3, 0, 0, 0)]
@@ -520,8 +539,7 @@ def test_each_kind_gives_the_moves_or_the_winner_of_a_finished_game():
 
 def _position_walk(state, kind, mover, cache, mode="raw"):
     """The position walk's result under mode's fold on a state of kind."""
-    fold, memo = solver._WALKS[mode], cache.entries
-    return memo.get((fold, mover, state)) or walk(state, mover, fold, kind, memo, cache.players)
+    return walk(state, mover, solver._WALKS[mode], kind, cache.entries, cache.players)
 
 
 def _grid_walk(shape, occ, mover, cache, mode="raw"):
@@ -538,7 +556,7 @@ def _folded(raw, mover, mode, players, cache, memo):
     if mode == "prudent":
         return fold_raw(raw, mover, mode, L1, cache).value
     fold = pruning_fold(mode, L1, players)
-    return (memo.get((fold, mover, raw)) or walk(raw, mover, fold, TREE, memo, players)).winner
+    return walk(raw, mover, fold, TREE, memo, players).winner
 
 
 @pytest.mark.parametrize(
@@ -558,7 +576,7 @@ def test_line_walks_match_folding_the_raw_value(players, max_n, walks):
         for key in keys:
             raw = evaluate_runs(key, mover, cache)
             for mode in walks:
-                got = _position_walk(key, cache.line, mover, cache, mode)
+                got = _position_walk(key, solver._line, mover, cache, mode)
                 want = _folded(raw, mover, mode, players, cache, memo)
                 if got != want:
                     bad.append(f"{key} mover={mover} {mode}: {got} != {want}")
@@ -629,10 +647,10 @@ def test_grid_walk_returns_the_edge_walks_values(players, shapes):
 def test_grids_that_differ_in_isolated_tokens_share_one_memo_entry(shape, boards):
     cache = EvalCache()
     first = evaluate_text(boards[0], shape=shape, cache=cache).value
-    size = len(cache.entries)
+    size = walk_entries(cache)
     for board in boards[1:]:
         assert evaluate_text(board, shape=shape, cache=cache).value is first, board
-        assert len(cache.entries) == size, board
+        assert walk_entries(cache) == size, board
 
 
 def test_grids_with_the_same_columns_and_live_tokens_share_memo_entries():
@@ -642,17 +660,17 @@ def test_grids_with_the_same_columns_and_live_tokens_share_memo_entries():
     for mode in ("raw", "prudent", "indifferent"):
         for start in (1, 2, 3):
             first = evaluate_text("123000", start, mode, shape=(2, 3), cache=cache)
-            size = len(cache.entries)
+            size = walk_entries(cache)
             again = evaluate_text("123000000", start, mode, shape=(3, 3), cache=cache)
             assert again.value is first.value if mode == "raw" else again == first
-            assert len(cache.entries) == size, (mode, start)
+            assert walk_entries(cache) == size, (mode, start)
 
 
 def test_the_slowest_solve_stream_grid_holds_8704_memo_entries():
     cache = EvalCache()
     evaluate_text("122132133121", shape=(3, 4), cache=cache)
     # 16,945 when positions were keyed on their full occupancy.
-    assert len(cache.entries) == 8_704
+    assert walk_entries(cache) == 8_704
 
 
 # ---------------------------------------------------------------------------
@@ -726,17 +744,17 @@ def test_line_keys_match_byte_keys_for_four_players():
 def test_boards_with_the_same_live_runs_share_one_memo_entry(boards):
     cache = EvalCache()
     first = evaluate_text(boards[0], cache=cache).value
-    size = len(cache.entries)
+    size = walk_entries(cache)
     for board in boards[1:]:
         assert evaluate_text(board, cache=cache).value is first, board
-        assert len(cache.entries) == size, board
+        assert walk_entries(cache) == size, board
 
 
 def test_the_n9_census_sweep_holds_one_memo_entry_per_resolved_run_key():
     cache = EvalCache()
     for key in run_keys(9):
         evaluate_runs(key, 1, cache)
-    assert len(cache.entries) == 27_191
+    assert walk_entries(cache) == 27_191
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
@@ -746,8 +764,9 @@ def test_the_run_move_table_holds_only_runs_that_share_a_position(n):
     cache = EvalCache()
     for key in run_keys(n):
         evaluate_runs(key, 1, cache)
-    assert cache.runs
-    assert max(len(run) for run, _ in cache.runs) <= n - 3
+    runs = cache.entries[run_moves]
+    assert runs
+    assert max(len(run) for run, _ in runs) <= n - 3
 
 
 def test_one_cache_shares_line_positions_across_lengths():
@@ -757,5 +776,48 @@ def test_one_cache_shares_line_positions_across_lengths():
         for board in generate_boards(n):
             evaluate_text(board, cache=shared)
             evaluate_text(board, cache=own)
-        separate += len(own.entries)
-    assert len(shared.entries) < separate
+        separate += walk_entries(own)
+    assert walk_entries(shared) < separate
+
+
+# ---------------------------------------------------------------------------
+# the memo: a dict of tables that walk alone probes
+
+
+def test_every_memo_entry_is_a_table():
+    # One cache solves a line and a 3x4 grid in every mode, then folds the
+    # n = 7 census roots selfishly, prudently and indifferently.  Walks keep
+    # one table per (fold, mover), keyed on the state; beside them sit
+    # prune's relation tables and the line kind's run moves.
+    cache = EvalCache()
+    for board, shape in (("1232132321", "line"), ("122132133121", (3, 4))):
+        for mode in MODES:
+            evaluate_text(board, mode=mode, shape=shape, cache=cache)
+    indifferent = pruning_fold("indifferent", L1, 3)
+    for raw in raw_values(run_keys(7)):
+        fold_raw(raw, 1, "selfish", L1, cache)
+        fold_raw(raw, 1, "prudent", L1, cache)
+        walk(raw, 1, indifferent, TREE, cache.entries, 3)
+    assert all(type(table) is dict for table in cache.entries.values())
+    walks = [tag for tag in cache.entries if isinstance(tag, tuple)]
+    assert all(
+        len(tag) == 2 and isinstance(tag[0], preferences.Fold) and tag[1] in (1, 2, 3)
+        for tag in walks
+    ), walks
+    others = set(cache.entries).difference(walks)
+    assert others == {preferences._leq, preferences._quotient, preferences._ext_leq, run_moves}
+
+
+def test_walk_returns_a_stored_result_without_expanding_the_state_again():
+    calls = []
+
+    def counted(v, mover, last, memo=None):  # TREE, counting its calls
+        calls.append((v, mover))
+        return v.children or v.winner
+
+    v, memo = parse_value("[1,[2,3],[3,[1,2]]]"), {}
+    first = walk(v, 2, RAW, counted, memo, 3)
+    expanded = len(calls)
+    assert walk(v, 2, RAW, counted, memo, 3) is first
+    assert len(calls) == expanded > 1
+    assert memo[RAW, 2][v] is first

@@ -131,7 +131,9 @@ def test_committed_bench_records_are_correct():
 
 
 def test_eval_cache_entries_is_a_dict():
-    # The tracer's solver.positions counter sums len(cache.entries).
+    # The tracer's solver.positions counter sums len(cache.entries).  The
+    # memo is a dict of tables, so that sum counts tables, not positions,
+    # until the tracer counts the entries of each table.
     assert isinstance(nclobber.solver.EvalCache().entries, dict)
 
 
