@@ -161,19 +161,41 @@ def line_runs(occupancy: bytes) -> tuple[bytes, ...]:
     return tuple(sorted(max(r, r[::-1]) for r in pieces if r.strip(r[:1])))
 
 
+# The moves of every short live run, kept for the life of the process and
+# filled by run_moves on first use: (run, player) -> run_moves(run, player).
+# A run is short when it has at most six cells and its top colour c and
+# length m have c ** m <= 3 ** 6: every run of two or three colours up to
+# six cells, and shorter ones of more colours.  Only canonical runs (the
+# larger way round, as line_runs reads them) and players 1..9 are kept.
+# That is 1,259 runs, so at most _SHORT_RUN_ENTRIES entries whatever
+# boards a process solves: the bound is what makes a process-wide table
+# safe, since a table of every run met would grow with the longest line
+# asked for.  The short runs are the ones every line walk meets again.
+_RUN_MOVES: dict[tuple[bytes, int], tuple[tuple[bytes, ...], ...]] = {}
+_SHORT_RUN_ENTRIES = 9 * 1_259
+
+
 def run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
     """The distinct live-run tuples that replace one live run after each
-    of player's moves in it; empty when player cannot move there.
+    of player's moves in it; empty when player cannot move there.  A run
+    shorter than two cells, of one colour or holding a blank is no live
+    run, and raises ValueError.
 
     Moving from cell i onto i+1, or from i+1 onto i, empties one cell
     and so splits the run there.  Each piece is canonicalized as in
-    line_runs.
+    line_runs.  The moves of a short run are computed once per process
+    and kept in _RUN_MOVES (see there for the bound).
 
     A piece of one colour (or none) is dead.  With run[:lo] the first
     colour's stretch and run[hi + 1:] the last one's, found once, whether
     a piece is dead is an index test, plus, for the piece that holds the
     moved token, whether that token matches the stretch it joins.
     """
+    got = _RUN_MOVES.get((run, player))
+    if got is not None:
+        return got
+    if len(run) < 2 or 0 in run or not run.strip(run[:1]):
+        raise ValueError(f"not a live run: {run!r}")
     first, last = run[0], len(run) - 1
     end = run[last]
     lo = 1
@@ -203,4 +225,8 @@ def run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...]:
         else:
             left, right = max(left, left[::-1]), max(right, right[::-1])
             found.add((left, right) if left <= right else (right, left))
-    return tuple(sorted(found))
+    got = tuple(sorted(found))
+    short = len(run) <= 6 and max(run) ** len(run) <= 3**6
+    if short and 0 < player < 10 and run >= run[::-1]:
+        _RUN_MOVES[run, player] = got
+    return got

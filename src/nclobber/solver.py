@@ -97,15 +97,23 @@ depends on the board's kind:
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
                Nobody can move when the tuple is empty.  A run's moves
-               (game_core.run_moves) are kept in the memo's table
-               under run_moves only when the run shares a position with
-               another run: a position of one run is expanded at most
-               once per walk and mover, so its entry would be read at
-               most once per walk, while a run beside others recurs in
-               many keys.  Two runs and the blank between them take at
-               least len(run) + 3 cells, so on n cells no run longer
-               than n - 3 is kept.  The table holds only moves, never
-               results, so what it keeps changes no result.
+               (game_core.run_moves) come in two tables.  The moves of
+               a short run, of at most six cells whose top colour c and
+               length m have c ** m <= 3 ** 6 (every three-colour run
+               of at most six cells), are kept for the life of the
+               process in game_core._RUN_MOVES: each solve meets the
+               same short runs again, and at most 11,331 (run, player)
+               entries exist, so the table cannot grow with the boards
+               asked for.  A longer run's moves are kept in the memo's table
+               under run_moves, freed with the cache, and only when the
+               run shares a position with another run: a position of
+               one run is expanded at most once per walk and mover, so
+               its entry would be read at most once per walk, while a
+               run beside others recurs in many keys.  Two runs and the
+               blank between them take at least len(run) + 3 cells, so
+               on n cells no run longer than n - 3 is kept there, and
+               below n = 10 no run is.  The tables hold only moves,
+               never results, so what they keep changes no result.
   grid boards  (stride, live bitboards): the stride cols + 1, then
                one int per player over the grid's cells
                (game_core.grid_masks), with every token that has no
@@ -128,6 +136,7 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Union
 from .game_core import (
     Position,
     Shape,
+    _RUN_MOVES,
     adjacent,
     grid_masks,
     line_runs,
@@ -135,7 +144,6 @@ from .game_core import (
     run_moves,
 )
 from .preferences import INDIFFERENT, PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
-from .preferences import _table
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -203,10 +211,12 @@ class EvalCache:
     function (preferences module docstring).  The line kind keeps the
     run-move table under game_core.run_moves: per live run and player,
     the runs that player's moves there leave, for the runs that share a
-    position with another run.  All are freed with the cache.  Every
-    board shape, mode and profile may share a cache; reusing it with
-    another player count is an error, and so is a player count outside
-    1..9.
+    position with another run and are too long for the process's
+    bounded table of short runs (game_core._RUN_MOVES, which outlives
+    every cache; module docstring).  All are freed with the cache.
+    Every board shape, mode and profile may share a cache; reusing it
+    with another player count is an error, and so is a player count
+    outside 1..9.
     """
 
     __slots__ = ("players", "entries")
@@ -320,27 +330,44 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
 def _line(parts: tuple[bytes, ...], mover: int, last: int, memo: dict) -> Union[Iterable, int]:
     """The kind of line positions (preferences.walk), keyed on their live
     runs: the live-run keys the mover's moves leave, or last, who won,
-    when no run is live.  memo's run_moves table stores a run's moves
-    only when the run shares the position.
+    when no run is live.  A run's moves come from the process's table of
+    short runs (game_core._RUN_MOVES) and, for a longer run, from memo's
+    run_moves table, which stores them only when the run shares the
+    position.
     """
     if not parts:  # nobody can move, and the last mover won
         return last
-    runs = _table(memo, run_moves)
     if len(parts) == 1:  # each child key is one of the run's moves
-        (run,) = parts
-        moves = runs.get((run, mover))
-        return run_moves(run, mover) if moves is None else moves
+        key = parts[0], mover
+        moves = _RUN_MOVES.get(key)
+        return _long_run_moves(key, memo, False) if moves is None else moves
     children = []
     for j, run in enumerate(parts):
         if j and run == parts[j - 1]:
             continue  # the same run again: the same children
-        moves = runs.get((run, mover))
+        key = run, mover
+        moves = _RUN_MOVES.get(key)
         if moves is None:
-            moves = runs[run, mover] = run_moves(run, mover)
+            moves = _long_run_moves(key, memo, True)
         rest = parts[:j] + parts[j + 1 :]
         for replacement in moves:
             children.append(tuple(sorted(rest + replacement)))
     return children
+
+
+def _long_run_moves(key: tuple[bytes, int], memo: dict, shared: bool) -> tuple:
+    """run_moves(*key) for a run that the process's table lacks: read from
+    memo's run_moves table, else computed, and stored there when the run
+    shares its position and is too long for the process's table."""
+    runs = memo.get(run_moves)
+    moves = None if runs is None else runs.get(key)
+    if moves is None:
+        moves = run_moves(*key)
+        if shared and key not in _RUN_MOVES:
+            if runs is None:
+                runs = memo[run_moves] = {}
+            runs[key] = moves
+    return moves
 
 
 def _grid(state: tuple, mover: int, last: int, memo: dict) -> Union[list[tuple], int]:

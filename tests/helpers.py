@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from nclobber.enumeration import _alphabet, _has_move, generate_boards
 from nclobber.game_core import (
+    _RUN_MOVES,
+    _SHORT_RUN_ENTRIES,
     Position,
     apply_move,
     legal_moves,
@@ -899,6 +901,25 @@ def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...
         elif b == player != a:
             found.add(_reference_live_runs((run[:i] + bytes((b,)), run[i + 2 :])))
     return tuple(sorted(found))
+
+
+def run_table_keys_past_its_bound() -> list:
+    """The keys of game_core's process-wide run-move table that break its
+    stated bound: a run that is not canonical, not live or not short
+    (over six cells, or top colour ** length > 3 ** 6), or a player
+    outside 1..9; and every key, when the table holds more entries than
+    it states."""
+    if len(_RUN_MOVES) > _SHORT_RUN_ENTRIES:
+        return list(_RUN_MOVES)
+    return [
+        (run, player)
+        for run, player in _RUN_MOVES
+        if run < run[::-1]
+        or not run.strip(run[:1])
+        or len(run) > 6
+        or max(run) ** len(run) > 3**6
+        or not 1 <= player <= 9
+    ]
 
 
 def walk_entries(cache: EvalCache) -> int:

@@ -11,7 +11,9 @@ from helpers import (
     movable_board_strategy,
     next_active_player,
     reference_run_moves,
+    run_table_keys_past_its_bound,
 )
+from nclobber import game_core
 from nclobber.game_core import (
     BoardError,
     Move,
@@ -160,9 +162,36 @@ def test_run_moves_equal_the_reference_on_every_canonical_run(players, longest):
             if run < run[::-1] or not run.strip(run[:1]):
                 continue
             for player in range(1, players + 1):
-                if run_moves(run, player) != reference_run_moves(run, player):
+                want = reference_run_moves(run, player)
+                # The second call of a short run reads the process's table.
+                if run_moves(run, player) != want or run_moves(run, player) != want:
                     bad.append((run, player))
     assert not bad, bad[:5]
+
+
+def test_run_moves_refuse_a_run_that_is_not_live():
+    # Too short, of one colour, or holding a blank.
+    for run in (b"", b"\1", b"\1\1", b"\2\2\2", b"\1\0\2", b"\0\1\2"):
+        with pytest.raises(ValueError, match="not a live run"):
+            run_moves(run, 1)
+
+
+@pytest.mark.parametrize("players", range(1, 10))
+def test_the_process_run_table_keeps_only_short_canonical_runs(players):
+    # Every live run of the player count's colours up to one cell past the
+    # bound, either way round, asked of every player and of two non-players.
+    for top in range(2, players + 1):
+        for m in range(2, 8):
+            for cells in itertools.product(range(1, top + 1), repeat=m):
+                run = bytes(cells)
+                if top in run and run.strip(run[:1]):
+                    for player in range(players + 2):
+                        assert run_moves(run, player) == reference_run_moves(run, player)
+            if top**m > 3**6:
+                break
+    assert not run_table_keys_past_its_bound()
+    if players == 9:  # every short canonical run, asked of every player
+        assert len(game_core._RUN_MOVES) == game_core._SHORT_RUN_ENTRIES
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,20 @@ from helpers import (
     next_active_player,
     reference_eval_graph,
     reference_evaluate,
+    run_table_keys_past_its_bound,
     walk_entries,
 )
 import nclobber
 from nclobber import preferences, solver
 from nclobber.enumeration import EnumerationReport, generate_boards, raw_values, run_keys
-from nclobber.game_core import Position, grid_masks, movers_mask, parse_board, run_moves
+from nclobber.game_core import (
+    _RUN_MOVES,
+    Position,
+    grid_masks,
+    movers_mask,
+    parse_board,
+    run_moves,
+)
 from nclobber.preferences import PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
 from nclobber.solver import (
     MODES,
@@ -757,16 +765,32 @@ def test_the_n9_census_sweep_holds_one_memo_entry_per_resolved_run_key():
     assert walk_entries(cache) == 27_191
 
 
-@pytest.mark.parametrize("n", [6, 7, 8, 9])
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 def test_the_run_move_table_holds_only_runs_that_share_a_position(n):
     # Two runs and the blank between them take at least len(run) + 3
-    # cells, so a run longer than n - 3 only ever stands alone.
+    # cells, so a run longer than n - 3 only ever stands alone.  The
+    # process keeps the short runs' moves, so the walk's table holds only
+    # longer runs: none below n = 10, where every run that shares a
+    # position has at most six cells.
     cache = EvalCache()
     for key in run_keys(n):
         evaluate_runs(key, 1, cache)
-    runs = cache.entries[run_moves]
-    assert runs
-    assert max(len(run) for run, _ in runs) <= n - 3
+    runs = cache.entries.get(run_moves, {})
+    assert bool(runs) == (n >= 10)
+    assert all(6 < len(run) <= n - 3 and (run, p) not in _RUN_MOVES for run, p in runs)
+
+
+def test_solving_long_lines_keeps_the_process_run_table_in_its_bound():
+    # Dense lines whose runs are far too long for the process's table.
+    for board in ("12" * 15, "12312310123123101231231"):
+        evaluate_text(board, mode="prudent")
+        assert not run_table_keys_past_its_bound(), board
+
+
+def test_evaluate_runs_refuses_a_run_that_is_not_live():
+    for parts in ((b"\2\2\2",), (b"",), (b"\1\2", b"\1")):
+        with pytest.raises(ValueError, match="not a live run"):
+            evaluate_runs(parts, 1, EvalCache())
 
 
 def test_one_cache_shares_line_positions_across_lengths():
@@ -790,7 +814,10 @@ def test_every_memo_entry_is_a_table():
     # one table per (fold, mover), keyed on the state; beside them sit
     # prune's relation tables and the line kind's run moves.
     cache = EvalCache()
-    for board, shape in (("1232132321", "line"), ("122132133121", (3, 4))):
+    # Player 1's first move in 3213213232 leaves 31 beside a 7-cell run,
+    # too long for the process's run table, so the walk keeps its moves.
+    boards = (("1232132321", "line"), ("3213213232", "line"), ("122132133121", (3, 4)))
+    for board, shape in boards:
         for mode in MODES:
             evaluate_text(board, mode=mode, shape=shape, cache=cache)
     indifferent = pruning_fold("indifferent", L1, 3)
