@@ -458,6 +458,13 @@ class Fold:
         self.leaf, self.step, self.cutoff = leaf, step, cutoff
 
 
+# The kinds whose states' results walk may keep beyond its memo: kind ->
+# keep(state, fold, mover, players), the process's table for state's
+# result, or None.  solver lists the line kind of evaluate (see there for
+# which states it keeps, and the bound).
+_KEPT: dict[Callable, Callable] = {}
+
+
 # A value tree, as a kind of game (walk): a choice's options are the
 # mover's moves, a leaf names its winner, and a singleton is a pass, its
 # one option under the next mover.
@@ -485,6 +492,13 @@ def walk(state: Any, mover: int, fold: Fold, kind: Callable, memo: dict, players
     step reads only their set, but the order fixes the order in which
     selfish prune fills its relation memos; indifferent prune compares in
     text order.
+
+    A kind listed in _KEPT keeps some states' results for the life of the
+    process, beyond every memo: _KEPT[kind](state, fold, mover, players)
+    is the table that keeps state's result, or None.  walk reads that
+    table when its memo misses, before it expands the state, and stores
+    what it computes in both.  Every other kind costs one probe of _KEPT
+    per miss.
     """
     table = memo.get((fold, mover))  # _table, inline: it runs per node
     if table is None:
@@ -492,6 +506,13 @@ def walk(state: Any, mover: int, fold: Fold, kind: Callable, memo: dict, players
     got = table.get(state)
     if got is not None:
         return got
+    keep = _KEPT.get(kind)
+    kept = None if keep is None else keep(state, fold, mover, players)
+    if kept is not None:
+        got = kept.get(state)
+        if got is not None:
+            table[state] = got
+            return got
     children = kind(state, mover, (mover - 2) % players + 1, memo)
     if isinstance(children, int):
         return fold.leaf(children)
@@ -502,10 +523,13 @@ def walk(state: Any, mover: int, fold: Fold, kind: Callable, memo: dict, players
     for child in children or (state,):
         got = walk(child, after, fold, kind, memo, players)
         if cutoff and got == win:  # the cutoff (solver module docstring)
-            table[state] = got
-            return got
+            break
         results.append(got)
-    got = table[state] = fold.step(results, mover, memo)
+    else:
+        got = fold.step(results, mover, memo)
+    table[state] = got
+    if kept is not None:
+        kept[state] = got
     return got
 
 

@@ -82,7 +82,8 @@ three variants: Raw carries a value tree, Simple a simple value, Class
 a loss-blind class.  A cache holds the walks' memo, a dict of tables
 over positions and values alike, the run table among them; it serves
 every board shape, mode and profile for one player count, and its
-tables are freed with it.
+tables are freed with it.  Only the results of small line states, and
+short runs' moves, outlive it (below).
 
 A walk memoizes in one table per (fold, mover), keyed on the state;
 the fold record tags the table, so that one memo serves every fold.  A
@@ -127,6 +128,30 @@ depends on the board's kind:
                another colour.  A move is three bit flips on the masks.
 
 A position's state holds only ints and bytes.
+
+Small line states are solved once per process.  Each solve starts with
+a fresh cache, yet every line solve walks the same small end-game
+positions again.  A line state is small when its runs and the blanks
+between them span at most 7 cells and players ** span <= 3 ** 7: 7
+cells for up to three players, 5 for four, 4 for five and six, 3 for
+seven to nine.  No move widens a state (it empties one cell of a run,
+whose pieces and the new blank span no more), so a small state's whole
+game is small.  evaluate's walks (the kind _solved_line) keep the
+result of each small state they compute in _SMALL_LINES, one table per
+(players, fold, mover) outside the cache, beside the cache's own entry,
+and read it when the cache misses, before they expand the state.  The
+bound makes the table safe: there are 1,995 small states for three
+players, walked under three folds by three movers, and at most
+_SMALL_LINE_ENTRIES (53,651) entries over every player count, whatever
+boards a process solves, where a table of every state met would grow
+with the longest line asked for.  The results are exact across caches:
+a walk result is a function of the state, the mover, the fold and the
+player count alone, since the steps of RAW, PRUDENT and INDIFFERENT
+read no memo, and raw values are interned for the life of the process,
+so an equal value is the same object in every cache.  The census
+(evaluate_runs) walks without the table: it walks every key once
+through one cache, which already holds every state it meets again, so
+the table would only add a probe and a second store per miss.
 """
 
 from __future__ import annotations
@@ -143,7 +168,17 @@ from .game_core import (
     parse_board,
     run_moves,
 )
-from .preferences import INDIFFERENT, PRUDENT, RAW, TREE, prudent_simplify, pruning_fold, walk
+from .preferences import (
+    _KEPT,
+    INDIFFERENT,
+    PRUDENT,
+    RAW,
+    TREE,
+    Fold,
+    prudent_simplify,
+    pruning_fold,
+    walk,
+)
 from .values import (
     DEFAULT_PROFILE,
     GameValue,
@@ -217,6 +252,15 @@ class EvalCache:
     Every board shape, mode and profile may share a cache; reusing it
     with another player count is an error, and so is a player count
     outside 1..9.
+
+    evaluate's walks also keep the results of small line states in the
+    process's bounded table _SMALL_LINES, outside entries, which outlives
+    every cache: a miss here reads it before the walk expands a small
+    state, and a computed small result goes to both.  A result is a
+    function of the state, mover, fold and player count alone, so one
+    read there is the result this cache would compute (module
+    docstring).  evaluate_runs, the census's entry point, walks with
+    entries alone.
     """
 
     __slots__ = ("players", "entries")
@@ -259,7 +303,7 @@ def evaluate(
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
     if rows == 1:
-        state, kind = line_runs(occupancy), _line
+        state, kind = line_runs(occupancy), _solved_line
     else:
         state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _grid
     if isinstance(kind(state, mover, mover, cache.entries), int):  # nobody can move
@@ -353,6 +397,43 @@ def _line(parts: tuple[bytes, ...], mover: int, last: int, memo: dict) -> Union[
         for replacement in moves:
             children.append(tuple(sorted(rest + replacement)))
     return children
+
+
+def _solved_line(
+    parts: tuple[bytes, ...], mover: int, last: int, memo: dict
+) -> Union[Iterable, int]:
+    """_line, as evaluate walks it: the kind for which walk keeps the
+    results of small states for the life of the process (_small_line)."""
+    return _line(parts, mover, last, memo)
+
+
+# The results of small line states, kept for the life of the process and
+# filled by evaluate's walks: (players, fold, mover) -> {live-run key:
+# result}.  A state is small when its runs and the blanks between them
+# span at most 7 cells and players ** span <= 3 ** 7; _SMALL_WIDTH holds,
+# by player count, one more than the widest small span.  evaluate walks
+# three folds, PRUDENT for three players only, so the 1,995 small states
+# of three players give 17,955 entries, and every player count together
+# at most _SMALL_LINE_ENTRIES, whatever boards a process solves (module
+# docstring).
+_SMALL_LINES: dict[tuple[int, Fold, int], dict] = {}
+_SMALL_LINE_ENTRIES = 53_651
+_SMALL_WIDTH = tuple(1 + max(s for s in range(8) if p**s <= 3**7) for p in range(10))
+
+
+def _small_line(parts: tuple[bytes, ...], fold: Fold, mover: int, players: int) -> Optional[dict]:
+    """The process's table for the result of the line state parts under
+    fold, mover to move, when parts is small; else None.  The finished
+    game () passes, but walk stores no finished game's result."""
+    if sum(map(len, parts)) + len(parts) > _SMALL_WIDTH[players]:
+        return None
+    table = _SMALL_LINES.get((players, fold, mover))
+    if table is None:
+        table = _SMALL_LINES[players, fold, mover] = {}
+    return table
+
+
+_KEPT[_solved_line] = _small_line
 
 
 def _long_run_moves(key: tuple[bytes, int], memo: dict, shared: bool) -> tuple:

@@ -26,6 +26,9 @@ from nclobber.game_core import (
     parse_board,
 )
 from nclobber.preferences import (
+    INDIFFERENT,
+    PRUDENT,
+    RAW,
     ChainError,
     _LOSS,
     _WIN,
@@ -42,7 +45,16 @@ from nclobber.preferences import (
     prune,
     simple_compare,
 )
-from nclobber.solver import Class, EvalCache, EvalResult, Raw, Simple, evaluate
+from nclobber.solver import (
+    _SMALL_LINE_ENTRIES,
+    _SMALL_LINES,
+    Class,
+    EvalCache,
+    EvalResult,
+    Raw,
+    Simple,
+    evaluate,
+)
 from nclobber.values import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -920,6 +932,40 @@ def run_table_keys_past_its_bound() -> list:
         or max(run) ** len(run) > 3**6
         or not 1 <= player <= 9
     ]
+
+
+def line_table_keys_past_its_bound() -> list:
+    """The keys of solver's process-wide table of small line results that
+    break its stated bound, as (players, fold, mover, state): a player
+    count outside 1..9, a fold other than RAW, PRUDENT and INDIFFERENT,
+    PRUDENT beside a player count other than three, a mover outside
+    1..players, or a state that is not a small live-run key (empty,
+    unsorted, a run that is not canonical or not live or holds a colour
+    past the player count, or a span, runs and the blanks between them,
+    over 7 cells or with players ** span > 3 ** 7); and every key, when
+    the table holds more entries than it states."""
+    keys = [(*tag, state) for tag, table in _SMALL_LINES.items() for state in table]
+    if len(keys) > _SMALL_LINE_ENTRIES:
+        return keys
+    bad = []
+    for players, fold, mover, state in keys:
+        span = sum(map(len, state)) + len(state) - 1
+        if (
+            not 1 <= players <= 9
+            or fold not in (RAW, PRUDENT, INDIFFERENT)
+            or fold is PRUDENT and players != 3
+            or not 1 <= mover <= players
+            or not state
+            or list(state) != sorted(state)
+            or any(
+                run < run[::-1] or 0 in run or not run.strip(run[:1]) or max(run) > players
+                for run in state
+            )
+            or span > 7
+            or players**span > 3**7
+        ):
+            bad.append((players, fold, mover, state))
+    return bad
 
 
 def walk_entries(cache: EvalCache) -> int:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import value_trees
-from nclobber import cli
+from nclobber import cli, game_core, solver
 from nclobber.cli import main
 from nclobber.solver import MODES, evaluate_text
 from nclobber.values import MAX_DEPTH, MAX_EXPONENT, parse_value, render_value
@@ -679,6 +679,7 @@ def test_one_pass_dispatch_answers_as_the_top_level_parser_does(tmp_path, monkey
 # dict, set and list of nclobber after each batch, as JSON.
 CONTAINER_PROBE = """
 import contextlib, io, json, random, sys
+from nclobber import solver
 from nclobber.cli import main
 
 def text(rng, depth):
@@ -696,15 +697,20 @@ def batch(rng):
             relation = ("base", "indifferent", "prudent")[i % 3]
             left, right = text(rng, rng.randint(2, 6)), text(rng, rng.randint(2, 6))
             main(["compare", left, right, "-p", p, "--relation", relation])
+            board = "".join(rng.choice("123") for _ in range(rng.randint(6, 10)))
+            main(["solve", board, "--mode", solver.MODES[i % 5], "--start", p])
 
 def sizes():
-    return {
+    got = {
         f"{name}.{attr}": len(table)
         for name, module in list(sys.modules.items())
         if name.split(".")[0] == "nclobber"
         for attr, table in vars(module).items()
         if isinstance(table, (dict, set, list))
     }
+    # A dict of tables, one per (players, fold, mover): count the results.
+    got["nclobber.solver._SMALL_LINES"] = sum(map(len, solver._SMALL_LINES.values()))
+    return got
 
 rng = random.Random(0)
 batch(rng)
@@ -714,10 +720,17 @@ print(json.dumps([first, sizes()]))
 """
 
 # Interned values and the shared normalize memo live as long as the
-# process, by design; nothing else may keep what a request built.
+# process, by design, and so do the short runs' moves and the small line
+# states' results, each within its stated bound; nothing else may keep
+# what a request built.
 PROCESS_TABLES = {
     f"nclobber.values.{name}"
     for name in ("_LEAVES", "_CHOICES", "_OUTCOMES", "_EXPANSIONS", "_NORMAL_CACHE")
+}
+BOUNDED_TABLES = {
+    "nclobber.game_core._RUN_MOVES": game_core._SHORT_RUN_ENTRIES,
+    "nclobber.solver._RUN_MOVES": game_core._SHORT_RUN_ENTRIES,  # the same table
+    "nclobber.solver._SMALL_LINES": solver._SMALL_LINE_ENTRIES,
 }
 
 
@@ -734,4 +747,6 @@ def test_requests_leave_nothing_behind_but_interned_values():
     assert set(first) == set(second)
     assert any(second[name] > first[name] for name in PROCESS_TABLES)
     grown = {name for name in first if second[name] != first[name]}
-    assert grown <= PROCESS_TABLES, {n: (first[n], second[n]) for n in grown - PROCESS_TABLES}
+    kept = PROCESS_TABLES | set(BOUNDED_TABLES)
+    assert grown <= kept, {n: (first[n], second[n]) for n in grown - kept}
+    assert all(0 < second[name] <= bound for name, bound in BOUNDED_TABLES.items()), second

@@ -16,6 +16,7 @@ from helpers import (
     VALUE_213,
     VALUE_1232132321,
     evaluate_all_starts,
+    line_table_keys_past_its_bound,
     next_active_player,
     reference_eval_graph,
     reference_evaluate,
@@ -29,6 +30,7 @@ from nclobber.game_core import (
     _RUN_MOVES,
     Position,
     grid_masks,
+    line_runs,
     movers_mask,
     parse_board,
     run_moves,
@@ -55,6 +57,14 @@ from nclobber.values import (
     normalize,
     parse_value,
 )
+
+
+@pytest.fixture
+def cleared_line_table():
+    """Empty the process's table of small line results, so that a test
+    that reads memo sizes after line solves reads the same sizes whatever
+    ran before it."""
+    solver._SMALL_LINES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +417,7 @@ def test_one_cache_serves_every_shape_of_the_same_digits():
         assert len(got) == 3, start
 
 
+@pytest.mark.usefixtures("cleared_line_table")
 def test_fold_memos_in_one_cache_do_not_leak_between_modes():
     for n in (3, 4, 5, 6):
         shape = parse_board(MOVABLE_BOARDS[n][0])[0]
@@ -749,6 +760,7 @@ def test_line_keys_match_byte_keys_for_four_players():
         ("12013", "13012"),  # runs swapped and mirrored
     ],
 )
+@pytest.mark.usefixtures("cleared_line_table")
 def test_boards_with_the_same_live_runs_share_one_memo_entry(boards):
     cache = EvalCache()
     first = evaluate_text(boards[0], cache=cache).value
@@ -781,10 +793,81 @@ def test_the_run_move_table_holds_only_runs_that_share_a_position(n):
 
 
 def test_solving_long_lines_keeps_the_process_run_table_in_its_bound():
-    # Dense lines whose runs are far too long for the process's table.
+    # Dense lines whose runs and positions are far too long for the
+    # process's tables.
     for board in ("12" * 15, "12312310123123101231231"):
         evaluate_text(board, mode="prudent")
         assert not run_table_keys_past_its_bound(), board
+        assert not line_table_keys_past_its_bound(), board
+    assert solver._SMALL_LINES  # the walks did keep small results
+
+
+# The entries of the process's table of small line results once every
+# small state has been solved from every start under each position fold:
+# the small states (1,995 for three players) times the movers times the
+# folds, three for three players and two (no PRUDENT) for the others.
+SMALL_LINE_ENTRIES = {
+    1: 0,
+    2: 632,
+    3: 17_955,
+    4: 5_880,
+    5: 4_000,
+    6: 9_540,
+    7: 2_940,
+    8: 4_928,
+    9: 7_776,
+}
+
+
+@pytest.mark.parametrize("players", range(1, 10))
+def test_the_process_line_table_keeps_only_small_states(players, cleared_line_table):
+    # Every line position of the player count's colours up to one cell
+    # past the widest small span, by its live runs, solved from every start
+    # under each position fold.
+    span = max(s for s in range(8) if players**s <= 3**7)
+    cells = itertools.product(range(players + 1), repeat=span + 1)
+    keys = {line_runs(bytes(occupancy)) for occupancy in cells}
+    keys.discard(())
+    modes = ("raw", "indifferent", "prudent") if players == 3 else ("raw", "indifferent")
+    cache = EvalCache(players)
+    for key in keys:
+        board = "".join(map(str, b"\0".join(key)))
+        for start in range(1, players + 1):
+            for mode in modes:
+                evaluate_text(board, start, mode, players=players, cache=cache)
+    assert not line_table_keys_past_its_bound()
+    assert sum(map(len, solver._SMALL_LINES.values())) == SMALL_LINE_ENTRIES[players]
+    assert sum(SMALL_LINE_ENTRIES.values()) == solver._SMALL_LINE_ENTRIES
+
+
+@pytest.mark.parametrize("players, longest", [(3, 8), (2, 6), (4, 6)])
+def test_the_process_line_table_changes_no_result(
+    players, longest, monkeypatch, cleared_line_table
+):
+    # Every result, computed with walk keeping nothing beyond the cache,
+    # then read with a fresh cache per board twice: from the cleared
+    # table, which fills as the boards go, and from the warm table.
+    modes = MODES if players == 3 else tuple(m for m in MODES if m != "prudent")
+    boards = [b for n in range(2, longest + 1) for b in generate_boards(n, players)]
+    cases = [(b, start, mode) for b in boards for start in range(1, players + 1) for mode in modes]
+    with monkeypatch.context() as patched:
+        patched.setattr(preferences, "_KEPT", {})
+        cache = EvalCache(players)
+        want = [evaluate_text(b, s, mode, players=players, cache=cache) for b, s, mode in cases]
+    assert not solver._SMALL_LINES
+    for warm in (False, True):
+        kept = sum(map(len, solver._SMALL_LINES.values()))
+        bad, caches = [], {}
+        for (board, start, mode), expected in zip(cases, want):
+            cache = caches.setdefault(board, EvalCache(players))
+            got = evaluate_text(board, start, mode, players=players, cache=cache)
+            same = got.value is expected.value if isinstance(got, Raw) else got == expected
+            if type(got) is not type(expected) or not same:
+                bad.append(f"{board} start={start} {mode} warm={warm}: {got} != {expected}")
+        assert not bad, bad[:10]
+        # The first pass fills the table; the warm one meets only states
+        # that the first kept.
+        assert (sum(map(len, solver._SMALL_LINES.values())) == kept) == warm
 
 
 def test_evaluate_runs_refuses_a_run_that_is_not_live():
@@ -793,7 +876,10 @@ def test_evaluate_runs_refuses_a_run_that_is_not_live():
             evaluate_runs(parts, 1, EvalCache())
 
 
-def test_one_cache_shares_line_positions_across_lengths():
+def test_one_cache_shares_line_positions_across_lengths(monkeypatch):
+    # Without the process's table of small line results, which would let
+    # the separate caches skip the small states that the shared one solved.
+    monkeypatch.setattr(preferences, "_KEPT", {})
     shared, separate = EvalCache(), 0
     for n in range(2, 9):
         own = EvalCache()
@@ -808,6 +894,7 @@ def test_one_cache_shares_line_positions_across_lengths():
 # the memo: a dict of tables that walk alone probes
 
 
+@pytest.mark.usefixtures("cleared_line_table")
 def test_every_memo_entry_is_a_table():
     # One cache solves a line and a 3x4 grid in every mode, then folds the
     # n = 7 census roots selfishly, prudently and indifferently.  Walks keep
