@@ -82,8 +82,8 @@ three variants: Raw carries a value tree, Simple a simple value, Class
 a loss-blind class.  A cache holds the walks' memo, a dict of tables
 over positions and values alike, the run table among them; it serves
 every board shape, mode and profile for one player count, and its
-tables are freed with it.  Only the results of small line states, and
-short runs' moves, outlive it (below).
+tables are freed with it.  evaluate keeps one default cache for the
+calls that pass none (below).
 
 A walk memoizes in one table per (fold, mover), keyed on the state;
 the fold record tags the table, so that one memo serves every fold.  A
@@ -98,23 +98,15 @@ depends on the board's kind:
                run of one colour can never move again.  Every run is a
                shorter line, so one memo serves every board length.
                Nobody can move when the tuple is empty.  A run's moves
-               (game_core.run_moves) come in two tables.  The moves of
-               a short run, of at most six cells whose top colour c and
-               length m have c ** m <= 3 ** 6 (every three-colour run
-               of at most six cells), are kept for the life of the
-               process in game_core._RUN_MOVES: each solve meets the
-               same short runs again, and at most 11,331 (run, player)
-               entries exist, so the table cannot grow with the boards
-               asked for.  A longer run's moves are kept in the memo's table
-               under run_moves, freed with the cache, and only when the
-               run shares a position with another run: a position of
-               one run is expanded at most once per walk and mover, so
-               its entry would be read at most once per walk, while a
-               run beside others recurs in many keys.  Two runs and the
-               blank between them take at least len(run) + 3 cells, so
-               on n cells no run longer than n - 3 is kept there, and
-               below n = 10 no run is.  The tables hold only moves,
-               never results, so what they keep changes no result.
+               (game_core.run_moves) are kept in the memo's table
+               under run_moves only when the run shares a position with
+               another run: a position of one run is expanded at most
+               once per cache and mover, so its entry would be read at
+               most once, while a run beside others recurs in many
+               keys.  Two runs and the blank between them take at
+               least len(run) + 3 cells, so on n cells no run longer
+               than n - 3 is kept.  The table holds only moves, never
+               results, so what it keeps changes no result.
   grid boards  (stride, live bitboards): the stride cols + 1, then
                one int per player over the grid's cells
                (game_core.grid_masks), with every token that has no
@@ -129,29 +121,23 @@ depends on the board's kind:
 
 A position's state holds only ints and bytes.
 
-Small line states are solved once per process.  Each solve starts with
-a fresh cache, yet every line solve walks the same small end-game
-positions again.  A line state is small when its runs and the blanks
-between them span at most 7 cells and players ** span <= 3 ** 7: 7
-cells for up to three players, 5 for four, 4 for five and six, 3 for
-seven to nine.  No move widens a state (it empties one cell of a run,
-whose pieces and the new blank span no more), so a small state's whole
-game is small.  evaluate's walks (the kind _solved_line) keep the
-result of each small state they compute in _SMALL_LINES, one table per
-(players, fold, mover) outside the cache, beside the cache's own entry,
-and read it when the cache misses, before they expand the state.  The
-bound makes the table safe: there are 1,995 small states for three
-players, walked under three folds by three movers, and at most
-_SMALL_LINE_ENTRIES (53,651) entries over every player count, whatever
-boards a process solves, where a table of every state met would grow
-with the longest line asked for.  The results are exact across caches:
-a walk result is a function of the state, the mover, the fold and the
-player count alone, since the steps of RAW, PRUDENT and INDIFFERENT
-read no memo, and raw values are interned for the life of the process,
-so an equal value is the same object in every cache.  The census
-(evaluate_runs) walks without the table: it walks every key once
-through one cache, which already holds every state it meets again, so
-the table would only add a probe and a second store per miss.
+The default cache.  evaluate, given no cache, uses one module-level
+EvalCache and keeps it from call to call, so that a stream of solves
+finds the end-game positions and runs that every line solve meets
+already in the memo.  It is replaced when a call asks for another player
+count, and dropped after any call, a failed one too, that leaves its
+tables holding more than _DEFAULT_CACHE_ENTRIES entries together: a
+long board fills it past the bound within its call and then frees it,
+so between calls it holds at most that many, whatever boards a process
+solves.  Reuse is exact, because every entry depends only on its key: a
+walk result on the state, the mover, the fold and the player count (the
+fold record carries its profile, and the steps of RAW, PRUDENT and
+INDIFFERENT read no memo), a relation entry on its arguments, and run
+moves on the run; raw values are interned for the life of the process,
+so a value kept from an earlier call is the very object a fresh cache
+would build.  That is also why one cache may serve every shape, mode
+and profile.  A caller that passes a cache gets that cache alone, and
+the census (evaluate_runs) walks through its own.
 """
 
 from __future__ import annotations
@@ -161,7 +147,6 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Union
 from .game_core import (
     Position,
     Shape,
-    _RUN_MOVES,
     adjacent,
     grid_masks,
     line_runs,
@@ -169,12 +154,10 @@ from .game_core import (
     run_moves,
 )
 from .preferences import (
-    _KEPT,
     INDIFFERENT,
     PRUDENT,
     RAW,
     TREE,
-    Fold,
     prudent_simplify,
     pruning_fold,
     walk,
@@ -246,21 +229,11 @@ class EvalCache:
     function (preferences module docstring).  The line kind keeps the
     run-move table under game_core.run_moves: per live run and player,
     the runs that player's moves there leave, for the runs that share a
-    position with another run and are too long for the process's
-    bounded table of short runs (game_core._RUN_MOVES, which outlives
-    every cache; module docstring).  All are freed with the cache.
-    Every board shape, mode and profile may share a cache; reusing it
-    with another player count is an error, and so is a player count
-    outside 1..9.
-
-    evaluate's walks also keep the results of small line states in the
-    process's bounded table _SMALL_LINES, outside entries, which outlives
-    every cache: a miss here reads it before the walk expands a small
-    state, and a computed small result goes to both.  A result is a
-    function of the state, mover, fold and player count alone, so one
-    read there is the result this cache would compute (module
-    docstring).  evaluate_runs, the census's entry point, walks with
-    entries alone.
+    position with another run.  All are freed with the cache.  Every
+    board shape, mode and profile may share a cache; reusing it with
+    another player count is an error, and so is a player count outside
+    1..9.  evaluate keeps one, within a bound, for the calls that pass
+    none (module docstring).
     """
 
     __slots__ = ("players", "entries")
@@ -270,6 +243,12 @@ class EvalCache:
             raise ValueError(f"player count must be 1..9, got {players!r}")
         self.players = players
         self.entries: dict[Hashable, dict] = {}
+
+
+# evaluate's cache for the calls that pass none, made on first use
+# (module docstring).
+_default_cache: Optional[EvalCache] = None
+_DEFAULT_CACHE_ENTRIES = 10_000
 
 
 def _check_mover(mover: int, players: int) -> None:
@@ -286,7 +265,12 @@ def evaluate(
     cache: Optional[EvalCache] = None,
     players: int = 3,
 ) -> EvalResult:
-    """Value of a position for the mover given in it (skips resolve first)."""
+    """Value of a position for the mover given in it.
+
+    Without a cache, evaluate uses its default cache, kept from call to
+    call within a bound (module docstring).
+    """
+    global _default_cache
     (rows, cols), occupancy, mover = position
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -299,18 +283,20 @@ def evaluate(
     if top > players:
         raise ValueError(f"token {top} exceeds player count {players}")
     if cache is None:
-        cache = EvalCache(players)
+        if _default_cache is None or _default_cache.players != players:
+            _default_cache = EvalCache(players)
+        cache = _default_cache
     elif cache.players != players:
         raise ValueError("cache was built for a different player count")
     if rows == 1:
-        state, kind = line_runs(occupancy), _solved_line
+        state, kind = line_runs(occupancy), _line
     else:
         state, kind = (cols + 1, *grid_masks((rows, cols), occupancy, players)), _grid
-    if isinstance(kind(state, mover, mover, cache.entries), int):  # nobody can move
-        digits = "".join(map(str, occupancy))
-        raise NoMoveError(f"no initial move on board {quote(digits)}")
-    fold = _WALKS.get(mode, _WALKS["raw"])
     try:
+        if isinstance(kind(state, mover, mover, cache.entries), int):  # nobody can move
+            digits = "".join(map(str, occupancy))
+            raise NoMoveError(f"no initial move on board {quote(digits)}")
+        fold = _WALKS.get(mode, _WALKS["raw"])
         got = walk(state, mover, fold, kind, cache.entries, players)
         if fold is PRUDENT:
             return Simple(got)
@@ -320,6 +306,10 @@ def evaluate(
     except RecursionError:  # the walks recurse once per move
         size = rows * cols
         raise ValueError(f"the game tree of a {size}-cell board is too deep to evaluate") from None
+    finally:
+        if cache is _default_cache:
+            if sum(map(len, cache.entries.values())) > _DEFAULT_CACHE_ENTRIES:
+                _default_cache = None
 
 
 def fold_raw(
@@ -351,8 +341,11 @@ def render_result(result: EvalResult, style: Optional[str] = None, players: int 
 
     Without a style, simple values print as bar atoms and trees in
     brackets.  Bar style is injective, so censuses key on it; it prints
-    brackets outside three-player games (values.render_value).
+    brackets outside three-player games (values.render_value).  Any
+    other style is refused, whatever the result.
     """
+    if style not in (None, "brackets", "bar"):
+        raise ValueError(f"unknown render style {style!r}")
     if isinstance(result, Class):
         return str(result)
     if isinstance(result, Simple):
@@ -374,81 +367,29 @@ def evaluate_runs(parts: tuple[bytes, ...], mover: int, cache: EvalCache) -> Gam
 def _line(parts: tuple[bytes, ...], mover: int, last: int, memo: dict) -> Union[Iterable, int]:
     """The kind of line positions (preferences.walk), keyed on their live
     runs: the live-run keys the mover's moves leave, or last, who won,
-    when no run is live.  A run's moves come from the process's table of
-    short runs (game_core._RUN_MOVES) and, for a longer run, from memo's
-    run_moves table, which stores them only when the run shares the
-    position.
+    when no run is live.  memo's run_moves table stores a run's moves
+    only when the run shares the position.
     """
     if not parts:  # nobody can move, and the last mover won
         return last
+    runs = memo.get(run_moves)  # preferences._table, inline: it runs per expansion
+    if runs is None:
+        runs = memo[run_moves] = {}
     if len(parts) == 1:  # each child key is one of the run's moves
-        key = parts[0], mover
-        moves = _RUN_MOVES.get(key)
-        return _long_run_moves(key, memo, False) if moves is None else moves
+        (run,) = parts
+        moves = runs.get((run, mover))
+        return run_moves(run, mover) if moves is None else moves
     children = []
     for j, run in enumerate(parts):
         if j and run == parts[j - 1]:
             continue  # the same run again: the same children
-        key = run, mover
-        moves = _RUN_MOVES.get(key)
+        moves = runs.get((run, mover))
         if moves is None:
-            moves = _long_run_moves(key, memo, True)
+            moves = runs[run, mover] = run_moves(run, mover)
         rest = parts[:j] + parts[j + 1 :]
         for replacement in moves:
             children.append(tuple(sorted(rest + replacement)))
     return children
-
-
-def _solved_line(
-    parts: tuple[bytes, ...], mover: int, last: int, memo: dict
-) -> Union[Iterable, int]:
-    """_line, as evaluate walks it: the kind for which walk keeps the
-    results of small states for the life of the process (_small_line)."""
-    return _line(parts, mover, last, memo)
-
-
-# The results of small line states, kept for the life of the process and
-# filled by evaluate's walks: (players, fold, mover) -> {live-run key:
-# result}.  A state is small when its runs and the blanks between them
-# span at most 7 cells and players ** span <= 3 ** 7; _SMALL_WIDTH holds,
-# by player count, one more than the widest small span.  evaluate walks
-# three folds, PRUDENT for three players only, so the 1,995 small states
-# of three players give 17,955 entries, and every player count together
-# at most _SMALL_LINE_ENTRIES, whatever boards a process solves (module
-# docstring).
-_SMALL_LINES: dict[tuple[int, Fold, int], dict] = {}
-_SMALL_LINE_ENTRIES = 53_651
-_SMALL_WIDTH = tuple(1 + max(s for s in range(8) if p**s <= 3**7) for p in range(10))
-
-
-def _small_line(parts: tuple[bytes, ...], fold: Fold, mover: int, players: int) -> Optional[dict]:
-    """The process's table for the result of the line state parts under
-    fold, mover to move, when parts is small; else None.  The finished
-    game () passes, but walk stores no finished game's result."""
-    if sum(map(len, parts)) + len(parts) > _SMALL_WIDTH[players]:
-        return None
-    table = _SMALL_LINES.get((players, fold, mover))
-    if table is None:
-        table = _SMALL_LINES[players, fold, mover] = {}
-    return table
-
-
-_KEPT[_solved_line] = _small_line
-
-
-def _long_run_moves(key: tuple[bytes, int], memo: dict, shared: bool) -> tuple:
-    """run_moves(*key) for a run that the process's table lacks: read from
-    memo's run_moves table, else computed, and stored there when the run
-    shares its position and is too long for the process's table."""
-    runs = memo.get(run_moves)
-    moves = None if runs is None else runs.get(key)
-    if moves is None:
-        moves = run_moves(*key)
-        if shared and key not in _RUN_MOVES:
-            if runs is None:
-                runs = memo[run_moves] = {}
-            runs[key] = moves
-    return moves
 
 
 def _grid(state: tuple, mover: int, last: int, memo: dict) -> Union[list[tuple], int]:

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from nclobber.enumeration import _alphabet, _has_move, generate_boards
 from nclobber.game_core import (
-    _RUN_MOVES,
-    _SHORT_RUN_ENTRIES,
     Position,
     apply_move,
     legal_moves,
@@ -26,9 +24,6 @@ from nclobber.game_core import (
     parse_board,
 )
 from nclobber.preferences import (
-    INDIFFERENT,
-    PRUDENT,
-    RAW,
     ChainError,
     _LOSS,
     _WIN,
@@ -45,16 +40,7 @@ from nclobber.preferences import (
     prune,
     simple_compare,
 )
-from nclobber.solver import (
-    _SMALL_LINE_ENTRIES,
-    _SMALL_LINES,
-    Class,
-    EvalCache,
-    EvalResult,
-    Raw,
-    Simple,
-    evaluate,
-)
+from nclobber.solver import Class, EvalCache, EvalResult, Raw, Simple, evaluate
 from nclobber.values import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -915,57 +901,10 @@ def reference_run_moves(run: bytes, player: int) -> tuple[tuple[bytes, ...], ...
     return tuple(sorted(found))
 
 
-def run_table_keys_past_its_bound() -> list:
-    """The keys of game_core's process-wide run-move table that break its
-    stated bound: a run that is not canonical, not live or not short
-    (over six cells, or top colour ** length > 3 ** 6), or a player
-    outside 1..9; and every key, when the table holds more entries than
-    it states."""
-    if len(_RUN_MOVES) > _SHORT_RUN_ENTRIES:
-        return list(_RUN_MOVES)
-    return [
-        (run, player)
-        for run, player in _RUN_MOVES
-        if run < run[::-1]
-        or not run.strip(run[:1])
-        or len(run) > 6
-        or max(run) ** len(run) > 3**6
-        or not 1 <= player <= 9
-    ]
-
-
-def line_table_keys_past_its_bound() -> list:
-    """The keys of solver's process-wide table of small line results that
-    break its stated bound, as (players, fold, mover, state): a player
-    count outside 1..9, a fold other than RAW, PRUDENT and INDIFFERENT,
-    PRUDENT beside a player count other than three, a mover outside
-    1..players, or a state that is not a small live-run key (empty,
-    unsorted, a run that is not canonical or not live or holds a colour
-    past the player count, or a span, runs and the blanks between them,
-    over 7 cells or with players ** span > 3 ** 7); and every key, when
-    the table holds more entries than it states."""
-    keys = [(*tag, state) for tag, table in _SMALL_LINES.items() for state in table]
-    if len(keys) > _SMALL_LINE_ENTRIES:
-        return keys
-    bad = []
-    for players, fold, mover, state in keys:
-        span = sum(map(len, state)) + len(state) - 1
-        if (
-            not 1 <= players <= 9
-            or fold not in (RAW, PRUDENT, INDIFFERENT)
-            or fold is PRUDENT and players != 3
-            or not 1 <= mover <= players
-            or not state
-            or list(state) != sorted(state)
-            or any(
-                run < run[::-1] or 0 in run or not run.strip(run[:1]) or max(run) > players
-                for run in state
-            )
-            or span > 7
-            or players**span > 3**7
-        ):
-            bad.append((players, fold, mover, state))
-    return bad
+def cache_entries(cache: EvalCache) -> int:
+    """How many entries cache holds: the sizes of every table of its
+    memo, summed."""
+    return sum(map(len, cache.entries.values()))
 
 
 def walk_entries(cache: EvalCache) -> int:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import value_trees
-from nclobber import cli, game_core, solver
+from nclobber import cli, solver
 from nclobber.cli import main
 from nclobber.solver import MODES, evaluate_text
 from nclobber.values import MAX_DEPTH, MAX_EXPONENT, parse_value, render_value
@@ -708,8 +708,10 @@ def sizes():
         for attr, table in vars(module).items()
         if isinstance(table, (dict, set, list))
     }
-    # A dict of tables, one per (players, fold, mover): count the results.
-    got["nclobber.solver._SMALL_LINES"] = sum(map(len, solver._SMALL_LINES.values()))
+    # The scan above cannot see into an EvalCache: count every table's entries.
+    cache = solver._default_cache
+    tables = () if cache is None else cache.entries.values()
+    got["nclobber.solver._default_cache"] = sum(map(len, tables))
     return got
 
 rng = random.Random(0)
@@ -720,18 +722,13 @@ print(json.dumps([first, sizes()]))
 """
 
 # Interned values and the shared normalize memo live as long as the
-# process, by design, and so do the short runs' moves and the small line
-# states' results, each within its stated bound; nothing else may keep
-# what a request built.
+# process, by design, and so does evaluate's default cache, within its
+# stated bound; nothing else may keep what a request built.
 PROCESS_TABLES = {
     f"nclobber.values.{name}"
     for name in ("_LEAVES", "_CHOICES", "_OUTCOMES", "_EXPANSIONS", "_NORMAL_CACHE")
 }
-BOUNDED_TABLES = {
-    "nclobber.game_core._RUN_MOVES": game_core._SHORT_RUN_ENTRIES,
-    "nclobber.solver._RUN_MOVES": game_core._SHORT_RUN_ENTRIES,  # the same table
-    "nclobber.solver._SMALL_LINES": solver._SMALL_LINE_ENTRIES,
-}
+BOUNDED_TABLES = {"nclobber.solver._default_cache": solver._DEFAULT_CACHE_ENTRIES}
 
 
 def test_requests_leave_nothing_behind_but_interned_values():

@@ -15,22 +15,19 @@ from helpers import (
     VALUE_12223,
     VALUE_213,
     VALUE_1232132321,
+    cache_entries,
     evaluate_all_starts,
-    line_table_keys_past_its_bound,
     next_active_player,
     reference_eval_graph,
     reference_evaluate,
-    run_table_keys_past_its_bound,
     walk_entries,
 )
 import nclobber
 from nclobber import preferences, solver
 from nclobber.enumeration import EnumerationReport, generate_boards, raw_values, run_keys
 from nclobber.game_core import (
-    _RUN_MOVES,
     Position,
     grid_masks,
-    line_runs,
     movers_mask,
     parse_board,
     run_moves,
@@ -47,6 +44,7 @@ from nclobber.solver import (
     evaluate_runs,
     evaluate_text,
     fold_raw,
+    render_result,
 )
 from nclobber.values import (
     GameValue,
@@ -57,14 +55,6 @@ from nclobber.values import (
     normalize,
     parse_value,
 )
-
-
-@pytest.fixture
-def cleared_line_table():
-    """Empty the process's table of small line results, so that a test
-    that reads memo sizes after line solves reads the same sizes whatever
-    ran before it."""
-    solver._SMALL_LINES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +172,15 @@ def test_indifferent_mode_returns_classes():
     # ties between indistinguishable losses break to the text-least
     # representative, so this board reports the optimistic class
     assert evaluate_text("12223", mode="indifferent") == Class(True)
+
+
+@pytest.mark.parametrize("mode, kind", [("raw", Raw), ("prudent", Simple), ("indifferent", Class)])
+def test_render_result_refuses_an_unknown_style_for_every_kind_of_result(mode, kind):
+    result = evaluate_text("12013", mode=mode)
+    assert type(result) is kind
+    for style in ("bogus", "", "Bar"):
+        with pytest.raises(ValueError, match=f"^unknown render style {style!r}$"):
+            render_result(result, style)
 
 
 def test_results_graphs_and_caches_keep_their_contract():
@@ -417,7 +416,6 @@ def test_one_cache_serves_every_shape_of_the_same_digits():
         assert len(got) == 3, start
 
 
-@pytest.mark.usefixtures("cleared_line_table")
 def test_fold_memos_in_one_cache_do_not_leak_between_modes():
     for n in (3, 4, 5, 6):
         shape = parse_board(MOVABLE_BOARDS[n][0])[0]
@@ -760,7 +758,6 @@ def test_line_keys_match_byte_keys_for_four_players():
         ("12013", "13012"),  # runs swapped and mirrored
     ],
 )
-@pytest.mark.usefixtures("cleared_line_table")
 def test_boards_with_the_same_live_runs_share_one_memo_entry(boards):
     cache = EvalCache()
     first = evaluate_text(boards[0], cache=cache).value
@@ -780,94 +777,101 @@ def test_the_n9_census_sweep_holds_one_memo_entry_per_resolved_run_key():
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 def test_the_run_move_table_holds_only_runs_that_share_a_position(n):
     # Two runs and the blank between them take at least len(run) + 3
-    # cells, so a run longer than n - 3 only ever stands alone.  The
-    # process keeps the short runs' moves, so the walk's table holds only
-    # longer runs: none below n = 10, where every run that shares a
-    # position has at most six cells.
+    # cells, so a run longer than n - 3 only ever stands alone.  The raw
+    # walk has no cutoff, so its tables hold every state it expanded.
     cache = EvalCache()
     for key in run_keys(n):
         evaluate_runs(key, 1, cache)
-    runs = cache.entries.get(run_moves, {})
-    assert bool(runs) == (n >= 10)
-    assert all(6 < len(run) <= n - 3 and (run, p) not in _RUN_MOVES for run, p in runs)
+    runs = cache.entries[run_moves]
+    assert runs
+    assert max(len(run) for run, _ in runs) <= n - 3
+    walked = [(key, p) for p in (1, 2, 3) for key in cache.entries[RAW, p]]
+    assert set(runs) <= {(run, p) for key, p in walked if len(key) > 1 for run in key}
 
 
-def test_solving_long_lines_keeps_the_process_run_table_in_its_bound():
-    # Dense lines whose runs and positions are far too long for the
-    # process's tables.
-    for board in ("12" * 15, "12312310123123101231231"):
-        evaluate_text(board, mode="prudent")
-        assert not run_table_keys_past_its_bound(), board
-        assert not line_table_keys_past_its_bound(), board
-    assert solver._SMALL_LINES  # the walks did keep small results
-
-
-# The entries of the process's table of small line results once every
-# small state has been solved from every start under each position fold:
-# the small states (1,995 for three players) times the movers times the
-# folds, three for three players and two (no PRUDENT) for the others.
-SMALL_LINE_ENTRIES = {
-    1: 0,
-    2: 632,
-    3: 17_955,
-    4: 5_880,
-    5: 4_000,
-    6: 9_540,
-    7: 2_940,
-    8: 4_928,
-    9: 7_776,
-}
-
-
-@pytest.mark.parametrize("players", range(1, 10))
-def test_the_process_line_table_keeps_only_small_states(players, cleared_line_table):
-    # Every line position of the player count's colours up to one cell
-    # past the widest small span, by its live runs, solved from every start
-    # under each position fold.
-    span = max(s for s in range(8) if players**s <= 3**7)
-    cells = itertools.product(range(players + 1), repeat=span + 1)
-    keys = {line_runs(bytes(occupancy)) for occupancy in cells}
-    keys.discard(())
-    modes = ("raw", "indifferent", "prudent") if players == 3 else ("raw", "indifferent")
-    cache = EvalCache(players)
-    for key in keys:
-        board = "".join(map(str, b"\0".join(key)))
-        for start in range(1, players + 1):
-            for mode in modes:
-                evaluate_text(board, start, mode, players=players, cache=cache)
-    assert not line_table_keys_past_its_bound()
-    assert sum(map(len, solver._SMALL_LINES.values())) == SMALL_LINE_ENTRIES[players]
-    assert sum(SMALL_LINE_ENTRIES.values()) == solver._SMALL_LINE_ENTRIES
+def _same_result(got, expected) -> bool:
+    # Raw values are interned: an equal value is the same object.
+    same = got.value is expected.value if isinstance(got, Raw) else got == expected
+    return type(got) is type(expected) and same
 
 
 @pytest.mark.parametrize("players, longest", [(3, 8), (2, 6), (4, 6)])
-def test_the_process_line_table_changes_no_result(
-    players, longest, monkeypatch, cleared_line_table
-):
-    # Every result, computed with walk keeping nothing beyond the cache,
-    # then read with a fresh cache per board twice: from the cleared
-    # table, which fills as the boards go, and from the warm table.
+def test_the_default_cache_changes_no_result(players, longest, monkeypatch):
+    # Every novel board, from every start in every mode, with a fresh
+    # cache per call, then through evaluate's default cache three times:
+    # cold, warm, and with a bound so small that the cache drops often.
     modes = MODES if players == 3 else tuple(m for m in MODES if m != "prudent")
     boards = [b for n in range(2, longest + 1) for b in generate_boards(n, players)]
     cases = [(b, start, mode) for b in boards for start in range(1, players + 1) for mode in modes]
-    with monkeypatch.context() as patched:
-        patched.setattr(preferences, "_KEPT", {})
-        cache = EvalCache(players)
-        want = [evaluate_text(b, s, mode, players=players, cache=cache) for b, s, mode in cases]
-    assert not solver._SMALL_LINES
-    for warm in (False, True):
-        kept = sum(map(len, solver._SMALL_LINES.values()))
-        bad, caches = [], {}
-        for (board, start, mode), expected in zip(cases, want):
-            cache = caches.setdefault(board, EvalCache(players))
-            got = evaluate_text(board, start, mode, players=players, cache=cache)
-            same = got.value is expected.value if isinstance(got, Raw) else got == expected
-            if type(got) is not type(expected) or not same:
-                bad.append(f"{board} start={start} {mode} warm={warm}: {got} != {expected}")
+    fresh = [evaluate_text(*case, players=players, cache=EvalCache(players)) for case in cases]
+    monkeypatch.setattr(solver, "_default_cache", None)
+    for bound in (solver._DEFAULT_CACHE_ENTRIES, solver._DEFAULT_CACHE_ENTRIES, 100):
+        monkeypatch.setattr(solver, "_DEFAULT_CACHE_ENTRIES", bound)
+        bad, drops = [], 0
+        for (board, start, mode), expected in zip(cases, fresh):
+            got = evaluate_text(board, start, mode, players=players)
+            if not _same_result(got, expected):
+                bad.append(f"{board} start={start} {mode} bound={bound}: {got} != {expected}")
+            drops += solver._default_cache is None
         assert not bad, bad[:10]
-        # The first pass fills the table; the warm one meets only states
-        # that the first kept.
-        assert (sum(map(len, solver._SMALL_LINES.values())) == kept) == warm
+        if bound == 100:
+            assert drops, bound
+
+
+def test_the_default_cache_stays_within_its_bound(monkeypatch):
+    # Between calls the default cache holds at most its bound, also after
+    # boards whose walks fill it far past the bound: a dense 30-cell line
+    # in the modes with a cutoff (its raw value takes seconds), and a
+    # 23-cell line and a 3x4 grid in every mode.
+    monkeypatch.setattr(solver, "_default_cache", None)
+    bound = solver._DEFAULT_CACHE_ENTRIES
+
+    def held() -> int:
+        cache = solver._default_cache
+        return 0 if cache is None else cache_entries(cache)
+
+    evaluate_text("1232132321")
+    kept = solver._default_cache
+    assert 0 < held() <= bound
+    evaluate_text("12013", mode="prudent")
+    assert solver._default_cache is kept  # reused from call to call
+    evaluate_text("12" * 15, mode="prudent")
+    assert solver._default_cache is None  # its walk left 50,792 entries
+    solves = [("12" * 15, "line", "indifferent")]
+    for board, shape in (("12312310123123101231231", "line"), ("122132133121", (3, 4))):
+        solves += [(board, shape, mode) for mode in MODES]
+    for board, shape, mode in solves:
+        evaluate_text(board, mode=mode, shape=shape)
+        assert held() <= bound, (board, mode)
+
+
+def test_another_player_count_replaces_the_default_cache(monkeypatch):
+    monkeypatch.setattr(solver, "_default_cache", None)
+    evaluate_text("1232132321")
+    three = solver._default_cache
+    evaluate_text("1234", players=4)
+    assert solver._default_cache.players == 4
+    evaluate_text("12013")
+    assert solver._default_cache.players == 3 and solver._default_cache is not three
+
+
+def test_a_failed_call_drops_a_default_cache_past_its_bound(monkeypatch):
+    # A board with no move raises NoMoveError after the cache is picked.
+    monkeypatch.setattr(solver, "_default_cache", None)
+    evaluate_text("1232132321")
+    monkeypatch.setattr(solver, "_DEFAULT_CACHE_ENTRIES", 0)
+    with pytest.raises(NoMoveError):
+        evaluate_text("1103")
+    assert solver._default_cache is None
+
+
+def test_a_passed_cache_is_the_only_cache_used(monkeypatch):
+    monkeypatch.setattr(solver, "_default_cache", None)
+    monkeypatch.setattr(solver, "_DEFAULT_CACHE_ENTRIES", 0)
+    cache = EvalCache()
+    evaluate_text("1232132321", cache=cache)
+    assert solver._default_cache is None
+    assert walk_entries(cache) > 0  # kept whatever its size
 
 
 def test_evaluate_runs_refuses_a_run_that_is_not_live():
@@ -876,10 +880,7 @@ def test_evaluate_runs_refuses_a_run_that_is_not_live():
             evaluate_runs(parts, 1, EvalCache())
 
 
-def test_one_cache_shares_line_positions_across_lengths(monkeypatch):
-    # Without the process's table of small line results, which would let
-    # the separate caches skip the small states that the shared one solved.
-    monkeypatch.setattr(preferences, "_KEPT", {})
+def test_one_cache_shares_line_positions_across_lengths():
     shared, separate = EvalCache(), 0
     for n in range(2, 9):
         own = EvalCache()
@@ -894,17 +895,13 @@ def test_one_cache_shares_line_positions_across_lengths(monkeypatch):
 # the memo: a dict of tables that walk alone probes
 
 
-@pytest.mark.usefixtures("cleared_line_table")
 def test_every_memo_entry_is_a_table():
     # One cache solves a line and a 3x4 grid in every mode, then folds the
     # n = 7 census roots selfishly, prudently and indifferently.  Walks keep
     # one table per (fold, mover), keyed on the state; beside them sit
     # prune's relation tables and the line kind's run moves.
     cache = EvalCache()
-    # Player 1's first move in 3213213232 leaves 31 beside a 7-cell run,
-    # too long for the process's run table, so the walk keeps its moves.
-    boards = (("1232132321", "line"), ("3213213232", "line"), ("122132133121", (3, 4)))
-    for board, shape in boards:
+    for board, shape in (("1232132321", "line"), ("122132133121", (3, 4))):
         for mode in MODES:
             evaluate_text(board, mode=mode, shape=shape, cache=cache)
     indifferent = pruning_fold("indifferent", L1, 3)
